@@ -2,18 +2,21 @@
 
 All randomness comes from externally derived streams so that runs are
 reproducible and each (sample, epoch, view) combination draws independently.
-Application order is fixed: ED -> GN -> FM.
+Application order is fixed: ED -> GN -> FM.  Training draws per clip with
+``sample_draws``; ``edge_drop``, ``gaussian_noise`` and ``feature_mask`` are
+its single-transform views on one graph, so chaining them over one stream
+reproduces the draws of a full spec.
 """
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .featio import ConfigError
 from .graphbuild import GraphView
+from .seeding import stream
 
 
 @dataclass
@@ -24,6 +27,11 @@ class AugmentSpec:
     ed_prob: float = 0.5
     gn_sigma: float = 0.1
     fm_prob: float = 0.5
+
+    @classmethod
+    def from_config(cls, cfg):
+        return cls(cfg["aug.ed"], cfg["aug.gn"], cfg["aug.fm"],
+                   cfg["aug.ed_prob"], cfg["aug.gn_sigma"], cfg["aug.fm_prob"])
 
     def validate(self):
         for p in (self.ed_prob, self.fm_prob):
@@ -46,10 +54,6 @@ GRID = [
 ]
 
 
-def grid_spec(base: AugmentSpec, ed, gn, fm):
-    return replace(base, ed_enabled=ed, gn_enabled=gn, fm_enabled=fm)
-
-
 @dataclass
 class AugmentDraws:
     edge_keep: np.ndarray | None    # bool per edge
@@ -58,8 +62,8 @@ class AugmentDraws:
 
 
 def derive_rng(global_seed, sample_key, epoch, view_tag):
-    digest = hashlib.sha256(f"{global_seed}|{sample_key}|{epoch}|{view_tag}".encode()).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
+    """The augmentation stream of one (clip, epoch, view:segment)."""
+    return stream(global_seed, sample_key, epoch, view_tag)
 
 
 def sample_draws(spec: AugmentSpec, rng, n_edges, feat_shape) -> AugmentDraws:
@@ -74,47 +78,20 @@ def sample_draws(spec: AugmentSpec, rng, n_edges, feat_shape) -> AugmentDraws:
     return AugmentDraws(edge_keep, noise, mask)
 
 
-def apply_draws(g: GraphView, draws: AugmentDraws) -> GraphView:
-    edges = g.edges
-    if draws.edge_keep is not None:
-        edges = [e for e, keep in zip(edges, draws.edge_keep) if keep]
-    x = g.x
-    if draws.noise is not None:
-        x = x + draws.noise
-    if draws.mask is not None:
-        x = x * draws.mask
-    return GraphView(g.kind, x.astype(np.float32), edges, g.clip_id, g.segment_id)
+def _draw(rng, g: GraphView, **spec_fields) -> AugmentDraws:
+    spec = AugmentSpec(**spec_fields)
+    spec.validate()
+    return sample_draws(spec, rng, len(g.edges), g.x.shape)
 
 
 def edge_drop(g: GraphView, p, rng) -> GraphView:
-    if not 0 <= p <= 1:
-        raise ConfigError("edge drop probability must be in [0, 1]")
-    keep = rng.random(len(g.edges)) >= p
-    return GraphView(g.kind, g.x, [e for e, k in zip(g.edges, keep) if k],
-                     g.clip_id, g.segment_id)
+    keep = _draw(rng, g, ed_enabled=True, ed_prob=p).edge_keep
+    return replace(g, edges=[e for e, k in zip(g.edges, keep) if k])
 
 
 def gaussian_noise(g: GraphView, sigma, rng) -> GraphView:
-    if not (np.isfinite(sigma) and sigma >= 0):
-        raise ConfigError("sigma must be finite and non-negative")
-    if sigma == 0:
-        return GraphView(g.kind, g.x.copy(), list(g.edges), g.clip_id, g.segment_id)
-    noise = (sigma * rng.standard_normal(g.x.shape)).astype(np.float32)
-    return GraphView(g.kind, g.x + noise, list(g.edges), g.clip_id, g.segment_id)
+    return replace(g, x=g.x + _draw(rng, g, gn_enabled=True, gn_sigma=sigma).noise)
 
 
 def feature_mask(g: GraphView, p, rng) -> GraphView:
-    if not 0 <= p <= 1:
-        raise ConfigError("feature mask probability must be in [0, 1]")
-    mask = (rng.random(g.x.shape) >= p).astype(np.float32)
-    return GraphView(g.kind, g.x * mask, list(g.edges), g.clip_id, g.segment_id)
-
-
-def apply(spec: AugmentSpec, g: GraphView, sample_key, global_seed=0, epoch=0,
-          view_tag=None) -> GraphView:
-    """Apply the enabled augmentations in ED -> GN -> FM order, reproducibly."""
-    spec.validate()
-    tag = view_tag if view_tag is not None else f"{g.kind}:{g.segment_id}"
-    rng = derive_rng(global_seed, sample_key, epoch, tag)
-    draws = sample_draws(spec, rng, len(g.edges), g.x.shape)
-    return apply_draws(g, draws)
+    return replace(g, x=g.x * _draw(rng, g, fm_enabled=True, fm_prob=p).mask)

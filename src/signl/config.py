@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from .augment import AugmentSpec
 from .featio import ConfigError
 
 # key -> (type, default).  Booleans are written true/false.
@@ -97,6 +98,13 @@ def validate(cfg):
         raise ConfigError(f"view_mode must be one of {VIEW_MODES}")
     if cfg["train.temperature"] <= 0:
         raise ConfigError("temperature must be positive")
+    if cfg["train.patience"] < 1:
+        raise ConfigError("train.patience must be >= 1")
+    if not 1 <= cfg["graph.k"] <= cfg["graph.n"] - 1:
+        raise ConfigError(f"graph.k must be in [1, graph.n - 1 = {cfg['graph.n'] - 1}]")
+    if cfg["graph.layers"] < 1:
+        raise ConfigError("graph.layers must be >= 1")
+    AugmentSpec.from_config(cfg).validate()
 
 
 def dump(cfg, path):

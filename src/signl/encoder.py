@@ -14,21 +14,25 @@ import numpy as np
 
 from . import tensorgrad as tg
 from .featio import ConfigError
-from .graphbuild import GraphView
+
+
+def _normalize_adjacency(a):
+    """(B, N, N) float64 0/1 adjacencies -> D^-1/2 (A + I) D^-1/2 of the
+    symmetrized, self-loop-free A."""
+    a = np.maximum(a, a.transpose(0, 2, 1))
+    idx = np.arange(a.shape[1])
+    a[:, idx, idx] = 0.0
+    a_hat = a + np.eye(a.shape[1])
+    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=2))
+    return a_hat * inv_sqrt[:, :, None] * inv_sqrt[:, None, :]
 
 
 def normalized_adjacency(edges, n, dtype=np.float32):
     """Symmetrically normalized adjacency with self-loops (dense N x N)."""
-    a = np.zeros((n, n), dtype=np.float64)
-    for src, dst in edges:
-        a[src, dst] = 1.0
-        a[dst, src] = 1.0
-    np.fill_diagonal(a, 0.0)
-    a_hat = a + np.eye(n)
-    d = a_hat.sum(axis=1)
-    inv_sqrt = 1.0 / np.sqrt(d)
-    s = a_hat * inv_sqrt[:, None] * inv_sqrt[None, :]
-    return s.astype(dtype)
+    a = np.zeros((1, n, n))
+    src, dst = np.asarray(edges, dtype=np.intp).reshape(-1, 2).T
+    a[0, dst, src] = 1.0
+    return _normalize_adjacency(a)[0].astype(dtype)
 
 
 def gcn_layer(h: tg.Tensor, s: tg.Tensor, theta: tg.Tensor) -> tg.Tensor:
@@ -128,16 +132,6 @@ def concat_pool(h: tg.Tensor, nodes_per_graph: int) -> tg.Tensor:
     return tg.reshape(h, (m // nodes_per_graph, nodes_per_graph * d))
 
 
-def encode(g: GraphView, stack: EncoderStack) -> tg.Tensor:
-    """Full per-graph encoding: layers then CONCAT pooling (1 x N*d_L)."""
-    n, d = g.x.shape
-    if d != stack.dims[0]:
-        raise tg.ShapeError(f"node dim {d} does not match stack input {stack.dims[0]}")
-    s = tg.Tensor._wrap(normalized_adjacency(g.edges, n), False)
-    h = tg.Tensor._wrap(g.x.astype(np.float32), False)
-    return concat_pool(run_layers(h, s, stack), n)
-
-
 # ---------------------------------------------------------------------------
 # MLP heads
 
@@ -156,10 +150,6 @@ def run_mlp(x: tg.Tensor, store: tg.ParamStore, prefix, n_layers=3) -> tg.Tensor
         if i < n_layers - 1:
             x = tg.relu(x)
     return x
-
-
-def project(h_t: tg.Tensor, h_s: tg.Tensor, store: tg.ParamStore) -> tg.Tensor:
-    return run_mlp(tg.concat([h_t, h_s], axis=1), store, "proj")
 
 
 def classify(parts, store: tg.ParamStore) -> tg.Tensor:

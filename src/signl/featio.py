@@ -7,7 +7,6 @@ Manifests are JSON lines with fields path/label/attack_id/split.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import struct
@@ -15,6 +14,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
+
+from .seeding import stream
 
 SIGF_MAGIC = b"SIGF"
 SIGF_VERSION = 1
@@ -145,11 +146,6 @@ class SynthConfig:
                 raise ConfigError(f"n_per_split missing or negative for {s!r}")
 
 
-def _clip_rng(seed, clip_id):
-    digest = hashlib.sha256(f"{seed}:{clip_id}".encode()).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
-
-
 def _bona_fide_field(rng, f, t):
     """Smooth band-limited random field: low-rank sinusoidal bands + noise."""
     rows = np.arange(f)[:, None]
@@ -221,7 +217,7 @@ def gen_synthetic(cfg: SynthConfig, out_dir):
                 attack = f"A{family:02d}"
                 label = "fake"
             clip_id = f"{split}_{i:05d}"
-            rng = _clip_rng(cfg.seed, clip_id)
+            rng = stream(cfg.seed, clip_id, sep=":")
             x = _bona_fide_field(rng, cfg.F, cfg.T)
             if not bona:
                 _plant_artifact(x, family, cfg.artifact_strength, rng)
@@ -250,7 +246,7 @@ def sample_limited_labels(entries, p, seed):
     keep = set(idx for idx, e in enumerate(entries) if e.split == "eval")
     for key, idxs in sorted(strata.items()):
         n_take = math.ceil(p * len(idxs))
-        rng = _clip_rng(seed, "|".join(key))
+        rng = stream(seed, "|".join(key), sep=":")
         order = rng.permutation(len(idxs))
         keep.update(idxs[j] for j in order[:n_take])
     return [e for idx, e in enumerate(entries) if idx in keep]

@@ -1,14 +1,16 @@
-"""Turn feature matrices into temporal/spatial graph views and positive pairs."""
+"""Turn feature matrices into temporal/spatial patch graphs.
+
+The kernels are batched: leading axes of the inputs are batch axes, and
+``knn_graph`` is the single-graph (B=1) view of ``neighbor_table``.
+"""
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensorgrad as tg
-from .featio import ConfigError, FeatureMatrix
+from .featio import ConfigError
 
 
 @dataclass
@@ -21,125 +23,58 @@ class GraphView:
 
 
 @dataclass
-class PairBundle:
-    g_t1: GraphView
-    g_s1: GraphView
-    g_t2: GraphView
-    g_s2: GraphView
-
-    def views(self):
-        return [self.g_t1, self.g_s1, self.g_t2, self.g_s2]
-
-
-@dataclass
 class GraphConfig:
     n_patches: int = 8
     k_neighbors: int = 3
     node_dim: int = 32
 
 
-def split_pair(m: FeatureMatrix):
-    """Halve a clip along time; odd widths are repeat-padded from column 0."""
-    values = m.values
-    if values.shape[1] % 2 == 1:
-        values = np.concatenate([values, values[:, :1]], axis=1)
-    half = values.shape[1] // 2
-    m1 = FeatureMatrix(m.clip_id, values[:, :half].copy())
-    m2 = FeatureMatrix(m.clip_id, values[:, half:].copy())
-    return m1, m2
+def split_pair(values: np.ndarray):
+    """Halve (..., F, T) clips along time; odd widths are repeat-padded from column 0."""
+    if values.shape[-1] % 2 == 1:
+        values = np.concatenate([values, values[..., :1]], axis=-1)
+    half = values.shape[-1] // 2
+    return values[..., :half], values[..., half:]
 
 
 def patchify(values: np.ndarray, n: int, kind: str):
-    """Cut an F x T matrix into n equal temporal (column) or spatial (row) tiles."""
-    f, t = values.shape
+    """(..., F, T) -> (..., n, patch_dim): n equal temporal (column) or spatial
+    (row) tiles, each flattened row-major."""
+    *lead, f, t = values.shape
     if kind == "temporal":
         if t % n != 0:
             raise ConfigError(f"time dimension {t} not divisible by {n} patches")
-        w = t // n
-        return [values[:, i * w:(i + 1) * w] for i in range(n)]
+        tiles = values.reshape(*lead, f, n, t // n)
+        return np.swapaxes(tiles, -3, -2).reshape(*lead, n, -1)
     if kind == "spatial":
         if f % n != 0:
             raise ConfigError(f"frequency dimension {f} not divisible by {n} patches")
-        h = f // n
-        return [values[i * h:(i + 1) * h, :] for i in range(n)]
+        return values.reshape(*lead, n, -1)
     raise ConfigError(f"unknown patch kind {kind!r}")
 
 
-def flatten_patches(patches):
-    """N x patch_dim matrix of row-major flattened patches."""
-    return np.stack([p.reshape(-1) for p in patches]).astype(np.float32)
+def neighbor_table(x_batch: np.ndarray, k: int):
+    """Batched k-NN: (B, N, D) features -> (B, N, K) neighbor indices.
 
-
-def stem_embed(patches, w: tg.Tensor, b: tg.Tensor) -> tg.Tensor:
-    """Shared affine map from flattened patches to node features (taped)."""
-    flat = flatten_patches(patches)
-    if flat.shape[1] != w.shape[0]:
-        raise tg.ShapeError(
-            f"patch dim {flat.shape[1]} does not match stem weight {w.shape}")
-    p = tg.Tensor._wrap(flat.astype(w.dtype), False)
-    return tg.affine(p, w, b)
-
-
-def knn_graph(x: np.ndarray, k: int):
-    """Directed edges neighbor -> node for the k nearest Euclidean neighbors.
-
-    Ties break toward the smaller node index.  Edge order is canonical:
-    ascending target node, then ascending neighbor rank.
+    Row i lists the k nearest Euclidean neighbors of node i, nearest
+    first; ties break toward the smaller node index.
     """
-    n = x.shape[0]
+    b, n, _ = x_batch.shape
     if not 1 <= k <= n - 1:
         raise ConfigError(f"K={k} out of range for {n} nodes")
-    diff = x[:, None, :] - x[None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
-    np.fill_diagonal(dist, np.inf)
-    order = np.argsort(dist, axis=1, kind="stable")  # stable => index tie-break
-    edges = []
-    for i in range(n):
-        for j in order[i, :k]:
-            edges.append((int(j), i))
-    return edges
-
-
-def neighbor_table(x_batch: np.ndarray, k: int):
-    """Batched k-NN: (B, N, D) features -> (B, N, K) neighbor indices."""
     diff = x_batch[:, :, None, :] - x_batch[:, None, :, :]
     dist = np.sqrt((diff * diff).sum(axis=-1))
-    b, n, _ = dist.shape
     idx = np.arange(n)
     dist[:, idx, idx] = np.inf
-    order = np.argsort(dist, axis=2, kind="stable")
+    order = np.argsort(dist, axis=2, kind="stable")  # stable => index tie-break
     return order[:, :, :k]
 
 
-def build_bundle(m: FeatureMatrix, cfg: GraphConfig, stem_params) -> PairBundle:
-    """split -> patchify both kinds -> stem embed -> k-NN, for both segments.
+def knn_graph(x: np.ndarray, k: int):
+    """Directed edges neighbor -> node for the k nearest neighbors of each node.
 
-    ``stem_params`` maps view kind to its (w, b) tensors, e.g.
-    ``{"temporal": (w, b), "spatial": (w, b)}``.
+    Edge order is canonical: ascending target node, then ascending
+    neighbor rank -- the row-major order of ``neighbor_table``.
     """
-    m1, m2 = split_pair(m)
-    views = {}
-    for seg_id, seg in (("1", m1), ("2", m2)):
-        for kind in ("temporal", "spatial"):
-            patches = patchify(seg.values, cfg.n_patches, kind)
-            w, b = stem_params[kind]
-            x = stem_embed(patches, w, b).data.astype(np.float32)
-            edges = knn_graph(x, cfg.k_neighbors)
-            views[(kind, seg_id)] = GraphView(kind, x, edges, m.clip_id, seg_id)
-    return PairBundle(g_t1=views[("temporal", "1")], g_s1=views[("spatial", "1")],
-                      g_t2=views[("temporal", "2")], g_s2=views[("spatial", "2")])
-
-
-def export_view_json(g: GraphView, path):
-    """Debug dump: nodes, edges, and per-node feature checksums."""
-    payload = {
-        "kind": g.kind,
-        "clip_id": g.clip_id,
-        "segment_id": g.segment_id,
-        "n_nodes": int(g.x.shape[0]),
-        "node_dim": int(g.x.shape[1]),
-        "edges": [[int(a), int(b)] for a, b in g.edges],
-        "feature_checksums": [float(row.sum()) for row in g.x],
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=2)
+    table = neighbor_table(x[None], k)[0]
+    return [(int(j), i) for i, row in enumerate(table) for j in row]

@@ -8,7 +8,6 @@ Python loops.  The math is identical to encoding each graph separately.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import time
@@ -24,16 +23,11 @@ from . import metrics
 from . import tensorgrad as tg
 from .featio import ConfigError, read_feature
 from .graphbuild import GraphConfig, neighbor_table, patchify, split_pair
-from .featio import FeatureMatrix
+from .seeding import stream
 
 PROJ_DIMS = (256, 128, 80)
 CLS_DIMS = (256, 128, 2)
 DEV_HOLDOUT = 0.1  # fraction of train clips monitored during pre-training
-
-
-def _rng(*parts):
-    digest = hashlib.sha256("|".join(str(p) for p in parts).encode()).digest()
-    return np.random.default_rng(int.from_bytes(digest[:8], "little"))
 
 
 def view_kinds(view_mode):
@@ -76,7 +70,7 @@ def build_model(cfg, head, view_mode="both", seed=0):
     kinds = view_kinds(view_mode) if head == "cls" else ("temporal", "spatial")
     patch_dims = {"temporal": f * (t_seg // n), "spatial": (f // n) * t_seg}
     store = tg.ParamStore()
-    rng = _rng(seed, "init")
+    rng = stream(seed, "init")
     stacks = {}
     for kind in kinds:
         tag = "t" if kind == "temporal" else "s"
@@ -120,57 +114,35 @@ def freeze_encoders(model):
 def _block_adjacency(neighbors, keep=None):
     """(B, N, K) neighbor table -> block-diagonal normalized S of shape (BN, BN)."""
     b, n, k = neighbors.shape
-    a = np.zeros((b, n, n), dtype=np.float64)
-    bidx = np.arange(b)[:, None, None]
-    iidx = np.arange(n)[None, :, None]
-    vals = np.ones((b, n, k)) if keep is None else keep.astype(np.float64)
-    # edge j -> i marks A[i, j]; symmetrized immediately after
-    np.maximum.at(a, (bidx, iidx, neighbors), vals)
-    a = np.maximum(a, a.transpose(0, 2, 1))
-    idx = np.arange(n)
-    a[:, idx, idx] = 0.0
-    a_hat = a + np.eye(n)
-    inv_sqrt = 1.0 / np.sqrt(a_hat.sum(axis=2))
-    s = a_hat * inv_sqrt[:, :, None] * inv_sqrt[:, None, :]
+    a = np.zeros((b, n, n))
+    # edge j -> i marks A[i, j]; kept edges only when ED draws are given
+    a[np.arange(b)[:, None, None], np.arange(n)[None, :, None], neighbors] = \
+        1.0 if keep is None else keep
     big = np.zeros((b * n, b * n), dtype=np.float32)
-    for i in range(b):
-        big[i * n:(i + 1) * n, i * n:(i + 1) * n] = s[i]
+    blocks = big.reshape(b, n, b, n)
+    blocks[np.arange(b), :, np.arange(b), :] = enc._normalize_adjacency(a)
     return big
 
 
-def _stacked_patches(mats, n, kind):
-    rows = []
-    for m in mats:
-        for p in patchify(m, n, kind):
-            rows.append(p.reshape(-1))
-    return np.stack(rows).astype(np.float32)
-
-
-def _view_embed(model, mats, kind, clip_ids=None, spec=None, seed=0, epoch=0, seg_id="1"):
-    """Embed one (view, segment) of a batch: (B, N*d_L) tensor."""
+def _view_embed(model, segs, kind, clip_ids=None, spec=None, seed=0, epoch=0, seg_id="1"):
+    """Embed one (view, segment) of a (B, F, T_seg) batch: (B, N*d_L) tensor."""
     n, k = model.graph.n_patches, model.graph.k_neighbors
-    b = len(mats)
-    p = tg.Tensor._wrap(_stacked_patches(mats, n, kind), False)
+    patches = patchify(segs, n, kind)
+    b = patches.shape[0]
+    p = tg.Tensor._wrap(patches.reshape(b * n, -1).astype(np.float32, copy=False), False)
     x = tg.affine(p, model.store[f"stem.{kind}.w"], model.store[f"stem.{kind}.b"])
-    x_np = x.data.reshape(b, n, -1)
-    neighbors = neighbor_table(x_np, k)
+    neighbors = neighbor_table(x.data.reshape(b, n, -1), k)
     keep = None
     if spec is not None and (spec.ed_enabled or spec.gn_enabled or spec.fm_enabled):
-        keeps, noises, masks = [], [], []
-        for i, clip_id in enumerate(clip_ids):
-            rng = aug.derive_rng(seed, clip_id, epoch, f"{kind}:{seg_id}")
-            draws = aug.sample_draws(spec, rng, n * k, x_np.shape[1:])
-            keeps.append(draws.edge_keep)
-            noises.append(draws.noise)
-            masks.append(draws.mask)
+        draws = [aug.sample_draws(spec, aug.derive_rng(seed, cid, epoch, f"{kind}:{seg_id}"),
+                                  n * k, (n, x.shape[1]))
+                 for cid in clip_ids]
         if spec.ed_enabled:
-            keep = np.stack(keeps).reshape(b, n, k)
+            keep = np.stack([d.edge_keep for d in draws]).reshape(b, n, k)
         if spec.gn_enabled:
-            noise = np.concatenate(noises, axis=0)
-            x = tg.add(x, tg.Tensor._wrap(noise.astype(x.dtype), False))
+            x = tg.add(x, tg.Tensor._wrap(np.concatenate([d.noise for d in draws]), False))
         if spec.fm_enabled:
-            mask = np.concatenate(masks, axis=0)
-            x = tg.mul(x, tg.Tensor._wrap(mask.astype(x.dtype), False))
+            x = tg.mul(x, tg.Tensor._wrap(np.concatenate([d.mask for d in draws]), False))
     s = tg.Tensor._wrap(_block_adjacency(neighbors, keep), False)
     h = enc.run_layers(x, s, model.stacks[kind])
     return enc.concat_pool(h, n)
@@ -178,12 +150,10 @@ def _view_embed(model, mats, kind, clip_ids=None, spec=None, seed=0, epoch=0, se
 
 def _pair_forward(model, mats, clip_ids, spec, seed, epoch):
     """Positive-pair projections (z1, z2) for a batch of full clips."""
-    halves = [split_pair(FeatureMatrix(cid, m)) for cid, m in zip(clip_ids, mats)]
     zs = []
-    for seg_id, seg_mats in (("1", [h[0].values for h in halves]),
-                             ("2", [h[1].values for h in halves])):
-        h_t = _view_embed(model, seg_mats, "temporal", clip_ids, spec, seed, epoch, seg_id)
-        h_s = _view_embed(model, seg_mats, "spatial", clip_ids, spec, seed, epoch, seg_id)
+    for seg_id, segs in zip("12", split_pair(np.stack(mats))):
+        h_t = _view_embed(model, segs, "temporal", clip_ids, spec, seed, epoch, seg_id)
+        h_s = _view_embed(model, segs, "spatial", clip_ids, spec, seed, epoch, seg_id)
         h = tg.concat([h_t, h_s], axis=1)
         zs.append((h, enc.run_mlp(h, model.store, "proj")))
     (h1, z1), (h2, z2) = zs
@@ -192,9 +162,8 @@ def _pair_forward(model, mats, clip_ids, spec, seed, epoch):
 
 def _classify_forward(model, mats, clip_ids):
     """Logits for a batch using the first clip half, no augmentation."""
-    seg_mats = [split_pair(FeatureMatrix(cid, m))[0].values
-                for cid, m in zip(clip_ids, mats)]
-    parts = [_view_embed(model, seg_mats, kind) for kind in view_kinds(model.view_mode)]
+    segs = split_pair(np.stack(mats))[0]
+    parts = [_view_embed(model, segs, kind) for kind in view_kinds(model.view_mode)]
     return enc.classify(parts, model.store)
 
 
@@ -271,15 +240,14 @@ def pretrain(cfg, clips, data_dir, out_dir):
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = cfg["train.seed"]
-    spec = aug.AugmentSpec(cfg["aug.ed"], cfg["aug.gn"], cfg["aug.fm"],
-                           cfg["aug.ed_prob"], cfg["aug.gn_sigma"], cfg["aug.fm_prob"])
+    spec = aug.AugmentSpec.from_config(cfg)
     spec.validate()
     tau = cfg["train.temperature"]
     model = build_model(cfg, head="proj", seed=seed)
     feats = load_features(clips, data_dir)
     ids = [cid for cid, _ in clips]
 
-    holdout_rng = _rng(seed, "holdout")
+    holdout_rng = stream(seed, "holdout")
     order = holdout_rng.permutation(len(ids))
     n_dev = max(1, int(round(DEV_HOLDOUT * len(ids)))) if len(ids) > 1 else 0
     dev_ids = [ids[i] for i in order[:n_dev]]
@@ -290,7 +258,7 @@ def pretrain(cfg, clips, data_dir, out_dir):
     bt = cfg["train.batch_size"]
     for epoch in range(1, cfg["train.epochs"] + 1):
         t0 = time.monotonic()
-        perm = _rng(seed, "order", epoch).permutation(len(train_ids))
+        perm = stream(seed, "order", epoch).permutation(len(train_ids))
         losses = []
         for batch_idx, batch in enumerate(_batches([train_ids[i] for i in perm], bt)):
             mats = [feats[c] for c in batch]
@@ -350,8 +318,9 @@ def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):
     dev_entries = [e for e in labeled if e.split == "dev"]
     if not train_entries:
         raise ConfigError("fine-tuning requires labeled train entries")
-    feats = load_features([(e.clip_id, e.path) for e in labeled], data_dir)
-    labels = {e.clip_id: 1 if e.label == "bonafide" else 0 for e in labeled}
+    used = train_entries + dev_entries  # the eval split is never read here
+    feats = load_features([(e.clip_id, e.path) for e in used], data_dir)
+    labels = {e.clip_id: 1 if e.label == "bonafide" else 0 for e in used}
     train_ids = [e.clip_id for e in train_entries]
 
     stopper = _EarlyStopper(cfg["train.patience"])
@@ -359,7 +328,7 @@ def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):
     bt = cfg["train.batch_size"]
     for epoch in range(1, cfg["train.epochs"] + 1):
         t0 = time.monotonic()
-        perm = _rng(seed, "order", epoch).permutation(len(train_ids))
+        perm = stream(seed, "order", epoch).permutation(len(train_ids))
         losses = []
         for batch_idx, batch in enumerate(_batches([train_ids[i] for i in perm], bt)):
             mats = [feats[c] for c in batch]

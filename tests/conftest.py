@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from signl import config as cfgmod
-from signl import featio
+from signl import encoder, featio, train
 
 
 @pytest.fixture(scope="session")
@@ -30,3 +30,35 @@ def tiny_cfg(tiny_corpus):
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def make_model():
+    """train.build_model on the defaults plus a dict of config overrides."""
+    def make(overrides=(), head="proj"):
+        cfg = cfgmod.defaults()
+        cfg.update(overrides)
+        return train.build_model(cfg, head=head, seed=cfg["train.seed"])
+    return make
+
+
+@pytest.fixture
+def stem_probe(monkeypatch):
+    """Runs train._view_embed with the graph-conv layers stubbed out.
+
+    The probe returns (x, s): the pooled (B, N*d) node features after the
+    stem and any augmentation, and the block-diagonal adjacency that the
+    layers would have received.
+    """
+    seen = {}
+
+    def layers(h, s, stack):
+        seen["s"] = s.data
+        return h
+
+    monkeypatch.setattr(encoder, "run_layers", layers)
+
+    def probe(model, segs, kind, *args, **kwargs):
+        x = train._view_embed(model, segs, kind, *args, **kwargs)
+        return x, seen["s"]
+    return probe

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from signl import augment as aug
+from signl import config, train
 from signl.featio import ConfigError
 from signl.graphbuild import GraphView
 
@@ -88,42 +89,59 @@ class TestFeatureMask:
 
 
 class TestApply:
-    def test_all_disabled_identity(self, rng):
-        g = _view(rng)
-        out = aug.apply(aug.AugmentSpec(), g, "clip0")
-        assert np.array_equal(out.x, g.x) and out.edges == g.edges
+    """Augmentation as training applies it: per-clip draws inside train._view_embed."""
 
-    def test_deterministic_in_seed_material(self, rng):
-        g = _view(rng)
+    CFG = {"data.f": 16, "data.t": 16, "graph.n": 4, "graph.k": 2, "graph.d": 8,
+           "graph.layers": 2}
+    IDS = ["clip0", "clip1"]
+
+    def _segs(self, rng):
+        return rng.standard_normal((2, 16, 8)).astype(np.float32)
+
+    def test_all_disabled_identity(self, rng, make_model):
+        model, segs = make_model(self.CFG), self._segs(rng)
+        out = train._view_embed(model, segs, "temporal", self.IDS, aug.AugmentSpec())
+        plain = train._view_embed(model, segs, "temporal")
+        assert np.array_equal(out.data, plain.data)
+
+    def test_deterministic_in_seed_material(self, rng, make_model):
+        model, segs = make_model(self.CFG), self._segs(rng)
         spec = aug.AugmentSpec(True, True, True)
-        a = aug.apply(spec, g, "clip0", global_seed=5, epoch=3)
-        b = aug.apply(spec, g, "clip0", global_seed=5, epoch=3)
-        assert np.array_equal(a.x, b.x) and a.edges == b.edges
+        a = train._view_embed(model, segs, "spatial", self.IDS, spec, 5, 3)
+        b = train._view_embed(model, segs, "spatial", self.IDS, spec, 5, 3)
+        assert np.array_equal(a.data, b.data)
+        assert np.array_equal(aug.derive_rng(5, "clip0", 3, "spatial:1").random(4),
+                              aug.derive_rng(5, "clip0", 3, "spatial:1").random(4))
 
-    def test_segments_draw_independently(self, rng):
-        g1 = _view(rng)
-        g2 = GraphView(g1.kind, g1.x.copy(), list(g1.edges), g1.clip_id, "2")
+    def test_segments_draw_independently(self, rng, make_model, stem_probe):
+        model, segs = make_model(self.CFG), self._segs(rng)
         spec = aug.AugmentSpec(gn_enabled=True)
-        a = aug.apply(spec, g1, "clip0", global_seed=5, epoch=3)
-        b = aug.apply(spec, g2, "clip0", global_seed=5, epoch=3)
-        assert not np.array_equal(a.x, b.x)
+        a, _ = stem_probe(model, segs, "temporal", self.IDS, spec, 5, 3, "1")
+        b, _ = stem_probe(model, segs, "temporal", self.IDS, spec, 5, 3, "2")
+        assert not np.array_equal(a.data, b.data)
 
-    def test_structure_preserved(self, rng):
-        g = _view(rng)
-        out = aug.apply(aug.AugmentSpec(True, True, True), g, "clip0")
-        assert out.x.shape == g.x.shape
-        assert set(out.edges) <= set(g.edges)
+    def test_structure_preserved(self, rng, make_model, stem_probe):
+        model, segs = make_model(self.CFG), self._segs(rng)
+        x_plain, s_plain = stem_probe(model, segs, "temporal")
+        x, s = stem_probe(model, segs, "temporal", self.IDS, aug.AugmentSpec(True, True, True))
+        assert x.shape == x_plain.shape
+        assert not (s != 0)[s_plain == 0].any()  # edge drop never adds edges
 
-    def test_disabled_transform_does_not_shift_draws(self, rng):
+    def test_disabled_transform_does_not_shift_draws(self, rng, make_model, stem_probe):
         """Draw streams are consumed only by enabled transforms, in fixed order."""
-        g = _view(rng)
-        full = aug.apply(aug.AugmentSpec(True, True, True, fm_prob=0.0),
-                         g, "clip0", global_seed=1)
-        no_fm = aug.apply(aug.AugmentSpec(True, True, False),
-                          g, "clip0", global_seed=1)
+        full_spec = aug.AugmentSpec(True, True, True, fm_prob=0.0)
+        no_fm_spec = aug.AugmentSpec(True, True, False)
+        key = (1, "clip0", 0, "temporal:1")
+        full = aug.sample_draws(full_spec, aug.derive_rng(*key), 8, (4, 8))
+        no_fm = aug.sample_draws(no_fm_spec, aug.derive_rng(*key), 8, (4, 8))
         # FM with p=0 is an identity mask, so both runs share the ED/GN draws
-        assert full.edges == no_fm.edges
-        assert np.array_equal(full.x, no_fm.x)
+        assert np.array_equal(full.edge_keep, no_fm.edge_keep)
+        assert np.array_equal(full.noise, no_fm.noise)
+        model, segs = make_model(self.CFG), self._segs(rng)
+        x_full, s_full = stem_probe(model, segs, "temporal", self.IDS, full_spec, 1)
+        x_no_fm, s_no_fm = stem_probe(model, segs, "temporal", self.IDS, no_fm_spec, 1)
+        assert np.array_equal(s_full, s_no_fm)
+        assert np.array_equal(x_full.data, x_no_fm.data)
 
 
 class TestGrid:
@@ -136,9 +154,10 @@ class TestGrid:
         assert aug.GRID[0] == ("SIGNL-1", False, False, False)
         assert aug.GRID[-1] == ("SIGNL-8", True, True, True)
 
-    def test_grid_spec(self):
-        base = aug.AugmentSpec(ed_prob=0.3)
-        spec = aug.grid_spec(base, True, False, True)
+    def test_grid_row_keeps_base_probabilities(self):
+        cfg = config.load(None, overrides=("aug.ed_prob = 0.3",))
+        cfg["aug.ed"], cfg["aug.gn"], cfg["aug.fm"] = True, False, True  # as run_grid does
+        spec = aug.AugmentSpec.from_config(cfg)
         assert (spec.ed_enabled, spec.gn_enabled, spec.fm_enabled) == (True, False, True)
         assert spec.ed_prob == 0.3
 

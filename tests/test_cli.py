@@ -126,6 +126,17 @@ class TestErrors:
                             "--out", str(tmp_path / "runs")], capsys)
         assert code == 1
 
+    def test_invalid_graph_value_exits_1_without_run_dir(self, base_cfg, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert run(["gen-data", "--config", str(base_cfg), "--out", str(out)],
+                   capsys)[0] == 0
+        before = sorted(out.iterdir())
+        code, _, err = run(["pretrain", "--config", str(base_cfg),
+                            "--set", "graph.k=8", "--out", str(out)], capsys)
+        assert code == 1
+        assert "graph.k" in err
+        assert sorted(out.iterdir()) == before
+
     def test_finetune_missing_checkpoint_path_exits_1(self, base_cfg, tmp_path, capsys):
         out = tmp_path / "runs"
         assert run(["gen-data", "--config", str(base_cfg), "--out", str(out)],

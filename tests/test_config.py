@@ -98,10 +98,37 @@ class TestValidate:
         "train.label_fraction = 1.5",
         "train.view_mode = sideways",
         "train.temperature = 0",
+        "train.patience = 0",
+        "train.patience = -1",
+        "graph.k = 0",
+        "graph.k = 8",    # graph.n = 8: a node would be its own neighbour
+        "graph.k = 9",
+        "graph.layers = 0",
+        "aug.ed_prob = -0.1",
+        "aug.ed_prob = 1.5",
+        "aug.fm_prob = -0.5",
+        "aug.fm_prob = 2",
+        "aug.gn_sigma = -0.1",
+        "aug.gn_sigma = nan",
+        "aug.gn_sigma = inf",
     ])
     def test_invalid_values_rejected(self, line):
         with pytest.raises(ConfigError):
             config.load(None, overrides=(line,))
+
+    def test_k_checked_against_n(self):
+        with pytest.raises(ConfigError, match="graph.k"):
+            config.load(None, overrides=("graph.n = 3",))  # default graph.k = 3
+        cfg = config.load(None, overrides=("graph.n = 4",))
+        assert cfg["graph.k"] == 3
+
+    @pytest.mark.parametrize("line", [
+        "graph.k = 1", "graph.k = 7", "graph.layers = 1", "train.patience = 1",
+        "aug.ed_prob = 0", "aug.ed_prob = 1", "aug.fm_prob = 0", "aug.fm_prob = 1",
+        "aug.gn_sigma = 0",
+    ])
+    def test_boundary_values_accepted(self, line):
+        config.load(None, overrides=(line,))
 
     def test_view_modes_accepted(self):
         for mode in config.VIEW_MODES:

@@ -6,7 +6,6 @@ import pytest
 from signl import encoder as enc
 from signl import tensorgrad as tg
 from signl.featio import ConfigError
-from signl.graphbuild import GraphView
 
 
 class TestNormalizedAdjacency:
@@ -127,19 +126,19 @@ class TestPyramid:
     def test_encode_reference_shape(self, rng):
         store = tg.ParamStore()
         stack = enc.init_encoder(store, "e", 32, 5, 4, rng)
-        x = rng.standard_normal((8, 32)).astype(np.float32)
-        g = GraphView("temporal", x, [(j, i) for i in range(8) for j in range(8)
-                                      if j != i][:24], "c", "1")
-        h = enc.encode(g, stack)
+        x = tg.Tensor(rng.standard_normal((8, 32)).astype(np.float32))
+        edges = [(j, i) for i in range(8) for j in range(8) if j != i][:24]
+        s = tg.Tensor(enc.normalized_adjacency(edges, 8))
+        h = enc.concat_pool(enc.run_layers(x, s, stack), 8)
         assert h.shape == (1, 8)  # node dim halves 32 -> 1 over 5 layers
 
     def test_encode_node_dim_mismatch(self, rng):
         store = tg.ParamStore()
         stack = enc.init_encoder(store, "e", 32, 2, 4, rng)
-        g = GraphView("temporal", rng.standard_normal((4, 16)).astype(np.float32),
-                      [(0, 1)], "c", "1")
+        x = tg.Tensor(rng.standard_normal((4, 16)).astype(np.float32))
+        s = tg.Tensor(enc.normalized_adjacency([(0, 1)], 4))
         with pytest.raises(tg.ShapeError):
-            enc.encode(g, stack)
+            enc.run_layers(x, s, stack)
 
 
 class TestConcatPool:
@@ -158,12 +157,15 @@ class TestConcatPool:
         stack = enc.init_encoder(store, "e", 8, 1, 2, rng)
         x = rng.standard_normal((4, 8)).astype(np.float32)
         edges = [(0, 1), (1, 0), (2, 3), (3, 2)]
-        g = enc.encode(GraphView("t", x, edges, "c", "1"), stack).data.reshape(4, -1)
         perm = [2, 3, 0, 1]
         relabeled = [(perm.index(a), perm.index(b)) for a, b in edges]
-        gp = enc.encode(GraphView("t", x[perm], relabeled, "c", "1"),
-                        stack).data.reshape(4, -1)
-        assert np.allclose(gp, g[perm], atol=1e-6)
+
+        def encode(x, edges):
+            s = tg.Tensor(enc.normalized_adjacency(edges, 4))
+            h = enc.run_layers(tg.Tensor(x), s, stack)
+            return enc.concat_pool(h, 4).data.reshape(4, -1)
+
+        assert np.allclose(encode(x[perm], relabeled), encode(x, edges)[perm], atol=1e-6)
 
 
 class TestHeads:
@@ -182,7 +184,7 @@ class TestHeads:
         enc.init_mlp(store, "proj", [512, 256, 128, 80], rng)
         h_t = tg.Tensor(rng.standard_normal((3, 256)).astype(np.float32))
         h_s = tg.Tensor(rng.standard_normal((3, 256)).astype(np.float32))
-        assert enc.project(h_t, h_s, store).shape == (3, 80)
+        assert enc.run_mlp(tg.concat([h_t, h_s], axis=1), store, "proj").shape == (3, 80)
 
     def test_classifier_two_logits_and_view_modes(self, rng):
         store = tg.ParamStore()

@@ -1,50 +1,71 @@
 """Graph construction: pair splitting, patchify, stem embedding, k-NN."""
 
-import json
-
 import numpy as np
 import pytest
 
+from signl import augment as aug
 from signl import graphbuild as gb
 from signl import tensorgrad as tg
-from signl.featio import ConfigError, FeatureMatrix
+from signl import train
+from signl.featio import ConfigError
+
+# 4 x 8 clips: 4 x 4 halves, 2 temporal patches of 4 x 2 -> patch dim 8 = node dim
+STEM_CFG = {"data.f": 4, "data.t": 8, "graph.n": 2, "graph.k": 1, "graph.d": 8,
+            "graph.layers": 1, "graph.heads": 2}
 
 
-def _stem(patch_dim, d, rng, identity=False):
-    if identity:
-        w = np.eye(patch_dim, dtype=np.float32)
-    else:
-        w = rng.standard_normal((patch_dim, d)).astype(np.float32)
-    b = np.zeros((1, w.shape[1]), dtype=np.float32)
-    return (tg.Tensor(w, requires_grad=True), tg.Tensor(b, requires_grad=True))
+def _set_stem(model, w, b):
+    model.store["stem.temporal.w"].data = np.asarray(w, dtype=np.float32)
+    model.store["stem.temporal.b"].data = np.asarray(b, dtype=np.float32)
 
 
 class TestSplitPair:
     def test_even_split_restores_original(self, rng):
         values = rng.standard_normal((4, 8)).astype(np.float32)
-        m1, m2 = gb.split_pair(FeatureMatrix("c", values))
-        assert m1.values.shape == m2.values.shape == (4, 4)
-        assert np.array_equal(np.concatenate([m1.values, m2.values], axis=1), values)
+        m1, m2 = gb.split_pair(values)
+        assert m1.shape == m2.shape == (4, 4)
+        assert np.array_equal(np.concatenate([m1, m2], axis=1), values)
 
     def test_odd_width_repeat_padded(self, rng):
         values = rng.standard_normal((4, 9)).astype(np.float32)
-        m1, m2 = gb.split_pair(FeatureMatrix("c", values))
-        assert m1.values.shape == m2.values.shape == (4, 5)
-        assert np.array_equal(m2.values[:, -1], values[:, 0])
+        m1, m2 = gb.split_pair(values)
+        assert m1.shape == m2.shape == (4, 5)
+        assert np.array_equal(m2[:, -1], values[:, 0])
+
+    def test_batch_matches_per_clip(self, rng):
+        batch = rng.standard_normal((3, 4, 9)).astype(np.float32)
+        halves = gb.split_pair(batch)
+        for i in range(3):
+            for got, want in zip(halves, gb.split_pair(batch[i])):
+                assert np.array_equal(got[i], want)
 
 
 class TestPatchify:
     def test_temporal_tiles(self, rng):
         values = rng.standard_normal((4, 4)).astype(np.float32)
         patches = gb.patchify(values, 2, "temporal")
-        assert len(patches) == 2 and all(p.shape == (4, 2) for p in patches)
-        assert np.array_equal(np.concatenate(patches, axis=1), values)
+        assert patches.shape == (2, 8)
+        tiles = [p.reshape(4, 2) for p in patches]
+        assert np.array_equal(np.concatenate(tiles, axis=1), values)
 
     def test_spatial_tiles_partition(self, rng):
         values = rng.standard_normal((8, 6)).astype(np.float32)
         patches = gb.patchify(values, 4, "spatial")
-        assert all(p.shape == (2, 6) for p in patches)
-        assert np.array_equal(np.concatenate(patches, axis=0), values)
+        assert patches.shape == (4, 12)
+        tiles = [p.reshape(2, 6) for p in patches]
+        assert np.array_equal(np.concatenate(tiles, axis=0), values)
+
+    def test_batch_matches_tile_loop(self, rng):
+        batch = rng.standard_normal((5, 8, 12)).astype(np.float32)
+        for kind, n in (("temporal", 4), ("spatial", 2)):
+            patches = gb.patchify(batch, n, kind)
+            for b in range(5):
+                if kind == "temporal":
+                    tiles = np.split(batch[b], n, axis=1)
+                else:
+                    tiles = np.split(batch[b], n, axis=0)
+                want = np.stack([t.reshape(-1) for t in tiles])
+                assert np.array_equal(patches[b], want), (kind, b)
 
     def test_non_divisible_rejected(self):
         with pytest.raises(ConfigError, match="8"):
@@ -56,35 +77,39 @@ class TestPatchify:
 
 
 class TestStemEmbed:
-    def test_identity_map_returns_flattened_patches(self, rng):
-        values = rng.standard_normal((4, 4)).astype(np.float32)
-        patches = gb.patchify(values, 2, "temporal")
-        w, b = _stem(8, 8, rng, identity=True)
-        out = gb.stem_embed(patches, w, b)
-        assert np.allclose(out.data, gb.flatten_patches(patches))
+    """The stem as training runs it: the affine map inside train._view_embed."""
 
-    def test_zero_weights_yield_bias_rows(self, rng):
-        patches = gb.patchify(rng.standard_normal((4, 4)).astype(np.float32), 2, "temporal")
-        w = tg.Tensor(np.zeros((8, 3), dtype=np.float32), requires_grad=True)
-        b = tg.Tensor(np.array([[1.0, 2.0, 3.0]], dtype=np.float32), requires_grad=True)
-        out = gb.stem_embed(patches, w, b)
-        assert np.allclose(out.data, np.tile([1.0, 2.0, 3.0], (2, 1)))
+    def test_identity_map_returns_flattened_patches(self, rng, make_model, stem_probe):
+        model = make_model(STEM_CFG)
+        _set_stem(model, np.eye(8), np.zeros((1, 8)))
+        segs = rng.standard_normal((3, 4, 4)).astype(np.float32)
+        x, _ = stem_probe(model, segs, "temporal")
+        assert np.allclose(x.data.reshape(3, 2, 8), gb.patchify(segs, 2, "temporal"))
 
-    def test_shape_mismatch(self, rng):
-        patches = gb.patchify(rng.standard_normal((4, 4)).astype(np.float32), 2, "temporal")
-        w, b = _stem(5, 3, rng)
+    def test_zero_weights_yield_bias_rows(self, rng, make_model, stem_probe):
+        model = make_model(STEM_CFG)
+        bias = np.arange(1.0, 9.0)[None, :]
+        _set_stem(model, np.zeros((8, 8)), bias)
+        segs = rng.standard_normal((2, 4, 4)).astype(np.float32)
+        x, _ = stem_probe(model, segs, "temporal")
+        assert np.allclose(x.data.reshape(4, 8), np.tile(bias, (4, 1)))
+
+    def test_shape_mismatch(self, rng, make_model):
+        model = make_model(STEM_CFG)
+        segs = rng.standard_normal((1, 8, 4)).astype(np.float32)  # patch dim 16
         with pytest.raises(tg.ShapeError):
-            gb.stem_embed(patches, w, b)
+            train._view_embed(model, segs, "temporal")
 
-    def test_gradient_through_stem(self, rng):
-        patches = gb.patchify(rng.standard_normal((4, 4)).astype(np.float64), 2, "temporal")
-        w = tg.Tensor(rng.standard_normal((8, 3)), requires_grad=True)
-        b = tg.Tensor(np.zeros((1, 3)), requires_grad=True)
+    def test_gradient_through_stem(self, rng, make_model, stem_probe):
+        model = make_model(STEM_CFG)
+        segs = rng.standard_normal((3, 4, 4)).astype(np.float32)
+        w, b = model.store["stem.temporal.w"], model.store["stem.temporal.b"]
         with tg.Tape() as tape:
-            tape.backward(tg.tsum(gb.stem_embed(patches, w, b)))
-        flat = gb.flatten_patches(patches).astype(np.float64)
-        assert np.allclose(w.grad, np.tile(flat.sum(axis=0)[:, None], (1, 3)))
-        assert np.allclose(b.grad, np.full((1, 3), 2.0))
+            x, _ = stem_probe(model, segs, "temporal")
+            tape.backward(tg.tsum(x))
+        flat = gb.patchify(segs, 2, "temporal").reshape(6, 8)
+        assert np.allclose(w.grad, np.tile(flat.sum(axis=0)[:, None], (1, 8)), atol=1e-5)
+        assert np.allclose(b.grad, np.full((1, 8), 6.0))
 
 
 class TestKnnGraph:
@@ -101,6 +126,12 @@ class TestKnnGraph:
     def test_k_out_of_range(self):
         with pytest.raises(ConfigError):
             gb.knn_graph(np.zeros((4, 2)), 4)
+
+    @pytest.mark.parametrize("k", [0, 4, 5])
+    def test_neighbor_table_k_out_of_range(self, k):
+        # k >= N would list a node as its own neighbour
+        with pytest.raises(ConfigError):
+            gb.neighbor_table(np.zeros((2, 4, 2)), k)
 
     def test_matches_brute_force_oracle(self, rng):
         for _ in range(100):
@@ -145,39 +176,39 @@ class TestKnnGraph:
 
 
 class TestBuildBundle:
-    def _bundle(self, rng, f=16, t=16, n=4, k=2, d=8):
-        values = rng.standard_normal((f, t)).astype(np.float32)
-        m = FeatureMatrix("clip0", values)
-        cfg = gb.GraphConfig(n_patches=n, k_neighbors=k, node_dim=d)
-        t_seg = t // 2
-        stems = {"temporal": _stem(f * (t_seg // n), d, rng),
-                 "spatial": _stem((f // n) * t_seg, d, rng)}
-        return gb.build_bundle(m, cfg, stems), m, cfg, stems
+    """Both segments x both views of a batch, as _pair_forward builds them."""
 
-    def test_four_views_with_expected_counts(self, rng):
-        bundle, _, cfg, _ = self._bundle(rng)
-        views = bundle.views()
-        assert [v.kind for v in views] == ["temporal", "spatial", "temporal", "spatial"]
-        assert [v.segment_id for v in views] == ["1", "1", "2", "2"]
-        for v in views:
-            assert v.clip_id == "clip0"
-            assert v.x.shape == (cfg.n_patches, cfg.node_dim)
-            assert len(v.edges) == cfg.n_patches * cfg.k_neighbors
+    def _batch(self, rng, f, t, b=3):
+        return rng.standard_normal((b, f, t)).astype(np.float32)
 
-    def test_deterministic(self, rng):
-        b1, m, cfg, stems = self._bundle(rng)
-        b2 = gb.build_bundle(m, cfg, stems)
-        for v1, v2 in zip(b1.views(), b2.views()):
-            assert np.array_equal(v1.x, v2.x) and v1.edges == v2.edges
+    def test_four_views_with_expected_counts(self, rng, make_model, stem_probe):
+        model = make_model({"data.f": 16, "data.t": 16, "graph.n": 4, "graph.k": 2,
+                            "graph.d": 8, "graph.layers": 2})
+        for segs in gb.split_pair(self._batch(rng, 16, 16)):
+            for kind in ("temporal", "spatial"):
+                x, s = stem_probe(model, segs, kind)
+                nodes = x.data.reshape(3, 4, 8)
+                assert s.shape == (12, 12)
+                assert gb.neighbor_table(nodes, 2).shape == (3, 4, 2)
+                # every row: the self-loop plus at least k neighbours
+                for i in range(3):
+                    block = s[4 * i:4 * i + 4, 4 * i:4 * i + 4]
+                    assert ((block > 0).sum(axis=1) >= 3).all()
 
-    def test_reference_shapes(self, rng):
-        bundle, _, _, _ = self._bundle(rng, f=64, t=64, n=8, k=3, d=32)
-        for v in bundle.views():
-            assert v.x.shape == (8, 32)
+    def test_deterministic(self, rng, make_model):
+        model = make_model({"data.f": 16, "data.t": 16, "graph.n": 4, "graph.k": 2,
+                            "graph.d": 8, "graph.layers": 2})
+        mats = list(self._batch(rng, 16, 16))
+        ids = ["a", "b", "c"]
+        spec = aug.AugmentSpec(True, True, True)
+        first = train._pair_forward(model, mats, ids, spec, 1, 2)
+        second = train._pair_forward(model, mats, ids, spec, 1, 2)
+        for u, v in zip(first, second):
+            assert np.array_equal(u.data, v.data)
 
-    def test_export_view_json(self, rng, tmp_path):
-        bundle, _, _, _ = self._bundle(rng)
-        path = tmp_path / "view.json"
-        gb.export_view_json(bundle.g_t1, path)
-        payload = json.loads(path.read_text())
-        assert payload["n_nodes"] == 4 and len(payload["edges"]) == 8
+    def test_reference_shapes(self, rng, make_model, stem_probe):
+        model = make_model({"data.f": 64, "data.t": 64})
+        for segs in gb.split_pair(self._batch(rng, 64, 64, b=2)):
+            for kind in ("temporal", "spatial"):
+                x, _ = stem_probe(model, segs, kind)
+                assert x.shape == (2, 8 * 32)  # 8 nodes x 32 features per view

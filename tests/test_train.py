@@ -1,16 +1,20 @@
 """Training loops: pre-training, fine-tuning, early stopping, evaluation."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
+from signl import augment as aug
 from signl import checkpoint as ckpt
 from signl import config as cfgmod
+from signl import encoder as enc
 from signl import metrics
 from signl import tensorgrad as tg
 from signl import train
 from signl.featio import ConfigError
+from signl.graphbuild import GraphView, knn_graph, neighbor_table, split_pair
 
 
 def _pretrain_cfg(tiny_cfg, **extra):
@@ -136,12 +140,71 @@ class TestFinetune:
         assert temp.store["cls.l0.w"].shape[0] * 2 == both.store["cls.l0.w"].shape[0]
         assert "enc_s.0.w" not in temp.store
 
+    def test_reads_no_eval_features(self, tiny_corpus, tiny_cfg, tmp_path):
+        root, entries = tiny_corpus
+        corpus = tmp_path / "corpus"
+        shutil.copytree(root, corpus)
+        for e in entries:
+            if e.split == "eval":
+                (corpus / e.path).unlink()
+        path, _, _ = train.finetune(_finetune_cfg(tiny_cfg, **{"train.epochs": 1}),
+                                    entries, corpus, tmp_path / "run")
+        assert path.exists()
+
     def test_label_fraction_reduces_train_set(self, tiny_corpus, tiny_cfg, tmp_path):
         root, entries = tiny_corpus
         cfg = _finetune_cfg(tiny_cfg, **{"train.label_fraction": 0.5,
                                          "train.epochs": 1})
         path, _, _ = train.finetune(cfg, entries, root, tmp_path)
         assert path.exists()
+
+
+class TestBatchedMatchesReference:
+    """The batched view path equals its one-clip (B=1) reference functions."""
+
+    SPEC = aug.AugmentSpec(True, True, True, ed_prob=0.4, gn_sigma=0.2, fm_prob=0.3)
+    IDS = [f"clip{i}" for i in range(5)]
+    SEED, EPOCH = 3, 2
+
+    def _halves(self, rng):
+        return split_pair(rng.standard_normal((5, 32, 32)).astype(np.float32))
+
+    def test_view_embed_matches_single_clip_calls(self, rng, make_model):
+        model = make_model({"data.f": 32, "data.t": 32})
+        for seg_id, segs in zip("12", self._halves(rng)):
+            for kind in ("temporal", "spatial"):
+                args = (self.SPEC, self.SEED, self.EPOCH, seg_id)
+                batched = train._view_embed(model, segs, kind, self.IDS, *args)
+                singles = [train._view_embed(model, segs[i:i + 1], kind, self.IDS[i:i + 1],
+                                             *args).data for i in range(5)]
+                assert np.allclose(batched.data, np.concatenate(singles), atol=1e-5)
+
+    def test_tables_draws_and_adjacency_match_reference(self, rng, make_model, stem_probe):
+        model = make_model({"data.f": 32, "data.t": 32})
+        n, k = model.graph.n_patches, model.graph.k_neighbors
+        spec = self.SPEC
+        for seg_id, segs in zip("12", self._halves(rng)):
+            for kind in ("temporal", "spatial"):
+                stem, _ = stem_probe(model, segs, kind)
+                nodes = stem.data.reshape(5, n, -1)
+                x, s = stem_probe(model, segs, kind, self.IDS, spec, self.SEED, self.EPOCH,
+                                  seg_id)
+                x = x.data.reshape(5, n, -1)
+                table = neighbor_table(nodes, k)
+                for i, cid in enumerate(self.IDS):
+                    edges = knn_graph(nodes[i], k)
+                    assert np.array_equal(table[i], neighbor_table(nodes[i][None], k)[0])
+                    assert table[i].tolist() == [[j for j, dst in edges if dst == node]
+                                                 for node in range(n)]
+                    rng_i = aug.derive_rng(self.SEED, cid, self.EPOCH, f"{kind}:{seg_id}")
+                    g = GraphView(kind, nodes[i], edges, cid, seg_id)
+                    g = aug.edge_drop(g, spec.ed_prob, rng_i)
+                    g = aug.gaussian_noise(g, spec.gn_sigma, rng_i)
+                    g = aug.feature_mask(g, spec.fm_prob, rng_i)
+                    assert np.array_equal(x[i], g.x)
+                    rows = slice(i * n, (i + 1) * n)
+                    assert np.array_equal(s[rows, rows], enc.normalized_adjacency(g.edges, n))
+                    assert not np.delete(s[rows], np.s_[i * n:(i + 1) * n], axis=1).any()
 
 
 class TestEarlyStopper:
