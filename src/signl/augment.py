@@ -2,10 +2,10 @@
 
 All randomness comes from externally derived streams so that runs are
 reproducible and each (sample, epoch, view) combination draws independently.
-Application order is fixed: ED -> GN -> FM.  Training draws per clip with
-``sample_draws``; ``edge_drop``, ``gaussian_noise`` and ``feature_mask`` are
-its single-transform views on one graph, so chaining them over one stream
-reproduces the draws of a full spec.
+Application order is fixed: ED -> GN -> FM.  Training draws a whole batch,
+one stream per clip, with ``sample_draws``; ``edge_drop``, ``gaussian_noise``
+and ``feature_mask`` are its single-transform views on one graph, so chaining
+them over one stream reproduces the draws of a full spec.
 """
 
 from __future__ import annotations
@@ -56,9 +56,9 @@ GRID = [
 
 @dataclass
 class AugmentDraws:
-    edge_keep: np.ndarray | None    # bool per edge
-    noise: np.ndarray | None        # N x D additive noise
-    mask: np.ndarray | None         # N x D multiplicative 0/1 mask
+    edge_keep: np.ndarray | None    # B x E bool per edge
+    noise: np.ndarray | None        # B x N x D additive noise
+    mask: np.ndarray | None         # B x N x D multiplicative 0/1 mask
 
 
 def derive_rng(global_seed, sample_key, epoch, view_tag):
@@ -66,32 +66,38 @@ def derive_rng(global_seed, sample_key, epoch, view_tag):
     return stream(global_seed, sample_key, epoch, view_tag)
 
 
-def sample_draws(spec: AugmentSpec, rng, n_edges, feat_shape) -> AugmentDraws:
-    """Draw all augmentation randomness in fixed ED -> GN -> FM order."""
-    edge_keep = noise = mask = None
-    if spec.ed_enabled:
-        edge_keep = rng.random(n_edges) >= spec.ed_prob
-    if spec.gn_enabled:
-        noise = (spec.gn_sigma * rng.standard_normal(feat_shape)).astype(np.float32)
-    if spec.fm_enabled:
-        mask = (rng.random(feat_shape) >= spec.fm_prob).astype(np.float32)
-    return AugmentDraws(edge_keep, noise, mask)
+def sample_draws(spec: AugmentSpec, rngs, n_edges, feat_shape) -> AugmentDraws:
+    """Draw a batch's augmentations, each clip's stream in fixed ED -> GN -> FM order."""
+    b = len(rngs)
+    keep = np.empty((b, n_edges)) if spec.ed_enabled else None
+    noise = np.empty((b, *feat_shape)) if spec.gn_enabled else None
+    mask = np.empty((b, *feat_shape)) if spec.fm_enabled else None
+    for i, rng in enumerate(rngs):
+        if keep is not None:
+            rng.random(out=keep[i])
+        if noise is not None:
+            rng.standard_normal(out=noise[i])
+        if mask is not None:
+            rng.random(out=mask[i])
+    return AugmentDraws(None if keep is None else keep >= spec.ed_prob,
+                        None if noise is None else (spec.gn_sigma * noise).astype(np.float32),
+                        None if mask is None else (mask >= spec.fm_prob).astype(np.float32))
 
 
 def _draw(rng, g: GraphView, **spec_fields) -> AugmentDraws:
     spec = AugmentSpec(**spec_fields)
     spec.validate()
-    return sample_draws(spec, rng, len(g.edges), g.x.shape)
+    return sample_draws(spec, [rng], len(g.edges), g.x.shape)
 
 
 def edge_drop(g: GraphView, p, rng) -> GraphView:
-    keep = _draw(rng, g, ed_enabled=True, ed_prob=p).edge_keep
+    keep = _draw(rng, g, ed_enabled=True, ed_prob=p).edge_keep[0]
     return replace(g, edges=[e for e, k in zip(g.edges, keep) if k])
 
 
 def gaussian_noise(g: GraphView, sigma, rng) -> GraphView:
-    return replace(g, x=g.x + _draw(rng, g, gn_enabled=True, gn_sigma=sigma).noise)
+    return replace(g, x=g.x + _draw(rng, g, gn_enabled=True, gn_sigma=sigma).noise[0])
 
 
 def feature_mask(g: GraphView, p, rng) -> GraphView:
-    return replace(g, x=g.x * _draw(rng, g, fm_enabled=True, fm_prob=p).mask)
+    return replace(g, x=g.x * _draw(rng, g, fm_enabled=True, fm_prob=p).mask[0])

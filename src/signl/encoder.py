@@ -35,9 +35,9 @@ def normalized_adjacency(edges, n, dtype=np.float32):
     return _normalize_adjacency(a)[0].astype(dtype)
 
 
-def gcn_layer(h: tg.Tensor, s: tg.Tensor, theta: tg.Tensor) -> tg.Tensor:
-    """Pre-activation graph convolution S @ H @ theta."""
-    return tg.matmul(tg.matmul(s, h), theta)
+def gcn_layer(h: tg.Tensor, s: np.ndarray, theta: tg.Tensor) -> tg.Tensor:
+    """Pre-activation graph convolution S @ H @ theta, one S per graph."""
+    return tg.matmul(tg.bmm(s, h), theta)
 
 
 def multi_head_transform(h: tg.Tensor, weights) -> tg.Tensor:
@@ -112,13 +112,13 @@ def init_encoder(store: tg.ParamStore, prefix, d0, n_layers, heads, rng,
     return EncoderStack(layers=layers, dims=dims)
 
 
-def vision_gc_layer(h: tg.Tensor, s: tg.Tensor, layer: LayerParams) -> tg.Tensor:
+def vision_gc_layer(h: tg.Tensor, s: np.ndarray, layer: LayerParams) -> tg.Tensor:
     m = multi_head_transform(gcn_layer(h, s, layer.theta), layer.heads)
     residual = h if layer.skip is None else tg.matmul(h, layer.skip)
     return tg.add(tg.relu(m), residual)
 
 
-def run_layers(h: tg.Tensor, s: tg.Tensor, stack: EncoderStack) -> tg.Tensor:
+def run_layers(h: tg.Tensor, s: np.ndarray, stack: EncoderStack) -> tg.Tensor:
     for layer in stack.layers:
         h = vision_gc_layer(h, s, layer)
     return h

@@ -108,17 +108,21 @@ def write_manifest(entries, path):
 
 
 def read_manifest(path):
-    entries = []
+    entries, first_seen = [], {}  # a repeated clip_id would overwrite features and labels
     with open(path) as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                d = json.loads(line)
-                entries.append(ManifestEntry(**d))
+                e = ManifestEntry(**json.loads(line))
             except (json.JSONDecodeError, TypeError, FormatError) as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
+            first, first_path = first_seen.setdefault(e.clip_id, (lineno, e.path))
+            if first != lineno:
+                raise FormatError(f"{path}:{lineno}: clip id {e.clip_id!r} of {e.path!r} "
+                                  f"duplicates line {first} ({first_path!r})")
+            entries.append(e)
     return entries
 
 

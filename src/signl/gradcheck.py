@@ -56,6 +56,8 @@ def primitive_checks(rng):
     a = _t(rng, (3, 4))
     b = _t(rng, (4, 2))
     yield "matmul", check(lambda: tg.tsum(tg.matmul(a, b)), [a, b])
+    stack, rows = rng.standard_normal((3, 4, 4)), _t(rng, (12, 2))
+    yield "bmm", check(lambda: tg.tsum(tg.mul(tg.bmm(stack, rows), tg.bmm(stack, rows))), [rows])
 
     x = _t(rng, (4, 6))
     y = _t(rng, (4, 6))
@@ -101,7 +103,7 @@ def primitive_checks(rng):
 
 
 def network_check(rng, n_nodes=6, d=16, patch_dim=10, n_layers=3):
-    """Composed stem -> pyramid -> projection head on a random graph."""
+    """Composed stem -> pyramid -> projection head on a batch of random graphs."""
     store = tg.ParamStore()
     store.add("stem.w", _t(rng, (patch_dim, d)))
     store.add("stem.b", _t(rng, (1, d)))
@@ -109,10 +111,10 @@ def network_check(rng, n_nodes=6, d=16, patch_dim=10, n_layers=3):
                              dtype=np.float64)
     d_last = stack.dims[-1]
     enc.init_mlp(store, "proj", (n_nodes * d_last, 8, 6, 5), rng, dtype=np.float64)
-    patches = tg.Tensor(rng.standard_normal((n_nodes, patch_dim)), dtype=np.float64)
-    edges = knn_graph(patches.data, 2)
-    s = tg.Tensor(enc.normalized_adjacency(edges, n_nodes, dtype=np.float64))
-    target = tg.Tensor(rng.standard_normal((1, 5)), dtype=np.float64)
+    patches = tg.Tensor(rng.standard_normal((2 * n_nodes, patch_dim)), dtype=np.float64)
+    s = np.stack([enc.normalized_adjacency(knn_graph(p, 2), n_nodes, dtype=np.float64)
+                  for p in patches.data.reshape(2, n_nodes, -1)])
+    target = tg.Tensor(rng.standard_normal((2, 5)), dtype=np.float64)
 
     def f():
         x = tg.affine(patches, store["stem.w"], store["stem.b"])

@@ -102,11 +102,12 @@ def compute_eer(s: ScoreSet) -> EERReport:
     n_fake = int(len(scores) - n_bona)
     if n_bona == 0 or n_fake == 0:
         raise tg.ContractError("EER needs at least one score of each label")
-    bona = scores[is_bona]
-    fake = scores[~is_bona]
+    bona = np.sort(scores[is_bona])
+    fake = np.sort(scores[~is_bona])
     cand = np.concatenate(([-np.inf], np.unique(scores), [np.inf]))
-    far = (fake[None, :] >= cand[:, None]).mean(axis=1)
-    frr = (bona[None, :] < cand[:, None]).mean(axis=1)
+    # counts of fake >= t and bona < t for every t by one sorted sweep, O(n log n)
+    far = (n_fake - np.searchsorted(fake, cand, side="left")) / n_fake
+    frr = np.searchsorted(bona, cand, side="left") / n_bona
     diff = far - frr  # non-increasing, +1 at -inf, -1 at +inf
     exact = np.nonzero(diff == 0)[0]
     if exact.size:

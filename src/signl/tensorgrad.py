@@ -1,8 +1,9 @@
 """Minimal dense reverse-mode automatic differentiation engine.
 
-Tensors wrap numpy arrays (0-D scalars, 1-D vectors, 2-D matrices) and
-operations executed inside an active ``Tape`` record backward rules in
-order.  Calling ``Tape.backward`` replays the records in reverse and
+Tensors wrap numpy arrays (0-D scalars, 1-D vectors, 2-D matrices); only
+``bmm`` also takes a 3-D operand, a constant (B, N, N) ndarray that needs no
+gradient.  Operations executed inside an active ``Tape`` record backward
+rules in order.  Calling ``Tape.backward`` replays the records in reverse and
 accumulates gradients into every reachable ``requires_grad`` tensor.
 
 Training runs in float32; gradient checking builds float64 tensors and
@@ -55,9 +56,6 @@ class Tensor:
     @property
     def dtype(self):
         return self.data.dtype
-
-    def zero_grad(self):
-        self.grad = None
 
     def _accumulate(self, g):
         if self.grad is None:
@@ -122,6 +120,23 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             a._accumulate(out.grad @ b.data.T)
         if b.requires_grad:
             b._accumulate(a.data.T @ out.grad)
+
+    _record(out, backward)
+    return out
+
+
+def bmm(s: np.ndarray, h: Tensor) -> Tensor:
+    """Per-graph product: block i of N rows of the (B*N, d) ``h`` maps to s[i] @ block."""
+    if s.ndim != 3 or s.shape[1] != s.shape[2] or h.data.ndim != 2 \
+            or h.shape[0] != s.shape[0] * s.shape[1]:
+        raise ShapeError(f"bmm needs a (B, N, N) stack and (B*N, d) rows: {s.shape} x {h.shape}")
+    blocks = (*s.shape[:2], h.shape[1])
+    out = Tensor._wrap(np.matmul(s, h.data.reshape(blocks)).reshape(h.shape), h.requires_grad)
+
+    def backward():
+        if out.grad is None:
+            return
+        h._accumulate(np.matmul(s.transpose(0, 2, 1), out.grad.reshape(blocks)).reshape(h.shape))
 
     _record(out, backward)
     return out
@@ -347,10 +362,6 @@ class ParamStore:
 
     def items(self):
         return self._params.items()
-
-    def zero_grads(self):
-        for t in self._params.values():
-            t.grad = None
 
     def state_arrays(self):
         """name -> value array, in insertion order (for checkpointing)."""

@@ -1,8 +1,8 @@
 """Pre-training (positive-pair alignment) and fine-tuning (classification).
 
-Batches are pushed through the encoder as one block-diagonal graph: the
-per-sample normalized adjacencies sit on the diagonal of a (B*N, B*N)
-matrix, so the whole batch is a handful of matmuls instead of per-sample
+Batches are pushed through the encoder together: ``tensorgrad.bmm`` applies
+each clip's normalized adjacency, one slice of a (B, N, N) stack, to that
+clip's N node rows, so a batch is a handful of matmuls instead of per-sample
 Python loops.  The math is identical to encoding each graph separately.
 """
 
@@ -112,16 +112,13 @@ def freeze_encoders(model):
 # batched forward
 
 def _block_adjacency(neighbors, keep=None):
-    """(B, N, K) neighbor table -> block-diagonal normalized S of shape (BN, BN)."""
+    """(B, N, K) neighbor table -> per-graph normalized S of shape (B, N, N)."""
     b, n, k = neighbors.shape
     a = np.zeros((b, n, n))
     # edge j -> i marks A[i, j]; kept edges only when ED draws are given
     a[np.arange(b)[:, None, None], np.arange(n)[None, :, None], neighbors] = \
         1.0 if keep is None else keep
-    big = np.zeros((b * n, b * n), dtype=np.float32)
-    blocks = big.reshape(b, n, b, n)
-    blocks[np.arange(b), :, np.arange(b), :] = enc._normalize_adjacency(a)
-    return big
+    return enc._normalize_adjacency(a).astype(np.float32)
 
 
 def _view_embed(model, segs, kind, clip_ids=None, spec=None, seed=0, epoch=0, seg_id="1"):
@@ -134,17 +131,15 @@ def _view_embed(model, segs, kind, clip_ids=None, spec=None, seed=0, epoch=0, se
     neighbors = neighbor_table(x.data.reshape(b, n, -1), k)
     keep = None
     if spec is not None and (spec.ed_enabled or spec.gn_enabled or spec.fm_enabled):
-        draws = [aug.sample_draws(spec, aug.derive_rng(seed, cid, epoch, f"{kind}:{seg_id}"),
-                                  n * k, (n, x.shape[1]))
-                 for cid in clip_ids]
+        rngs = [aug.derive_rng(seed, cid, epoch, f"{kind}:{seg_id}") for cid in clip_ids]
+        draws = aug.sample_draws(spec, rngs, n * k, (n, x.shape[1]))
         if spec.ed_enabled:
-            keep = np.stack([d.edge_keep for d in draws]).reshape(b, n, k)
+            keep = draws.edge_keep.reshape(b, n, k)
         if spec.gn_enabled:
-            x = tg.add(x, tg.Tensor._wrap(np.concatenate([d.noise for d in draws]), False))
+            x = tg.add(x, tg.Tensor._wrap(draws.noise.reshape(x.shape), False))
         if spec.fm_enabled:
-            x = tg.mul(x, tg.Tensor._wrap(np.concatenate([d.mask for d in draws]), False))
-    s = tg.Tensor._wrap(_block_adjacency(neighbors, keep), False)
-    h = enc.run_layers(x, s, model.stacks[kind])
+            x = tg.mul(x, tg.Tensor._wrap(draws.mask.reshape(x.shape), False))
+    h = enc.run_layers(x, _block_adjacency(neighbors, keep), model.stacks[kind])
     return enc.concat_pool(h, n)
 
 

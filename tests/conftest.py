@@ -47,13 +47,13 @@ def stem_probe(monkeypatch):
     """Runs train._view_embed with the graph-conv layers stubbed out.
 
     The probe returns (x, s): the pooled (B, N*d) node features after the
-    stem and any augmentation, and the block-diagonal adjacency that the
-    layers would have received.
+    stem and any augmentation, and the (B, N, N) per-graph adjacency stack
+    that the layers would have received.
     """
     seen = {}
 
     def layers(h, s, stack):
-        seen["s"] = s.data
+        seen["s"] = s
         return h
 
     monkeypatch.setattr(encoder, "run_layers", layers)

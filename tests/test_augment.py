@@ -125,15 +125,16 @@ class TestApply:
         x_plain, s_plain = stem_probe(model, segs, "temporal")
         x, s = stem_probe(model, segs, "temporal", self.IDS, aug.AugmentSpec(True, True, True))
         assert x.shape == x_plain.shape
-        assert not (s != 0)[s_plain == 0].any()  # edge drop never adds edges
+        for block, block_plain in zip(s, s_plain):
+            assert not (block != 0)[block_plain == 0].any()  # edge drop never adds edges
 
     def test_disabled_transform_does_not_shift_draws(self, rng, make_model, stem_probe):
         """Draw streams are consumed only by enabled transforms, in fixed order."""
         full_spec = aug.AugmentSpec(True, True, True, fm_prob=0.0)
         no_fm_spec = aug.AugmentSpec(True, True, False)
         key = (1, "clip0", 0, "temporal:1")
-        full = aug.sample_draws(full_spec, aug.derive_rng(*key), 8, (4, 8))
-        no_fm = aug.sample_draws(no_fm_spec, aug.derive_rng(*key), 8, (4, 8))
+        full = aug.sample_draws(full_spec, [aug.derive_rng(*key)], 8, (4, 8))
+        no_fm = aug.sample_draws(no_fm_spec, [aug.derive_rng(*key)], 8, (4, 8))
         # FM with p=0 is an identity mask, so both runs share the ED/GN draws
         assert np.array_equal(full.edge_keep, no_fm.edge_keep)
         assert np.array_equal(full.noise, no_fm.noise)

@@ -163,6 +163,21 @@ class TestErrors:
         assert code == 1
         assert "manifest" in err
 
+    def test_duplicate_clip_id_exits_1(self, base_cfg, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert run(["gen-data", "--config", str(base_cfg), "--out", str(out)],
+                   capsys)[0] == 0
+        manifest = tmp_path / "corpus" / "manifest.jsonl"
+        first = json.loads(manifest.read_text().splitlines()[0])
+        first["path"] = "other/" + first["path"]
+        with open(manifest, "a") as fh:
+            fh.write(json.dumps(first) + "\n")
+        before = sorted(out.iterdir())
+        code, _, err = run(["pretrain", "--config", str(base_cfg), "--out", str(out)], capsys)
+        assert code == 1
+        assert "duplicates line 1" in err
+        assert sorted(out.iterdir()) == before
+
     def test_runtime_failure_exits_2(self, base_cfg, tmp_path, capsys):
         code, _, err = run(["gen-data", "--config", str(base_cfg),
                             "--set", "data.dir=/proc/no-such-dir/corpus",

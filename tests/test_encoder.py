@@ -43,14 +43,14 @@ class TestNormalizedAdjacency:
 
 class TestGcnLayer:
     def test_isolated_node_identity_theta(self):
-        s = tg.Tensor(np.eye(1, dtype=np.float32))
+        s = np.eye(1, dtype=np.float32)[None]
         h = tg.Tensor(np.array([[2.0, -1.0]], dtype=np.float32))
         theta = tg.Tensor(np.eye(2, dtype=np.float32))
         out = enc.gcn_layer(h, s, theta)
         assert np.array_equal(out.data, h.data)
 
     def test_two_node_average(self):
-        s = tg.Tensor(np.full((2, 2), 0.5, dtype=np.float32))
+        s = np.full((1, 2, 2), 0.5, dtype=np.float32)
         h = tg.Tensor(np.array([[1.0, 3.0], [3.0, 5.0]], dtype=np.float32))
         theta = tg.Tensor(np.eye(2, dtype=np.float32))
         out = enc.gcn_layer(h, s, theta)
@@ -107,7 +107,7 @@ class TestPyramid:
             if "skip" not in name:
                 store[name].data = np.zeros_like(store[name].data)
         h = tg.Tensor(rng.standard_normal((4, 8)).astype(np.float32))
-        s = tg.Tensor(enc.normalized_adjacency([(0, 1), (2, 3)], 4))
+        s = enc.normalized_adjacency([(0, 1), (2, 3)], 4)[None]
         out = enc.vision_gc_layer(h, s, stack.layers[0])
         skip = store["e.layer0.skip.w"].data
         assert np.allclose(out.data, h.data @ skip, atol=1e-6)
@@ -116,7 +116,7 @@ class TestPyramid:
         store = tg.ParamStore()
         stack = enc.init_encoder(store, "e", 8, 1, 2, rng)
         h = tg.Tensor(rng.standard_normal((4, 8)).astype(np.float32))
-        s = tg.Tensor(enc.normalized_adjacency([(0, 1), (1, 2)], 4))
+        s = enc.normalized_adjacency([(0, 1), (1, 2)], 4)[None]
         out = enc.vision_gc_layer(h, s, stack.layers[0])
         layer = stack.layers[0]
         m = enc.multi_head_transform(enc.gcn_layer(h, s, layer.theta), layer.heads)
@@ -128,7 +128,7 @@ class TestPyramid:
         stack = enc.init_encoder(store, "e", 32, 5, 4, rng)
         x = tg.Tensor(rng.standard_normal((8, 32)).astype(np.float32))
         edges = [(j, i) for i in range(8) for j in range(8) if j != i][:24]
-        s = tg.Tensor(enc.normalized_adjacency(edges, 8))
+        s = enc.normalized_adjacency(edges, 8)[None]
         h = enc.concat_pool(enc.run_layers(x, s, stack), 8)
         assert h.shape == (1, 8)  # node dim halves 32 -> 1 over 5 layers
 
@@ -136,7 +136,7 @@ class TestPyramid:
         store = tg.ParamStore()
         stack = enc.init_encoder(store, "e", 32, 2, 4, rng)
         x = tg.Tensor(rng.standard_normal((4, 16)).astype(np.float32))
-        s = tg.Tensor(enc.normalized_adjacency([(0, 1)], 4))
+        s = enc.normalized_adjacency([(0, 1)], 4)[None]
         with pytest.raises(tg.ShapeError):
             enc.run_layers(x, s, stack)
 
@@ -161,7 +161,7 @@ class TestConcatPool:
         relabeled = [(perm.index(a), perm.index(b)) for a, b in edges]
 
         def encode(x, edges):
-            s = tg.Tensor(enc.normalized_adjacency(edges, 4))
+            s = enc.normalized_adjacency(edges, 4)[None]
             h = enc.run_layers(tg.Tensor(x), s, stack)
             return enc.concat_pool(h, 4).data.reshape(4, -1)
 

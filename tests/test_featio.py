@@ -62,6 +62,18 @@ class TestManifest:
         with pytest.raises(featio.FormatError):
             featio.ManifestEntry("a.sigf", "fake", "-", "train")
 
+    def test_duplicate_clip_id_rejected_naming_both_lines(self, tmp_path):
+        # clip_id is the path stem, so a/x.sigf and b/x.sigf would share features
+        entries = [featio.ManifestEntry("a/x.sigf", "bonafide", "-", "train"),
+                   featio.ManifestEntry("y.sigf", "fake", "A01", "train"),
+                   featio.ManifestEntry("b/x.sigf", "fake", "A01", "eval")]
+        path = tmp_path / "m.jsonl"
+        featio.write_manifest(entries, path)
+        with pytest.raises(featio.FormatError,
+                           match=r"m\.jsonl:3: clip id 'x' of 'b/x\.sigf' duplicates line 1 "
+                                 r"\('a/x\.sigf'\)"):
+            featio.read_manifest(path)
+
     def test_bad_line_reported_with_location(self, tmp_path):
         path = tmp_path / "m.jsonl"
         path.write_text('{"path": "a.sigf"}\n')

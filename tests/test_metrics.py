@@ -1,9 +1,12 @@
 """Losses, EER computation, and the collapse diagnostic."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signl import metrics
 from signl import tensorgrad as tg
@@ -185,6 +188,31 @@ class TestEER:
         base = metrics.compute_eer(_scores(bona, fake)).eer
         warped = metrics.compute_eer(_scores(np.tanh(bona), np.tanh(fake))).eer
         assert np.isclose(base, warped)
+
+    @settings(max_examples=200, deadline=None)
+    @given(bona=st.lists(st.integers(-1000, 1000), min_size=1, max_size=40),
+           fake=st.lists(st.integers(-1000, 1000), min_size=1, max_size=40),
+           warp=st.sampled_from([lambda x: 3 * x - 7, lambda x: x ** 3,
+                                 lambda x: np.exp(x / 100), lambda x: -1 / (x + 2000)]))
+    def test_eer_depends_only_on_score_order(self, bona, fake, warp):
+        bona, fake = np.array(bona, dtype=np.float64), np.array(fake, dtype=np.float64)
+        base = metrics.compute_eer(_scores(bona, fake))
+        warped = metrics.compute_eer(_scores(warp(bona), warp(fake)))
+        assert warped.eer == base.eer
+        assert np.array_equal(warped.far_curve, base.far_curve)
+        assert np.array_equal(warped.frr_curve, base.frr_curve)
+
+    def test_memory_linear_in_score_count(self, rng):
+        n = 200_000
+        labels = np.where(rng.random(n) < 0.5, "bonafide", "fake")
+        score_set = metrics.ScoreSet(list(zip(map(str, range(n)), rng.random(n), labels)))
+        tracemalloc.start()
+        try:
+            metrics.compute_eer(score_set)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 50e6
 
     def test_json_export(self):
         rep = metrics.compute_eer(_scores([0.9], [0.1]))

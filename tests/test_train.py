@@ -5,6 +5,8 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from signl import augment as aug
 from signl import checkpoint as ckpt
@@ -190,6 +192,7 @@ class TestBatchedMatchesReference:
                 x, s = stem_probe(model, segs, kind, self.IDS, spec, self.SEED, self.EPOCH,
                                   seg_id)
                 x = x.data.reshape(5, n, -1)
+                assert s.shape == (5, n, n)  # one adjacency per graph, no cross-graph entries
                 table = neighbor_table(nodes, k)
                 for i, cid in enumerate(self.IDS):
                     edges = knn_graph(nodes[i], k)
@@ -202,9 +205,37 @@ class TestBatchedMatchesReference:
                     g = aug.gaussian_noise(g, spec.gn_sigma, rng_i)
                     g = aug.feature_mask(g, spec.fm_prob, rng_i)
                     assert np.array_equal(x[i], g.x)
-                    rows = slice(i * n, (i + 1) * n)
-                    assert np.array_equal(s[rows, rows], enc.normalized_adjacency(g.edges, n))
-                    assert not np.delete(s[rows], np.s_[i * n:(i + 1) * n], axis=1).any()
+                    assert np.array_equal(s[i], enc.normalized_adjacency(g.edges, n))
+
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(perm=st.permutations(range(5)), kind=st.sampled_from(["temporal", "spatial"]))
+    def test_clip_permutation_permutes_rows(self, make_model, perm, kind):
+        """Each clip's row depends on that clip alone, wherever it sits in the batch."""
+        model = make_model({"data.f": 32, "data.t": 32})
+        segs = self._halves(np.random.default_rng(0))[0]
+        args = (self.SPEC, self.SEED, self.EPOCH, "1")
+        out = train._view_embed(model, segs, kind, self.IDS, *args).data
+        permuted = train._view_embed(model, segs[perm], kind, [self.IDS[i] for i in perm],
+                                     *args).data
+        assert np.allclose(permuted, out[perm], atol=1e-5)
+
+    @pytest.mark.parametrize("b", [1, 5, 96])
+    def test_bmm_matches_dense_block_diagonal(self, rng, b):
+        n, k, d = 8, 3, 32
+        keep = rng.random((b, n, k)) >= 0.5
+        keep[:, 0] = False  # node 0 keeps none of its own edges
+        s = train._block_adjacency(neighbor_table(rng.standard_normal((b, n, 4)), k), keep)
+        dense = np.zeros((b * n, b * n))
+        for i in range(b):
+            dense[i * n:(i + 1) * n, i * n:(i + 1) * n] = s[i]
+        h = tg.Tensor(rng.standard_normal((b * n, d)), requires_grad=True)
+        g = rng.standard_normal((b * n, d))
+        with tg.Tape() as tape:
+            out = tg.bmm(s, h)
+            tape.backward(tg.tsum(tg.mul(out, tg.Tensor(g))))
+        assert np.allclose(out.data, dense @ h.data, rtol=0, atol=1e-6)
+        assert np.allclose(h.grad, dense.T @ g, rtol=0, atol=1e-6)
 
 
 class TestEarlyStopper:
