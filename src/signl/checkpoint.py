@@ -7,7 +7,9 @@ extents, float32 payload.
 
 from __future__ import annotations
 
+import os
 import struct
+from pathlib import Path
 
 import numpy as np
 
@@ -20,20 +22,30 @@ class CheckpointError(ValueError):
 
 
 def save_arrays(arrays: dict, path):
-    """Write name -> float array entries in the given order."""
-    with open(path, "wb") as fh:
-        fh.write(SIGC_MAGIC)
-        fh.write(struct.pack("<H", SIGC_VERSION))
-        fh.write(struct.pack("<I", len(arrays)))
-        for name, arr in arrays.items():
-            arr = np.asarray(arr, dtype="<f4")
-            encoded = name.encode("utf-8")
-            fh.write(struct.pack("<H", len(encoded)))
-            fh.write(encoded)
-            fh.write(struct.pack("<B", arr.ndim))
-            for extent in arr.shape:
-                fh.write(struct.pack("<I", extent))
-            fh.write(arr.tobytes())
+    """Write name -> float array entries in the given order.
+
+    The bytes go to a sibling temp file that replaces ``path`` only once it
+    is complete, so a failed or interrupted save leaves the previous file.
+    """
+    tmp = Path(f"{path}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(SIGC_MAGIC)
+            fh.write(struct.pack("<H", SIGC_VERSION))
+            fh.write(struct.pack("<I", len(arrays)))
+            for name, arr in arrays.items():
+                arr = np.asarray(arr, dtype="<f4")
+                encoded = name.encode("utf-8")
+                fh.write(struct.pack("<H", len(encoded)))
+                fh.write(encoded)
+                fh.write(struct.pack("<B", arr.ndim))
+                for extent in arr.shape:
+                    fh.write(struct.pack("<I", extent))
+                fh.write(arr.tobytes())
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_arrays(path) -> dict:

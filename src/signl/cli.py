@@ -16,8 +16,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import augment, config, metrics, train
-from .featio import (ConfigError, FormatError, SynthConfig, gen_synthetic,
-                     read_manifest, sample_limited_labels, write_manifest)
+from .featio import (SynthConfig, gen_synthetic, read_manifest, sample_limited_labels,
+                     write_manifest)
 
 
 class UsageError(ValueError):
@@ -194,7 +194,7 @@ def main(argv=None):
     try:
         cfg = _load_cfg(args)
         return COMMANDS[args.verb](args, cfg)
-    except (ConfigError, FormatError, UsageError, ValueError) as exc:
+    except ValueError as exc:  # config, input and usage errors all derive from ValueError
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # runtime failure

@@ -45,14 +45,6 @@ class FeatureMatrix:
         if not np.all(np.isfinite(self.values)):
             raise FormatError("feature matrix contains non-finite values")
 
-    @property
-    def freq_bins(self):
-        return self.values.shape[0]
-
-    @property
-    def time_frames(self):
-        return self.values.shape[1]
-
 
 @dataclass
 class ManifestEntry:
@@ -77,7 +69,7 @@ class ManifestEntry:
 def write_feature(m: FeatureMatrix, path):
     payload = m.values.astype("<f4").tobytes()
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(SIGF_MAGIC, SIGF_VERSION, m.freq_bins, m.time_frames))
+        fh.write(_HEADER.pack(SIGF_MAGIC, SIGF_VERSION, *m.values.shape))
         fh.write(payload)
 
 

@@ -379,14 +379,18 @@ class ParamStore:
         return {k: t.data.copy() for k, t in self._params.items()}
 
 
-def adam_step(store: ParamStore, lr, beta1=0.9, beta2=0.999, eps=1e-8, names=None):
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
+
+def adam_step(store: ParamStore, lr):
     """One Adam update with bias correction; zeroes gradients afterward."""
-    if names is None:
-        names = [n for n, t in store.items() if t.requires_grad]
     store.step_count += 1
     t = store.step_count
-    for name in names:
-        p = store[name]
+    for name, p in store.items():
+        if not p.requires_grad:
+            continue
         if p.grad is None:
             raise ContractError(f"parameter {name!r} has no gradient")
         g = p.grad
@@ -395,11 +399,11 @@ def adam_step(store: ParamStore, lr, beta1=0.9, beta2=0.999, eps=1e-8, names=Non
         if m is None:
             m = np.zeros_like(p.data)
             v = np.zeros_like(p.data)
-        m = beta1 * m + (1 - beta1) * g
-        v = beta2 * v + (1 - beta2) * g * g
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
         store._m[name] = m
         store._v[name] = v
-        mhat = m / (1 - beta1 ** t)
-        vhat = v / (1 - beta2 ** t)
-        p.data = p.data - lr * mhat / (np.sqrt(vhat) + eps)
+        mhat = m / (1 - ADAM_BETA1 ** t)
+        vhat = v / (1 - ADAM_BETA2 ** t)
+        p.data = p.data - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
         p.grad = None

@@ -21,13 +21,14 @@ from . import checkpoint as ckpt
 from . import encoder as enc
 from . import metrics
 from . import tensorgrad as tg
-from .featio import ConfigError, read_feature
+from .featio import ConfigError, read_feature, sample_limited_labels
 from .graphbuild import GraphConfig, neighbor_table, patchify, split_pair
 from .seeding import stream
 
 PROJ_DIMS = (256, 128, 80)
 CLS_DIMS = (256, 128, 2)
 DEV_HOLDOUT = 0.1  # fraction of train clips monitored during pre-training
+EVAL_BATCH = 96    # clips per forward pass when scoring without gradients
 
 
 def view_kinds(view_mode):
@@ -41,29 +42,14 @@ class Model:
     store: tg.ParamStore
     graph: GraphConfig
     stacks: dict           # kind -> EncoderStack
-    patch_dims: dict       # kind -> flattened patch length
     view_mode: str
-    head: str              # "proj" | "cls"
-    f: int
-    t_seg: int
-
-    @property
-    def d_last(self):
-        return next(iter(self.stacks.values())).dims[-1]
-
-    def embed_len(self):
-        return self.graph.n_patches * self.d_last
-
-
-def _padded_t_seg(t):
-    return (t + t % 2) // 2
 
 
 def build_model(cfg, head, view_mode="both", seed=0):
-    """Create all parameters for one phase, deterministically from seed."""
+    """Create a "proj"- or "cls"-headed model, deterministically from seed."""
     f, t = cfg["data.f"], cfg["data.t"]
     n, k, d = cfg["graph.n"], cfg["graph.k"], cfg["graph.d"]
-    t_seg = _padded_t_seg(t)
+    t_seg = (t + t % 2) // 2  # width of one half, odd T padded by a frame
     if t_seg % n or f % n:
         raise ConfigError(
             f"patch count {n} must divide half-width {t_seg} and freq bins {f}")
@@ -81,31 +67,23 @@ def build_model(cfg, head, view_mode="both", seed=0):
                   tg.Tensor(np.zeros((1, d), dtype=np.float32), requires_grad=True))
         stacks[kind] = enc.init_encoder(store, f"enc_{tag}", d, cfg["graph.layers"],
                                         cfg["graph.heads"], rng)
-    model = Model(store=store, graph=GraphConfig(n, k, d), stacks=stacks,
-                  patch_dims=patch_dims, view_mode=view_mode, head=head, f=f, t_seg=t_seg)
-    in_len = len(kinds) * model.embed_len()
-    if head == "proj":
-        enc.init_mlp(store, "proj", (2 * model.embed_len(), *PROJ_DIMS), rng)
-    else:
-        enc.init_mlp(store, "cls", (in_len, *CLS_DIMS), rng)
-    return model
+    embed_len = n * stacks[kinds[0]].dims[-1]  # concat-pooled length of one view
+    head_dims = PROJ_DIMS if head == "proj" else CLS_DIMS
+    enc.init_mlp(store, head, (len(kinds) * embed_len, *head_dims), rng)
+    return Model(store=store, graph=GraphConfig(n, k, d), stacks=stacks, view_mode=view_mode)
 
 
-def encoder_param_shapes(model):
-    return {name: model.store[name].shape for name in model.store.names()
-            if name.startswith(("stem.", "enc_"))}
+def _is_encoder(name):
+    """Stem and graph-conv parameters: what pre-training hands to fine-tuning."""
+    return name.startswith(("stem.", "enc_"))
 
 
-def load_encoder_params(model, arrays):
-    expected = encoder_param_shapes(model)
+def _restore(model, path, names):
+    """Load the named parameters from a SIGC file after checking names and shapes."""
+    arrays = ckpt.load_arrays(path)
+    expected = {name: model.store[name].shape for name in names}
     ckpt.check_compatible(arrays, expected)
     model.store.load_arrays({k: arrays[k] for k in expected})
-
-
-def freeze_encoders(model):
-    for name in model.store.names():
-        if name.startswith(("stem.", "enc_")):
-            model.store[name].requires_grad = False
 
 
 # ---------------------------------------------------------------------------
@@ -180,12 +158,6 @@ def _batches(ids, batch_size):
         yield ids[i:i + batch_size]
 
 
-def _write_trace(trace, path):
-    with open(path, "w") as fh:
-        for row in trace:
-            fh.write(json.dumps(row) + "\n")
-
-
 def _abort_diagnostics(model, epoch, batch_idx):
     norms = {name: float(np.linalg.norm(t.data)) for name, t in model.store.items()}
     worst = sorted(norms, key=norms.get, reverse=True)[:5]
@@ -224,6 +196,46 @@ class _EarlyStopper:
 # ---------------------------------------------------------------------------
 # phases
 
+def _fit(model, cfg, train_ids, batch_loss, dev_metric, ckpt_path, trace_path):
+    """The epoch loop of both phases: shuffle, Adam steps, early stop, save.
+
+    ``batch_loss(batch, epoch)`` builds one batch's scalar loss on the open
+    tape.  ``dev_metric()`` scores the model after each epoch; without one
+    the epoch's mean train loss stands in.  Each epoch's trace row is
+    appended to ``trace_path`` as soon as the epoch ends, so an interrupted
+    run keeps the epochs it finished.  The best epoch's parameters are saved to
+    ``ckpt_path``.  Returns (ckpt_path, trace, best dev metric).
+    """
+    seed = cfg["train.seed"]
+    stopper = _EarlyStopper(cfg["train.patience"])
+    trace = []
+    trace_path.write_text("")
+    for epoch in range(1, cfg["train.epochs"] + 1):
+        t0 = time.monotonic()
+        perm = stream(seed, "order", epoch).permutation(len(train_ids))
+        losses = []
+        batches = _batches([train_ids[i] for i in perm], cfg["train.batch_size"])
+        for batch_idx, batch in enumerate(batches):
+            with tg.Tape() as tape:
+                loss = batch_loss(batch, epoch)
+                if not np.isfinite(loss.data):
+                    raise RuntimeError(_abort_diagnostics(model, epoch, batch_idx))
+                tape.backward(loss)
+            tg.adam_step(model.store, cfg["train.lr"])
+            losses.append(float(loss.data))
+        train_loss = float(np.mean(losses))
+        metric = train_loss if dev_metric is None else dev_metric()
+        trace.append({"epoch": epoch, "train_loss": train_loss, "dev_metric": metric,
+                      "seconds": round(time.monotonic() - t0, 3)})
+        with open(trace_path, "a") as fh:
+            fh.write(json.dumps(trace[-1]) + "\n")
+        if stopper.update(metric, model.store):
+            break
+    stopper.restore(model.store)
+    ckpt.save_arrays(model.store.state_arrays(), ckpt_path)
+    return ckpt_path, trace, stopper.best
+
+
 def pretrain(cfg, clips, data_dir, out_dir):
     """Algorithm-1 pre-training on a label-stripped clip list.
 
@@ -242,51 +254,27 @@ def pretrain(cfg, clips, data_dir, out_dir):
     feats = load_features(clips, data_dir)
     ids = [cid for cid, _ in clips]
 
-    holdout_rng = stream(seed, "holdout")
-    order = holdout_rng.permutation(len(ids))
+    order = stream(seed, "holdout").permutation(len(ids))
     n_dev = max(1, int(round(DEV_HOLDOUT * len(ids)))) if len(ids) > 1 else 0
     dev_ids = [ids[i] for i in order[:n_dev]]
     train_ids = [ids[i] for i in order[n_dev:]] or ids
 
-    stopper = _EarlyStopper(cfg["train.patience"])
-    trace = []
-    bt = cfg["train.batch_size"]
-    for epoch in range(1, cfg["train.epochs"] + 1):
-        t0 = time.monotonic()
-        perm = stream(seed, "order", epoch).permutation(len(train_ids))
-        losses = []
-        for batch_idx, batch in enumerate(_batches([train_ids[i] for i in perm], bt)):
-            mats = [feats[c] for c in batch]
-            with tg.Tape() as tape:
-                _, _, z1, z2 = _pair_forward(model, mats, batch, spec, seed, epoch)
-                loss = tg.scale(metrics.alignment_loss(z1, z2, tau), 1.0 / len(batch))
-                if not np.isfinite(loss.data):
-                    raise RuntimeError(_abort_diagnostics(model, epoch, batch_idx))
-                tape.backward(loss)
-            tg.adam_step(model.store, cfg["train.lr"])
-            losses.append(float(loss.data))
-        dev_metric = _pretrain_dev_loss(model, feats, dev_ids, tau) if dev_ids else float(np.mean(losses))
-        trace.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
-                      "dev_metric": dev_metric,
-                      "seconds": round(time.monotonic() - t0, 3)})
-        if stopper.update(dev_metric, model.store):
-            break
-    stopper.restore(model.store)
-    path = out_dir / "pretrained.sigc"
+    def batch_loss(batch, epoch):
+        _, _, z1, z2 = _pair_forward(model, [feats[c] for c in batch], batch, spec, seed, epoch)
+        return tg.scale(metrics.alignment_loss(z1, z2, tau), 1.0 / len(batch))
+
+    def dev_loss():
+        """Mean per-pair alignment loss on held-out clips, unaugmented."""
+        total = 0.0
+        for batch in _batches(dev_ids, EVAL_BATCH):
+            _, _, z1, z2 = _pair_forward(model, [feats[c] for c in batch], batch, None, 0, 0)
+            total += float(metrics.alignment_loss(z1, z2, tau).data)
+        return total / len(dev_ids)
+
     # projection-head entries ship under proj.* and are ignored downstream
-    ckpt.save_arrays(model.store.state_arrays(), path)
-    _write_trace(trace, out_dir / "pretrain_trace.jsonl")
+    path, trace, _ = _fit(model, cfg, train_ids, batch_loss, dev_loss if dev_ids else None,
+                          out_dir / "pretrained.sigc", out_dir / "pretrain_trace.jsonl")
     return path, trace
-
-
-def _pretrain_dev_loss(model, feats, dev_ids, tau):
-    """Mean per-pair alignment loss on held-out clips, unaugmented."""
-    total = 0.0
-    for batch in _batches(dev_ids, 96):
-        mats = [feats[c] for c in batch]
-        _, _, z1, z2 = _pair_forward(model, mats, batch, None, 0, 0)
-        total += float(metrics.alignment_loss(z1, z2, tau).data)
-    return total / len(dev_ids)
 
 
 def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):
@@ -294,8 +282,6 @@ def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):
 
     Returns (model_checkpoint_path, trace, dev_eer_of_best).
     """
-    from .featio import sample_limited_labels
-
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = cfg["train.seed"]
@@ -303,10 +289,12 @@ def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):
         raise ConfigError("fine-tuning needs a pre-trained checkpoint "
                           "(or train.skip_pretrain = true)")
     model = build_model(cfg, head="cls", view_mode=cfg["train.view_mode"], seed=seed)
+    encoder_names = [name for name in model.store.names() if _is_encoder(name)]
     if checkpoint_path is not None:
-        load_encoder_params(model, ckpt.load_arrays(checkpoint_path))
+        _restore(model, checkpoint_path, encoder_names)
     if cfg["train.freeze_encoders"]:
-        freeze_encoders(model)
+        for name in encoder_names:
+            model.store[name].requires_grad = False
 
     labeled = sample_limited_labels(entries, cfg["train.label_fraction"], seed)
     train_entries = [e for e in labeled if e.split == "train"]
@@ -316,51 +304,27 @@ def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):
     used = train_entries + dev_entries  # the eval split is never read here
     feats = load_features([(e.clip_id, e.path) for e in used], data_dir)
     labels = {e.clip_id: 1 if e.label == "bonafide" else 0 for e in used}
-    train_ids = [e.clip_id for e in train_entries]
 
-    stopper = _EarlyStopper(cfg["train.patience"])
-    trace = []
-    bt = cfg["train.batch_size"]
-    for epoch in range(1, cfg["train.epochs"] + 1):
-        t0 = time.monotonic()
-        perm = stream(seed, "order", epoch).permutation(len(train_ids))
-        losses = []
-        for batch_idx, batch in enumerate(_batches([train_ids[i] for i in perm], bt)):
-            mats = [feats[c] for c in batch]
-            with tg.Tape() as tape:
-                logits = _classify_forward(model, mats, batch)
-                loss = metrics.cross_entropy(logits, [labels[c] for c in batch])
-                if not np.isfinite(loss.data):
-                    raise RuntimeError(_abort_diagnostics(model, epoch, batch_idx))
-                tape.backward(loss)
-            tg.adam_step(model.store, cfg["train.lr"])
-            losses.append(float(loss.data))
-        dev_eer = _scores_eer(model, feats, dev_entries).eer if dev_entries \
-            else float(np.mean(losses))
-        trace.append({"epoch": epoch, "train_loss": float(np.mean(losses)),
-                      "dev_metric": dev_eer,
-                      "seconds": round(time.monotonic() - t0, 3)})
-        if stopper.update(dev_eer, model.store):
-            break
-    stopper.restore(model.store)
-    path = out_dir / "model.sigc"
-    ckpt.save_arrays(model.store.state_arrays(), path)
-    _write_trace(trace, out_dir / "finetune_trace.jsonl")
-    return path, trace, stopper.best
+    def batch_loss(batch, epoch):
+        logits = _classify_forward(model, [feats[c] for c in batch], batch)
+        return metrics.cross_entropy(logits, [labels[c] for c in batch])
+
+    def dev_eer():
+        return metrics.compute_eer(score_entries(model, feats, dev_entries)).eer
+
+    return _fit(model, cfg, [e.clip_id for e in train_entries], batch_loss,
+                dev_eer if dev_entries else None,
+                out_dir / "model.sigc", out_dir / "finetune_trace.jsonl")
 
 
-def score_entries(model, feats, entries, batch_size=96):
+def score_entries(model, feats, entries):
     scores = []
-    for batch in _batches(entries, batch_size):
+    for batch in _batches(entries, EVAL_BATCH):
         ids = [e.clip_id for e in batch]
         logits = _classify_forward(model, [feats[c] for c in ids], ids)
         probs = enc.softmax_np(logits.data)[:, 1]  # class 1 = bona fide
         scores.extend((e.clip_id, float(p), e.label) for e, p in zip(batch, probs))
     return metrics.ScoreSet(scores)
-
-
-def _scores_eer(model, feats, entries):
-    return metrics.compute_eer(score_entries(model, feats, entries))
 
 
 def evaluate(model, entries, data_dir, split="eval"):
@@ -378,10 +342,7 @@ def load_model(cfg, checkpoint_path, head="cls"):
     model = build_model(cfg, head=head,
                         view_mode=cfg["train.view_mode"] if head == "cls" else "both",
                         seed=cfg["train.seed"])
-    arrays = ckpt.load_arrays(checkpoint_path)
-    expected = {name: model.store[name].shape for name in model.store.names()}
-    ckpt.check_compatible(arrays, expected)
-    model.store.load_arrays({k: arrays[k] for k in expected})
+    _restore(model, checkpoint_path, model.store.names())
     return model
 
 

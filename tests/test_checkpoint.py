@@ -1,7 +1,13 @@
 """SIGC checkpoint format round-trips and compatibility checks."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from signl import checkpoint as ckpt
 
@@ -36,6 +42,32 @@ class TestRoundTrip:
         ckpt.save_arrays(arrays, path)
         # header 10 + (name len 2 + name 1 + rank 1 + dims 8 + payload 24)
         assert path.stat().st_size == 10 + 2 + 1 + 1 + 8 + 24
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.dictionaries(
+        st.text(max_size=12),
+        hnp.arrays(np.float32, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+                   elements=st.floats(width=32)),
+        max_size=5))
+    def test_any_arrays_round_trip_bit_exact(self, arrays):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.sigc"
+            ckpt.save_arrays(arrays, path)
+            back = ckpt.load_arrays(path)
+        assert list(back) == list(arrays)
+        for name, arr in arrays.items():
+            assert back[name].shape == arr.shape
+            assert back[name].tobytes() == arr.tobytes(), name
+
+    def test_failed_save_keeps_previous_file(self, tmp_path, rng):
+        path = tmp_path / "m.sigc"
+        ckpt.save_arrays(_arrays(rng), path)
+        before = path.read_bytes()
+        bad = {**_arrays(rng), "not_numeric": np.array(["x"])}  # raises after three entries
+        with pytest.raises(ValueError):
+            ckpt.save_arrays(bad, path)
+        assert path.read_bytes() == before
+        assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.sigc"

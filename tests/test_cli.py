@@ -6,6 +6,8 @@ import os
 import pytest
 
 from signl import cli
+from signl import tensorgrad as tg
+from signl import train
 
 
 def run(argv, capsys):
@@ -177,6 +179,32 @@ class TestErrors:
         assert code == 1
         assert "duplicates line 1" in err
         assert sorted(out.iterdir()) == before
+
+    def test_eval_of_pretrain_checkpoint_exits_1_without_run_dir(self, base_cfg, tmp_path,
+                                                                  capsys):
+        out = tmp_path / "runs"
+        assert run(["gen-data", "--config", str(base_cfg), "--out", str(out)],
+                   capsys)[0] == 0
+        assert run(["pretrain", "--config", str(base_cfg), "--out", str(out)],
+                   capsys)[0] == 0
+        ck = only_run_dir(out, "pretrain") / "pretrained.sigc"
+        code, _, err = run(["eval", "--config", str(base_cfg),
+                            "--set", f"paths.checkpoint={ck}", "--out", str(out)], capsys)
+        assert code == 1  # CheckpointError: the file has no classifier head
+        assert "checkpoint incompatible" in err
+        assert not [p for p in out.iterdir() if p.name.startswith("eval-")]
+
+    def test_non_finite_finetune_loss_exits_2(self, base_cfg, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "runs"
+        assert run(["gen-data", "--config", str(base_cfg), "--out", str(out)],
+                   capsys)[0] == 0
+        classify = train._classify_forward
+        monkeypatch.setattr(train, "_classify_forward",
+                            lambda *args: tg.scale(classify(*args), float("nan")))
+        code, _, err = run(["finetune", "--config", str(base_cfg),
+                            "--set", "train.skip_pretrain=true", "--out", str(out)], capsys)
+        assert code == 2
+        assert "non-finite loss at epoch 1" in err
 
     def test_runtime_failure_exits_2(self, base_cfg, tmp_path, capsys):
         code, _, err = run(["gen-data", "--config", str(base_cfg),

@@ -1,9 +1,50 @@
 """Config parsing: schema, coercion, precedence, validation, dump round trip."""
 
+import string
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from signl import config
 from signl.featio import ConfigError
+
+
+def _finite(**bounds):
+    return st.floats(allow_nan=False, allow_infinity=False, **bounds)
+
+
+# the format strips surrounding whitespace and cuts values at "#"
+_VALUE_TEXT = st.text(alphabet=sorted(set(string.printable) - set(string.whitespace) - {"#"}),
+                      max_size=16)
+_ANY = {bool: st.booleans(), int: st.integers(-10**9, 10**9), float: _finite(),
+        str: _VALUE_TEXT}
+_CONSTRAINED = {
+    "train.epochs": st.integers(1, 10**6),
+    "train.batch_size": st.integers(1, 10**6),
+    "train.patience": st.integers(1, 10**6),
+    "train.lr": _finite(min_value=0, exclude_min=True),
+    "train.temperature": _finite(min_value=0, exclude_min=True),
+    "train.label_fraction": _finite(min_value=0, max_value=1, exclude_min=True),
+    "train.view_mode": st.sampled_from(config.VIEW_MODES),
+    "graph.layers": st.integers(1, 10**6),
+    "aug.ed_prob": _finite(min_value=0, max_value=1),
+    "aug.fm_prob": _finite(min_value=0, max_value=1),
+    "aug.gn_sigma": _finite(min_value=0),
+}
+
+
+@st.composite
+def _valid_configs(draw):
+    """Every key drawn from its type, within the ranges validate() accepts."""
+    cfg = {key: draw(_CONSTRAINED.get(key, _ANY[typ]))
+           for key, (typ, _) in config.SCHEMA.items()}
+    cfg["graph.n"] = draw(st.integers(2, 10**6))
+    cfg["graph.k"] = draw(st.integers(1, cfg["graph.n"] - 1))
+    config.validate(cfg)
+    return cfg
 
 
 class TestDefaults:
@@ -143,3 +184,13 @@ class TestDump:
         p = tmp_path / "out.cfg"
         config.dump(cfg, p)
         assert config.load(p) == cfg
+
+    @settings(max_examples=100, deadline=None)
+    @given(_valid_configs())
+    def test_dump_load_identity(self, cfg):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.cfg"
+            config.dump(cfg, path)
+            back = config.load(path)
+        assert back == cfg
+        assert all(type(back[k]) is type(v) for k, v in cfg.items())

@@ -2,9 +2,14 @@
 
 import math
 import struct
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from signl import featio
 
@@ -17,6 +22,18 @@ class TestFeatureIO:
         back = featio.read_feature(path)
         assert np.array_equal(back.values, values)
         assert back.clip_id == "clip"
+
+    @settings(max_examples=60, deadline=None)
+    @given(hnp.arrays(np.float32, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1,
+                                                   max_side=9),
+                      elements=st.floats(width=32, allow_nan=False, allow_infinity=False)))
+    def test_any_finite_matrix_round_trips_bit_exact(self, values):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "clip.sigf"
+            featio.write_feature(featio.FeatureMatrix("clip", values), path)
+            back = featio.read_feature(path).values
+        assert back.shape == values.shape
+        assert back.tobytes() == values.tobytes()
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.sigf"

@@ -94,6 +94,25 @@ class TestPretrain:
                 (tmp_path / "pretrain_trace.jsonl").read_text().splitlines()]
         assert [r["epoch"] for r in rows] == [1]
 
+    def test_abort_keeps_finished_epochs_in_trace(self, tiny_corpus, tiny_cfg, tmp_path,
+                                                 monkeypatch):
+        """A loss that turns non-finite in epoch 2 leaves epoch 1's row on disk."""
+        root, entries = tiny_corpus
+        pair_forward = train._pair_forward
+
+        def poisoned(model, mats, clip_ids, spec, seed, epoch):
+            h1, h2, z1, z2 = pair_forward(model, mats, clip_ids, spec, seed, epoch)
+            return h1, h2, tg.scale(z1, float("nan")) if epoch == 2 else z1, z2
+
+        monkeypatch.setattr(train, "_pair_forward", poisoned)
+        cfg = _pretrain_cfg(tiny_cfg, **{"train.epochs": 3})
+        with pytest.raises(RuntimeError, match="non-finite loss at epoch 2"):
+            train.pretrain(cfg, train.strip_labels(entries), root, tmp_path)
+        rows = [json.loads(l) for l in
+                (tmp_path / "pretrain_trace.jsonl").read_text().splitlines()]
+        assert [r["epoch"] for r in rows] == [1]
+        assert not (tmp_path / "pretrained.sigc").exists()
+
 
 class TestFinetune:
     def test_missing_checkpoint_rejected(self, tiny_corpus, tiny_cfg, tmp_path):
@@ -140,7 +159,11 @@ class TestFinetune:
         both = train.build_model(tiny_cfg, head="cls", view_mode="both")
         temp = train.build_model(tiny_cfg, head="cls", view_mode="temporal_only")
         assert temp.store["cls.l0.w"].shape[0] * 2 == both.store["cls.l0.w"].shape[0]
-        assert "enc_s.0.w" not in temp.store
+
+        def spatial(model):
+            return [n for n in model.store.names() if n.startswith(("enc_s.", "stem.spatial."))]
+        assert spatial(both)
+        assert not spatial(temp)
 
     def test_reads_no_eval_features(self, tiny_corpus, tiny_cfg, tmp_path):
         root, entries = tiny_corpus
