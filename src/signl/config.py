@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import math
+
 from .augment import AugmentSpec
 from .featio import ConfigError
 
@@ -53,9 +55,13 @@ def _coerce(key, raw):
             return False
         raise ConfigError(f"{key}: expected a boolean, got {raw!r}")
     try:
-        return typ(raw)
+        value = typ(raw)
     except ValueError as exc:
         raise ConfigError(f"{key}: {exc}") from exc
+    # NaN slips past every single comparison in validate, and inf past the one-sided ones
+    if typ is float and not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {raw!r}")
+    return value
 
 
 def defaults() -> dict:

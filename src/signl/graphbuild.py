@@ -26,7 +26,6 @@ class GraphView:
 class GraphConfig:
     n_patches: int = 8
     k_neighbors: int = 3
-    node_dim: int = 32
 
 
 def split_pair(values: np.ndarray):

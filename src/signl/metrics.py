@@ -69,8 +69,8 @@ def alignment_loss(z1: tg.Tensor, z2: tg.Tensor, temperature: float) -> tg.Tenso
     return tg.scale(tg.tsum(cosine_similarity(z1, z2)), -1.0 / temperature)
 
 
-def cross_entropy(logits: tg.Tensor, labels, reduction="mean") -> tg.Tensor:
-    """Softmax + NLL over 2 classes, stabilised by max subtraction."""
+def cross_entropy(logits: tg.Tensor, labels) -> tg.Tensor:
+    """Mean softmax + NLL over 2 classes, stabilised by max subtraction."""
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     b, c = logits.shape
     if labels.shape[0] != b:
@@ -78,7 +78,7 @@ def cross_entropy(logits: tg.Tensor, labels, reduction="mean") -> tg.Tensor:
     onehot = np.zeros((b, c), dtype=logits.dtype)
     onehot[np.arange(b), labels] = 1.0
     nll = tg.scale(tg.tsum(tg.mul(tg.Tensor._wrap(onehot, False), tg.log_softmax(logits))), -1.0)
-    return tg.scale(nll, 1.0 / b) if reduction == "mean" else nll
+    return tg.scale(nll, 1.0 / b)
 
 
 def cosine_np(a: np.ndarray, b: np.ndarray) -> np.ndarray:

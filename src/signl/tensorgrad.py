@@ -2,9 +2,14 @@
 
 Tensors wrap numpy arrays (0-D scalars, 1-D vectors, 2-D matrices); only
 ``bmm`` also takes a 3-D operand, a constant (B, N, N) ndarray that needs no
-gradient.  Operations executed inside an active ``Tape`` record backward
-rules in order.  Calling ``Tape.backward`` replays the records in reverse and
-accumulates gradients into every reachable ``requires_grad`` tensor.
+gradient.
+
+One recording rule: every primitive returns its output through ``_op``,
+which, inside an active ``Tape`` and only for an output that needs a
+gradient, appends one (output, backward) pair.  ``Tape.backward`` replays
+the pairs in reverse, hands each output's gradient to its backward rule,
+and skips outputs that got no gradient because they are off the loss's path.
+Each rule accumulates only into inputs that require a gradient.
 
 Training runs in float32; gradient checking builds float64 tensors and
 uses the exact same code path.
@@ -90,17 +95,17 @@ class Tape:
         if loss.data.size != 1:
             raise ContractError("backward requires a scalar loss")
         loss._accumulate(np.ones_like(loss.data))
-        for rec in reversed(self._records):
-            rec()
+        for out, backward in reversed(self._records):
+            if out.grad is not None:  # off the loss's path: nothing to pass back
+                backward(out.grad)
 
 
-def _record(out: Tensor, fn):
-    if out.requires_grad and _TAPE_STACK:
-        _TAPE_STACK[-1]._records.append(fn)
-
-
-def _needs(*tensors):
-    return any(t.requires_grad for t in tensors)
+def _op(data, requires_grad, backward):
+    """Wrap ``data`` as a primitive's output; ``backward(g)`` accumulates each input's share."""
+    out = Tensor._wrap(data, requires_grad)
+    if requires_grad and _TAPE_STACK:
+        _TAPE_STACK[-1]._records.append((out, backward))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -111,18 +116,14 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         raise ShapeError("matmul operands must be 2-D")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
-    out = Tensor._wrap(a.data @ b.data, _needs(a, b))
 
-    def backward():
-        if out.grad is None:
-            return
+    def backward(g):
         if a.requires_grad:
-            a._accumulate(out.grad @ b.data.T)
+            a._accumulate(g @ b.data.T)
         if b.requires_grad:
-            b._accumulate(a.data.T @ out.grad)
+            b._accumulate(a.data.T @ g)
 
-    _record(out, backward)
-    return out
+    return _op(a.data @ b.data, a.requires_grad or b.requires_grad, backward)
 
 
 def bmm(s: np.ndarray, h: Tensor) -> Tensor:
@@ -131,129 +132,71 @@ def bmm(s: np.ndarray, h: Tensor) -> Tensor:
             or h.shape[0] != s.shape[0] * s.shape[1]:
         raise ShapeError(f"bmm needs a (B, N, N) stack and (B*N, d) rows: {s.shape} x {h.shape}")
     blocks = (*s.shape[:2], h.shape[1])
-    out = Tensor._wrap(np.matmul(s, h.data.reshape(blocks)).reshape(h.shape), h.requires_grad)
 
-    def backward():
-        if out.grad is None:
-            return
-        h._accumulate(np.matmul(s.transpose(0, 2, 1), out.grad.reshape(blocks)).reshape(h.shape))
+    def backward(g):
+        h._accumulate(np.matmul(s.transpose(0, 2, 1), g.reshape(blocks)).reshape(h.shape))
 
-    _record(out, backward)
-    return out
+    return _op(np.matmul(s, h.data.reshape(blocks)).reshape(h.shape), h.requires_grad, backward)
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor._wrap(a.data + b.data, _needs(a, b))
 
-    def backward():
-        if out.grad is None:
-            return
+    def backward(g):
         if a.requires_grad:
-            a._accumulate(out.grad)
+            a._accumulate(g)
         if b.requires_grad:
-            b._accumulate(out.grad)
+            b._accumulate(g)
 
-    _record(out, backward)
-    return out
+    return _op(a.data + b.data, a.requires_grad or b.requires_grad, backward)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-    out = Tensor._wrap(a.data * b.data, _needs(a, b))
 
-    def backward():
-        if out.grad is None:
-            return
+    def backward(g):
         if a.requires_grad:
-            a._accumulate(out.grad * b.data)
+            a._accumulate(g * b.data)
         if b.requires_grad:
-            b._accumulate(out.grad * a.data)
+            b._accumulate(g * a.data)
 
-    _record(out, backward)
-    return out
+    return _op(a.data * b.data, a.requires_grad or b.requires_grad, backward)
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
-    out = Tensor._wrap(a.data * s, a.requires_grad)
-
-    def backward():
-        if out.grad is None:
-            return
-        a._accumulate(out.grad * s)
-
-    _record(out, backward)
-    return out
+    return _op(a.data * s, a.requires_grad, lambda g: a._accumulate(g * s))
 
 
 def relu(a: Tensor) -> Tensor:
-    out = Tensor._wrap(np.maximum(a.data, 0), a.requires_grad)
-
-    def backward():
-        if out.grad is None:
-            return
-        # gradient at exactly 0 is defined as 0
-        a._accumulate(out.grad * (a.data > 0))
-
-    _record(out, backward)
-    return out
+    # gradient at exactly 0 is defined as 0
+    return _op(np.maximum(a.data, 0), a.requires_grad, lambda g: a._accumulate(g * (a.data > 0)))
 
 
 def sqrt(a: Tensor) -> Tensor:
     if np.any(a.data <= 0):
         raise ValueError("sqrt requires strictly positive inputs")
     r = np.sqrt(a.data)
-    out = Tensor._wrap(r, a.requires_grad)
-
-    def backward():
-        if out.grad is None:
-            return
-        a._accumulate(out.grad * 0.5 / r)
-
-    _record(out, backward)
-    return out
+    return _op(r, a.requires_grad, lambda g: a._accumulate(g * 0.5 / r))
 
 
 def reciprocal(a: Tensor) -> Tensor:
     if np.any(a.data == 0):
         raise ValueError("reciprocal of zero")
     r = 1.0 / a.data
-    out = Tensor._wrap(r, a.requires_grad)
-
-    def backward():
-        if out.grad is None:
-            return
-        a._accumulate(-out.grad * r * r)
-
-    _record(out, backward)
-    return out
+    return _op(r, a.requires_grad, lambda g: a._accumulate(-g * r * r))
 
 
 def tsum(a: Tensor, axis=None) -> Tensor:
-    out = Tensor._wrap(a.data.sum(axis=axis, keepdims=axis is not None), a.requires_grad)
-
-    def backward():
-        if out.grad is None:
-            return
-        a._accumulate(np.broadcast_to(out.grad, a.shape))
-
-    _record(out, backward)
-    return out
+    return _op(a.data.sum(axis=axis, keepdims=axis is not None), a.requires_grad,
+               lambda g: a._accumulate(np.broadcast_to(g, a.shape)))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    out = Tensor._wrap(a.data.reshape(shape), a.requires_grad)
-
-    def backward():
-        if out.grad is None:
-            return
-        a._accumulate(out.grad.reshape(a.shape))
-
-    _record(out, backward)
-    return out
+    return _op(a.data.reshape(shape), a.requires_grad,
+               lambda g: a._accumulate(g.reshape(a.shape)))
 
 
 def concat(parts, axis=0) -> Tensor:
@@ -265,20 +208,16 @@ def concat(parts, axis=0) -> Tensor:
         raise ShapeError("concat rank mismatch")
     if parts[0].data.ndim == 2 and any(p.shape[other] != parts[0].shape[other] for p in parts):
         raise ShapeError("concat non-axis dims disagree")
-    out = Tensor._wrap(np.concatenate([p.data for p in parts], axis=axis), _needs(*parts))
     offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
 
-    def backward():
-        if out.grad is None:
-            return
+    def backward(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
             if p.requires_grad:
                 idx = slice(lo, hi)
-                g = out.grad[idx] if axis == 0 else out.grad[:, idx]
-                p._accumulate(g)
+                p._accumulate(g[idx] if axis == 0 else g[:, idx])
 
-    _record(out, backward)
-    return out
+    return _op(np.concatenate([p.data for p in parts], axis=axis),
+               any(p.requires_grad for p in parts), backward)
 
 
 def split(t: Tensor, counts, axis=0):
@@ -288,22 +227,14 @@ def split(t: Tensor, counts, axis=0):
     offsets = np.cumsum([0] + counts)
     outs = []
     for lo, hi in zip(offsets[:-1], offsets[1:]):
-        idx = slice(lo, hi)
-        piece = t.data[idx] if axis == 0 else t.data[:, idx]
-        out = Tensor._wrap(piece.copy(), t.requires_grad)
+        key = slice(lo, hi) if axis == 0 else (slice(None), slice(lo, hi))
 
-        def backward(out=out, lo=int(lo), hi=int(hi)):
-            if out.grad is None:
-                return
-            g = np.zeros_like(t.data)
-            if axis == 0:
-                g[lo:hi] = out.grad
-            else:
-                g[:, lo:hi] = out.grad
-            t._accumulate(g)
+        def backward(g, key=key):
+            full = np.zeros_like(t.data)
+            full[key] = g
+            t._accumulate(full)
 
-        _record(out, backward)
-        outs.append(out)
+        outs.append(_op(t.data[key].copy(), t.requires_grad, backward))
     return outs
 
 
@@ -312,17 +243,10 @@ def log_softmax(a: Tensor) -> Tensor:
     if a.data.ndim != 2:
         raise ShapeError("log_softmax expects a 2-D tensor")
     shifted = a.data - a.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
-    out = Tensor._wrap(shifted - lse, a.requires_grad)
-    sm = np.exp(out.data)
-
-    def backward():
-        if out.grad is None:
-            return
-        a._accumulate(out.grad - sm * out.grad.sum(axis=1, keepdims=True))
-
-    _record(out, backward)
-    return out
+    logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    sm = np.exp(logp)
+    return _op(logp, a.requires_grad,
+               lambda g: a._accumulate(g - sm * g.sum(axis=1, keepdims=True)))
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:

@@ -21,7 +21,7 @@ from . import checkpoint as ckpt
 from . import encoder as enc
 from . import metrics
 from . import tensorgrad as tg
-from .featio import ConfigError, read_feature, sample_limited_labels
+from .featio import ConfigError, FormatError, read_feature, sample_limited_labels
 from .graphbuild import GraphConfig, neighbor_table, patchify, split_pair
 from .seeding import stream
 
@@ -70,7 +70,7 @@ def build_model(cfg, head, view_mode="both", seed=0):
     embed_len = n * stacks[kinds[0]].dims[-1]  # concat-pooled length of one view
     head_dims = PROJ_DIMS if head == "proj" else CLS_DIMS
     enc.init_mlp(store, head, (len(kinds) * embed_len, *head_dims), rng)
-    return Model(store=store, graph=GraphConfig(n, k, d), stacks=stacks, view_mode=view_mode)
+    return Model(store=store, graph=GraphConfig(n, k), stacks=stacks, view_mode=view_mode)
 
 
 def _is_encoder(name):
@@ -149,8 +149,26 @@ def strip_labels(entries, split="train"):
 
 
 def load_features(items, data_dir):
+    """clip_id -> F x T values; every clip of one load must have the same shape."""
     data_dir = Path(data_dir)
-    return {clip_id: read_feature(data_dir / rel).values for clip_id, rel in items}
+    feats, first = {}, None
+    for clip_id, rel in items:
+        values = read_feature(data_dir / rel).values
+        if first is None:
+            first = (data_dir / rel, values.shape)
+        elif values.shape != first[1]:
+            raise FormatError(f"{data_dir / rel}: clip shape {values.shape} differs from "
+                              f"{first[1]} of {first[0]}")
+        feats[clip_id] = values
+    return feats
+
+
+def _check_clip_shape(cfg, feats):
+    """Reject a corpus whose clips are not the (data.f, data.t) the model is built for."""
+    clip_id, values = next(iter(feats.items()))
+    if values.shape != (cfg["data.f"], cfg["data.t"]):
+        raise ConfigError(f"corpus clips such as {clip_id!r} are {values.shape}, "
+                          f"but (data.f, data.t) is {(cfg['data.f'], cfg['data.t'])}")
 
 
 def _batches(ids, batch_size):
@@ -252,6 +270,7 @@ def pretrain(cfg, clips, data_dir, out_dir):
     tau = cfg["train.temperature"]
     model = build_model(cfg, head="proj", seed=seed)
     feats = load_features(clips, data_dir)
+    _check_clip_shape(cfg, feats)
     ids = [cid for cid, _ in clips]
 
     order = stream(seed, "holdout").permutation(len(ids))
@@ -303,6 +322,7 @@ def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):
         raise ConfigError("fine-tuning requires labeled train entries")
     used = train_entries + dev_entries  # the eval split is never read here
     feats = load_features([(e.clip_id, e.path) for e in used], data_dir)
+    _check_clip_shape(cfg, feats)
     labels = {e.clip_id: 1 if e.label == "bonafide" else 0 for e in used}
 
     def batch_loss(batch, epoch):

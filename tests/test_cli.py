@@ -128,6 +128,17 @@ class TestErrors:
                             "--out", str(tmp_path / "runs")], capsys)
         assert code == 1
 
+    def test_nan_learning_rate_exits_1_without_run_dir(self, base_cfg, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert run(["gen-data", "--config", str(base_cfg), "--out", str(out)],
+                   capsys)[0] == 0
+        before = sorted(out.iterdir())
+        code, _, err = run(["pretrain", "--config", str(base_cfg),
+                            "--set", "train.lr=nan", "--out", str(out)], capsys)
+        assert code == 1
+        assert "train.lr" in err
+        assert sorted(out.iterdir()) == before
+
     def test_invalid_graph_value_exits_1_without_run_dir(self, base_cfg, tmp_path, capsys):
         out = tmp_path / "runs"
         assert run(["gen-data", "--config", str(base_cfg), "--out", str(out)],

@@ -110,6 +110,12 @@ class TestParseLine:
         config.parse_line("train.lr = 5e-6", cfg)
         assert cfg["train.lr"] == 5e-6
 
+    @pytest.mark.parametrize("raw", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("key", [k for k, (typ, _) in config.SCHEMA.items() if typ is float])
+    def test_non_finite_float_rejected(self, key, raw):
+        with pytest.raises(ConfigError, match=f"{key}: expected a finite number"):
+            config.load(None, overrides=(f"{key} = {raw}",))
+
 
 class TestLoad:
     def test_file_then_override_precedence(self, tmp_path):

@@ -207,6 +207,36 @@ class TestBackward:
         _check_grad(loss, [x, w1, b1, w2])
 
 
+class TestTapeContract:
+    def test_ops_outside_a_tape_record_nothing(self):
+        x = _t([[1.0, 2.0]])
+        y = tg.mul(x, x)  # no tape is open
+        with tg.Tape() as tape:
+            tape.backward(tg.tsum(y))
+        assert np.array_equal(y.grad, [[1.0, 1.0]])
+        assert x.grad is None
+
+    @pytest.mark.parametrize("op", [
+        tg.matmul, tg.add, tg.mul, lambda a, b: tg.concat([a, b], axis=0)])
+    @pytest.mark.parametrize("const_first", [True, False])
+    def test_constant_operand_gets_no_grad(self, rng, op, const_first):
+        w = _t(rng.standard_normal((2, 2)))
+        c = _t(rng.standard_normal((2, 2)), grad=False)
+        with tg.Tape() as tape:
+            tape.backward(tg.tsum(op(c, w) if const_first else op(w, c)))
+        assert w.grad is not None
+        assert c.grad is None
+
+    def test_output_off_the_loss_path_changes_no_gradient(self, rng):
+        x = _t(rng.standard_normal((3, 6)))
+        with tg.Tape() as tape:
+            first, unused, last = tg.split(x, [2, 2, 2], axis=1)
+            tape.backward(tg.add(tg.tsum(tg.mul(first, first)), tg.tsum(last)))
+        assert unused.grad is None
+        expected = np.concatenate([2 * x.data[:, :2], np.zeros((3, 2)), np.ones((3, 2))], axis=1)
+        assert np.array_equal(x.grad, expected)
+
+
 class TestTensorValidation:
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):

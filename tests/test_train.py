@@ -12,6 +12,7 @@ from signl import augment as aug
 from signl import checkpoint as ckpt
 from signl import config as cfgmod
 from signl import encoder as enc
+from signl import featio
 from signl import metrics
 from signl import tensorgrad as tg
 from signl import train
@@ -32,6 +33,10 @@ def _finetune_cfg(tiny_cfg, **extra):
                 "train.skip_pretrain": True})
     cfg.update(extra)
     return cfg
+
+
+# the tiny corpus is 32 x 32 clips; a config asking for 64 x 64 must be refused
+_SHAPE_MISMATCH = r"are \(32, 32\), but \(data.f, data.t\) is \(64, 64\)"
 
 
 class TestStripLabels:
@@ -114,7 +119,22 @@ class TestPretrain:
         assert not (tmp_path / "pretrained.sigc").exists()
 
 
+    def test_corpus_shape_other_than_config_rejected(self, tiny_corpus, tiny_cfg, tmp_path):
+        root, entries = tiny_corpus  # 32 x 32 clips
+        cfg = _pretrain_cfg(tiny_cfg, **{"data.f": 64, "data.t": 64})
+        with pytest.raises(ConfigError, match=_SHAPE_MISMATCH):
+            train.pretrain(cfg, train.strip_labels(entries), root, tmp_path)
+        assert not (tmp_path / "pretrain_trace.jsonl").exists()  # no epoch started
+
+
 class TestFinetune:
+    def test_corpus_shape_other_than_config_rejected(self, tiny_corpus, tiny_cfg, tmp_path):
+        root, entries = tiny_corpus  # 32 x 32 clips
+        cfg = _finetune_cfg(tiny_cfg, **{"data.f": 64, "data.t": 64})
+        with pytest.raises(ConfigError, match=_SHAPE_MISMATCH):
+            train.finetune(cfg, entries, root, tmp_path)
+        assert not (tmp_path / "finetune_trace.jsonl").exists()  # no epoch started
+
     def test_missing_checkpoint_rejected(self, tiny_corpus, tiny_cfg, tmp_path):
         root, entries = tiny_corpus
         cfg = _finetune_cfg(tiny_cfg, **{"train.skip_pretrain": False})
@@ -332,6 +352,21 @@ class TestEvaluate:
         scores, _ = train.evaluate(self._constant_model(tiny_cfg), entries, root)
         assert len(scores.entries) == 20
         assert all(cid.startswith("eval_") for cid, _, _ in scores.entries)
+
+
+class TestLoadFeatures:
+    def test_clip_of_another_shape_rejected_naming_both(self, tiny_corpus, tmp_path):
+        root, entries = tiny_corpus
+        corpus = tmp_path / "corpus"
+        shutil.copytree(root, corpus)
+        clips = train.strip_labels(entries)
+        odd_id, odd_path = clips[3]
+        featio.write_feature(featio.FeatureMatrix(odd_id, np.zeros((32, 30))), corpus / odd_path)
+        with pytest.raises(featio.FormatError) as err:
+            train.load_features(clips, corpus)
+        assert str(corpus / odd_path) in str(err.value)
+        assert str(corpus / clips[0][1]) in str(err.value)
+        assert "(32, 30)" in str(err.value) and "(32, 32)" in str(err.value)
 
 
 class TestLoadModel:
