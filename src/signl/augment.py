@@ -5,7 +5,9 @@ reproducible and each (sample, epoch, view) combination draws independently.
 Application order is fixed: ED -> GN -> FM.  Training draws a whole batch,
 one stream per clip, with ``sample_draws``; ``edge_drop``, ``gaussian_noise``
 and ``feature_mask`` are its single-transform views on one graph, so chaining
-them over one stream reproduces the draws of a full spec.
+them over one stream reproduces the draws of a full spec.  A training batch's
+streams are ``derive_rng``'s, seeded together by ``seeding.Streams``: one
+reused Generator is moved to each clip's state before that clip's draws.
 """
 
 from __future__ import annotations

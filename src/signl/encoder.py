@@ -41,7 +41,7 @@ def gcn_layer(h: tg.Tensor, s: np.ndarray, theta: tg.Tensor) -> tg.Tensor:
 
 
 def multi_head_transform(h: tg.Tensor, weights) -> tg.Tensor:
-    """Split rows into contiguous chunks, map each by its head weight, concat."""
+    """Map contiguous column chunk j of h by head weight j; outputs side by side."""
     kh = len(weights)
     d = h.shape[1]
     if d % kh != 0:
@@ -50,10 +50,7 @@ def multi_head_transform(h: tg.Tensor, weights) -> tg.Tensor:
     for w in weights:
         if w.shape[0] != chunk:
             raise ConfigError(f"head weight {w.shape} does not match chunk {chunk}")
-    if kh == 1:
-        return tg.matmul(h, weights[0])
-    parts = tg.split(h, [chunk] * kh, axis=1)
-    return tg.concat([tg.matmul(p, w) for p, w in zip(parts, weights)], axis=1)
+    return tg.grouped_matmul(h, weights)
 
 
 def head_count_for(d_in, d_out, preferred):

@@ -58,6 +58,13 @@ def primitive_checks(rng):
     yield "matmul", check(lambda: tg.tsum(tg.matmul(a, b)), [a, b])
     stack, rows = rng.standard_normal((3, 4, 4)), _t(rng, (12, 2))
     yield "bmm", check(lambda: tg.tsum(tg.mul(tg.bmm(stack, rows), tg.bmm(stack, rows))), [rows])
+    for groups in (4, 1):
+        gh, heads = _t(rng, (5, 3 * groups)), [_t(rng, (3, 2)) for _ in range(groups)]
+        if groups > 1:
+            heads[1].requires_grad = False  # a frozen head among trained ones
+        yield f"grouped_matmul[{groups}]", check(
+            lambda: tg.tsum(tg.mul(tg.grouped_matmul(gh, heads), tg.grouped_matmul(gh, heads))),
+            [gh, *(w for w in heads if w.requires_grad)])
 
     x = _t(rng, (4, 6))
     y = _t(rng, (4, 6))

@@ -62,7 +62,7 @@ def neighbor_table(x_batch: np.ndarray, k: int):
     if not 1 <= k <= n - 1:
         raise ConfigError(f"K={k} out of range for {n} nodes")
     diff = x_batch[:, :, None, :] - x_batch[:, None, :, :]
-    dist = np.sqrt((diff * diff).sum(axis=-1))
+    dist = np.sqrt(np.square(diff, out=diff).sum(axis=-1))  # in place: no second (B, N, N, D)
     idx = np.arange(n)
     dist[:, idx, idx] = np.inf
     order = np.argsort(dist, axis=2, kind="stable")  # stable => index tie-break

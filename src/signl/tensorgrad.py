@@ -139,6 +139,34 @@ def bmm(s: np.ndarray, h: Tensor) -> Tensor:
     return _op(np.matmul(s, h.data.reshape(blocks)).reshape(h.shape), h.requires_grad, backward)
 
 
+def grouped_matmul(h: Tensor, weights) -> Tensor:
+    """Column chunk j of the (M, G*c) ``h`` times weights[j] (c, o), side by side: (M, G*o).
+
+    One ``np.matmul`` over the (G, c, o) stack of the weights serves every group count.
+    """
+    shapes = {w.shape for w in weights}
+    if h.data.ndim != 2 or len(shapes) != 1 or len(next(iter(shapes))) != 2:
+        raise ShapeError(f"grouped_matmul needs 2-D rows and equal 2-D weights: "
+                         f"{h.shape} x {sorted(shapes)}")
+    (c, o), g_count, m = next(iter(shapes)), len(weights), h.shape[0]
+    if h.shape[1] != g_count * c:
+        raise ShapeError(f"grouped_matmul: {g_count} groups of {c} columns != {h.shape[1]}")
+    w = np.stack([t.data for t in weights])
+    x = h.data.reshape(m, g_count, c).transpose(1, 0, 2)  # (G, M, c)
+
+    def backward(g):
+        g = g.reshape(m, g_count, o).transpose(1, 0, 2)
+        if h.requires_grad:
+            h._accumulate(np.matmul(g, w.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(h.shape))
+        if any(t.requires_grad for t in weights):
+            for t, gw in zip(weights, np.matmul(x.transpose(0, 2, 1), g)):
+                if t.requires_grad:
+                    t._accumulate(gw)
+
+    out = np.matmul(x, w).transpose(1, 0, 2).reshape(m, g_count * o)
+    return _op(out, h.requires_grad or any(t.requires_grad for t in weights), backward)
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")

@@ -4,6 +4,7 @@ Batches are pushed through the encoder together: ``tensorgrad.bmm`` applies
 each clip's normalized adjacency, one slice of a (B, N, N) stack, to that
 clip's N node rows, so a batch is a handful of matmuls instead of per-sample
 Python loops.  The math is identical to encoding each graph separately.
+A pre-training step encodes both clip halves as one (2B, F, T/2) batch per view.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from . import metrics
 from . import tensorgrad as tg
 from .featio import ConfigError, FormatError, read_feature, sample_limited_labels
 from .graphbuild import GraphConfig, neighbor_table, patchify, split_pair
-from .seeding import stream
+from .seeding import Streams, stream
 
 PROJ_DIMS = (256, 128, 80)
 CLS_DIMS = (256, 128, 2)
@@ -43,6 +44,7 @@ class Model:
     graph: GraphConfig
     stacks: dict           # kind -> EncoderStack
     view_mode: str
+    clip_shape: tuple      # (data.f, data.t) of the clips it takes
 
 
 def build_model(cfg, head, view_mode="both", seed=0):
@@ -70,7 +72,7 @@ def build_model(cfg, head, view_mode="both", seed=0):
     embed_len = n * stacks[kinds[0]].dims[-1]  # concat-pooled length of one view
     head_dims = PROJ_DIMS if head == "proj" else CLS_DIMS
     enc.init_mlp(store, head, (len(kinds) * embed_len, *head_dims), rng)
-    return Model(store=store, graph=GraphConfig(n, k), stacks=stacks, view_mode=view_mode)
+    return Model(store, GraphConfig(n, k), stacks, view_mode, clip_shape=(f, t))
 
 
 def _is_encoder(name):
@@ -99,8 +101,10 @@ def _block_adjacency(neighbors, keep=None):
     return enc._normalize_adjacency(a).astype(np.float32)
 
 
-def _view_embed(model, segs, kind, clip_ids=None, spec=None, seed=0, epoch=0, seg_id="1"):
-    """Embed one (view, segment) of a (B, F, T_seg) batch: (B, N*d_L) tensor."""
+def _view_embed(model, segs, kind, clip_ids=None, spec=None, seed=0, epoch=0, seg_ids="1"):
+    """Embed one view of a (S*B, F, T_seg) batch: (S*B, N*d_L) tensor.
+
+    Row s*B + i, segment seg_ids[s] of clip_ids[i], is augmented from its own stream."""
     n, k = model.graph.n_patches, model.graph.k_neighbors
     patches = patchify(segs, n, kind)
     b = patches.shape[0]
@@ -109,7 +113,8 @@ def _view_embed(model, segs, kind, clip_ids=None, spec=None, seed=0, epoch=0, se
     neighbors = neighbor_table(x.data.reshape(b, n, -1), k)
     keep = None
     if spec is not None and (spec.ed_enabled or spec.gn_enabled or spec.fm_enabled):
-        rngs = [aug.derive_rng(seed, cid, epoch, f"{kind}:{seg_id}") for cid in clip_ids]
+        keys = [(seed, cid, epoch, f"{kind}:{s}") for s in seg_ids for cid in clip_ids]
+        rngs = Streams(keys, aug.derive_rng(*keys[0]))  # one Generator, moved key to key
         draws = aug.sample_draws(spec, rngs, n * k, (n, x.shape[1]))
         if spec.ed_enabled:
             keep = draws.edge_keep.reshape(b, n, k)
@@ -122,15 +127,12 @@ def _view_embed(model, segs, kind, clip_ids=None, spec=None, seed=0, epoch=0, se
 
 
 def _pair_forward(model, mats, clip_ids, spec, seed, epoch):
-    """Positive-pair projections (z1, z2) for a batch of full clips."""
-    zs = []
-    for seg_id, segs in zip("12", split_pair(np.stack(mats))):
-        h_t = _view_embed(model, segs, "temporal", clip_ids, spec, seed, epoch, seg_id)
-        h_s = _view_embed(model, segs, "spatial", clip_ids, spec, seed, epoch, seg_id)
-        h = tg.concat([h_t, h_s], axis=1)
-        zs.append((h, enc.run_mlp(h, model.store, "proj")))
-    (h1, z1), (h2, z2) = zs
-    return h1, h2, z1, z2
+    """Embeddings and projections (h1, h2, z1, z2) of both halves of a batch of clips."""
+    segs = np.concatenate(split_pair(np.stack(mats)))  # halves 1 then 2: (2B, F, T/2)
+    h = tg.concat([_view_embed(model, segs, kind, clip_ids, spec, seed, epoch, "12")
+                   for kind in ("temporal", "spatial")], axis=1)
+    b = len(mats)
+    return (*tg.split(h, [b, b]), *tg.split(enc.run_mlp(h, model.store, "proj"), [b, b]))
 
 
 def _classify_forward(model, mats, clip_ids):
@@ -163,12 +165,12 @@ def load_features(items, data_dir):
     return feats
 
 
-def _check_clip_shape(cfg, feats):
+def _check_clip_shape(model, feats):
     """Reject a corpus whose clips are not the (data.f, data.t) the model is built for."""
     clip_id, values = next(iter(feats.items()))
-    if values.shape != (cfg["data.f"], cfg["data.t"]):
+    if values.shape != model.clip_shape:
         raise ConfigError(f"corpus clips such as {clip_id!r} are {values.shape}, "
-                          f"but (data.f, data.t) is {(cfg['data.f'], cfg['data.t'])}")
+                          f"but (data.f, data.t) is {model.clip_shape}")
 
 
 def _batches(ids, batch_size):
@@ -270,7 +272,7 @@ def pretrain(cfg, clips, data_dir, out_dir):
     tau = cfg["train.temperature"]
     model = build_model(cfg, head="proj", seed=seed)
     feats = load_features(clips, data_dir)
-    _check_clip_shape(cfg, feats)
+    _check_clip_shape(model, feats)
     ids = [cid for cid, _ in clips]
 
     order = stream(seed, "holdout").permutation(len(ids))
@@ -322,7 +324,7 @@ def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):
         raise ConfigError("fine-tuning requires labeled train entries")
     used = train_entries + dev_entries  # the eval split is never read here
     feats = load_features([(e.clip_id, e.path) for e in used], data_dir)
-    _check_clip_shape(cfg, feats)
+    _check_clip_shape(model, feats)
     labels = {e.clip_id: 1 if e.label == "bonafide" else 0 for e in used}
 
     def batch_loss(batch, epoch):
@@ -353,6 +355,7 @@ def evaluate(model, entries, data_dir, split="eval"):
     if not rows:
         raise ConfigError(f"no entries in split {split!r}")
     feats = load_features([(e.clip_id, e.path) for e in rows], data_dir)
+    _check_clip_shape(model, feats)
     score_set = score_entries(model, feats, rows)
     return score_set, metrics.compute_eer(score_set)
 
@@ -370,6 +373,6 @@ def collapse_pair_forward(model):
     """Callable for metrics.collapse_report: clip matrix -> (h1, h2, z1, z2)."""
     def forward(sample):
         clip_id, values = sample
-        h1, h2, z1, z2 = _pair_forward(model, [values], [clip_id], None, 0, 0)
-        return h1.data[0], h2.data[0], z1.data[0], z2.data[0]
+        _check_clip_shape(model, {clip_id: values})
+        return tuple(t.data[0] for t in _pair_forward(model, [values], [clip_id], None, 0, 0))
     return forward

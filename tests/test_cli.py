@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from signl import cli
+from signl import checkpoint, cli, config
 from signl import tensorgrad as tg
 from signl import train
 
@@ -204,6 +204,19 @@ class TestErrors:
         assert code == 1  # CheckpointError: the file has no classifier head
         assert "checkpoint incompatible" in err
         assert not [p for p in out.iterdir() if p.name.startswith("eval-")]
+
+    def test_eval_on_corpus_of_another_shape_exits_1(self, base_cfg, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert run(["gen-data", "--config", str(base_cfg), "--out", str(out)],
+                   capsys)[0] == 0  # 32 x 32 clips
+        model = train.build_model(config.defaults(), head="cls")  # 64 x 64
+        ck = tmp_path / "model64.sigc"
+        checkpoint.save_arrays(model.store.state_arrays(), ck)
+        code, _, err = run(["eval", "--config", str(base_cfg), "--set", "data.f=64",
+                            "--set", "data.t=64", "--set", f"paths.checkpoint={ck}",
+                            "--out", str(out)], capsys)
+        assert code == 1
+        assert "are (32, 32), but (data.f, data.t) is (64, 64)" in err
 
     def test_non_finite_finetune_loss_exits_2(self, base_cfg, tmp_path, capsys, monkeypatch):
         out = tmp_path / "runs"

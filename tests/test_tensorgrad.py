@@ -207,6 +207,50 @@ class TestBackward:
         _check_grad(loss, [x, w1, b1, w2])
 
 
+class TestGroupedMatmul:
+    """Column chunk j of h times weight j, as one primitive for every group count."""
+
+    @staticmethod
+    def _composed(h, weights):
+        c = weights[0].shape[0]
+        return np.concatenate([h.data[:, j * c:(j + 1) * c] @ w.data
+                               for j, w in enumerate(weights)], axis=1)
+
+    @staticmethod
+    def _square_sum(h, weights):
+        def loss():
+            out = tg.grouped_matmul(h, weights)
+            return tg.tsum(tg.mul(out, out))
+        return loss
+
+    @pytest.mark.parametrize("groups", [1, 2, 4])
+    def test_matches_per_chunk_matmuls(self, rng, groups):
+        h = _t(rng.standard_normal((7, 3 * groups)))
+        weights = [_t(rng.standard_normal((3, 2))) for _ in range(groups)]
+        out = tg.grouped_matmul(h, weights)
+        assert out.shape == (7, 2 * groups)
+        assert np.allclose(out.data, self._composed(h, weights), atol=1e-12)
+
+    @pytest.mark.parametrize("groups", [1, 4])
+    def test_gradient(self, rng, groups):
+        h = _t(rng.standard_normal((5, 3 * groups)))
+        weights = [_t(rng.standard_normal((3, 2))) for _ in range(groups)]
+        _check_grad(self._square_sum(h, weights), [h, *weights])
+
+    def test_frozen_head_gets_no_grad(self, rng):
+        h = _t(rng.standard_normal((5, 12)))
+        weights = [_t(rng.standard_normal((3, 2)), grad=j != 1) for j in range(4)]
+        _check_grad(self._square_sum(h, weights), [h, weights[0], weights[2], weights[3]])
+        assert weights[1].grad is None
+
+    def test_unequal_weights_or_widths_rejected(self):
+        h = _t(np.ones((2, 6)))
+        with pytest.raises(tg.ShapeError):
+            tg.grouped_matmul(h, [_t(np.ones((3, 2))), _t(np.ones((3, 1)))])
+        with pytest.raises(tg.ShapeError):
+            tg.grouped_matmul(h, [_t(np.ones((2, 2))), _t(np.ones((2, 2)))])
+
+
 class TestTapeContract:
     def test_ops_outside_a_tape_record_nothing(self):
         x = _t([[1.0, 2.0]])

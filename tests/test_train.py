@@ -250,6 +250,22 @@ class TestBatchedMatchesReference:
                     assert np.array_equal(x[i], g.x)
                     assert np.array_equal(s[i], enc.normalized_adjacency(g.edges, n))
 
+    def test_pair_forward_matches_per_half_composition(self, rng, make_model):
+        """Both halves stacked in one batch per view give each half's own rows."""
+        model = make_model({"data.f": 32, "data.t": 32})
+        mats = list(rng.standard_normal((5, 32, 32)).astype(np.float32))
+        stacked = train._pair_forward(model, mats, self.IDS, self.SPEC, self.SEED, self.EPOCH)
+        hs, zs = [], []
+        for seg_id, segs in zip("12", split_pair(np.stack(mats))):
+            h = tg.concat([train._view_embed(model, segs, kind, self.IDS, self.SPEC, self.SEED,
+                                             self.EPOCH, seg_id)
+                           for kind in ("temporal", "spatial")], axis=1)
+            hs.append(h.data)
+            zs.append(enc.run_mlp(h, model.store, "proj").data)
+        for got, want in zip(stacked, [*hs, *zs]):
+            assert got.shape == want.shape
+            assert np.allclose(got.data, want, atol=1e-6)
+
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(perm=st.permutations(range(5)), kind=st.sampled_from(["temporal", "spatial"]))
@@ -352,6 +368,26 @@ class TestEvaluate:
         scores, _ = train.evaluate(self._constant_model(tiny_cfg), entries, root)
         assert len(scores.entries) == 20
         assert all(cid.startswith("eval_") for cid, _, _ in scores.entries)
+
+
+class TestClipShape:
+    """Every entry point refuses clips of a shape other than the model's (F, T)."""
+
+    def test_model_records_its_clip_shape(self, make_model):
+        assert make_model({"data.f": 32, "data.t": 16}).clip_shape == (32, 16)
+
+    def test_evaluate_rejects_other_shape(self, tiny_corpus):
+        root, entries = tiny_corpus  # 32 x 32 clips, a 64 x 64 default model
+        model = train.build_model(cfgmod.defaults(), head="cls")
+        with pytest.raises(ConfigError, match=_SHAPE_MISMATCH):
+            train.evaluate(model, entries, root)
+
+    def test_collapse_forward_rejects_other_shape(self, tiny_corpus):
+        root, entries = tiny_corpus
+        model = train.build_model(cfgmod.defaults(), head="proj")
+        feats = train.load_features(train.strip_labels(entries)[:1], root)
+        with pytest.raises(ConfigError, match=_SHAPE_MISMATCH):
+            train.collapse_pair_forward(model)(next(iter(feats.items())))
 
 
 class TestLoadFeatures:
