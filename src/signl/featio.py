@@ -52,18 +52,16 @@ class ManifestEntry:
     label: str
     attack_id: str
     split: str
+    clip_id: str = field(init=False, compare=False, repr=False)  # the path's stem
 
     def __post_init__(self):
+        self.clip_id = Path(self.path).stem
         if self.label not in LABELS:
             raise FormatError(f"bad label {self.label!r}")
         if self.split not in SPLITS:
             raise FormatError(f"bad split {self.split!r}")
         if (self.label == "bonafide") != (self.attack_id == "-"):
             raise FormatError("label bonafide iff attack_id is '-'")
-
-    @property
-    def clip_id(self):
-        return Path(self.path).stem
 
 
 def write_feature(m: FeatureMatrix, path):

@@ -64,7 +64,7 @@ class Tensor:
 
     def _accumulate(self, g):
         if self.grad is None:
-            self.grad = np.array(g, dtype=self.data.dtype, copy=True)
+            self.grad = np.asarray(g, dtype=self.data.dtype)  # shared: no rule writes .grad in place
         else:
             self.grad = self.grad + g
 

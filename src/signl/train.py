@@ -5,6 +5,7 @@ each clip's normalized adjacency, one slice of a (B, N, N) stack, to that
 clip's N node rows, so a batch is a handful of matmuls instead of per-sample
 Python loops.  The math is identical to encoding each graph separately.
 A pre-training step encodes both clip halves as one (2B, F, T/2) batch per view.
+A frozen fine-tune encodes each labelled clip once and trains the classifier on those rows.
 """
 
 from __future__ import annotations
@@ -135,11 +136,24 @@ def _pair_forward(model, mats, clip_ids, spec, seed, epoch):
     return (*tg.split(h, [b, b]), *tg.split(enc.run_mlp(h, model.store, "proj"), [b, b]))
 
 
+def _view_parts(model, mats):
+    """Each in-use view's embedding of a batch's first clip halves, no augmentation."""
+    segs = split_pair(np.stack(mats))[0]
+    return [_view_embed(model, segs, kind) for kind in view_kinds(model.view_mode)]
+
+
 def _classify_forward(model, mats, clip_ids):
     """Logits for a batch using the first clip half, no augmentation."""
-    segs = split_pair(np.stack(mats))[0]
-    parts = [_view_embed(model, segs, kind) for kind in view_kinds(model.view_mode)]
-    return enc.classify(parts, model.store)
+    return enc.classify(_view_parts(model, mats), model.store)
+
+
+def _embedding_rows(model, feats):
+    """clip_id -> its float32 classifier input (views*N*d_L), encoded in EVAL_BATCH chunks."""
+    rows = {}
+    for chunk in _batches(list(feats), EVAL_BATCH):
+        parts = _view_parts(model, [feats[c] for c in chunk])
+        rows.update(zip(chunk, np.hstack([p.data for p in parts])))
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -326,25 +340,31 @@ def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):
     feats = load_features([(e.clip_id, e.path) for e in used], data_dir)
     _check_clip_shape(model, feats)
     labels = {e.clip_id: 1 if e.label == "bonafide" else 0 for e in used}
+    # a frozen encoder's embedding of a clip never changes: encode each clip once
+    rows = _embedding_rows(model, feats) if cfg["train.freeze_encoders"] else None
+
+    def logits(ids):
+        if rows is None:
+            return _classify_forward(model, [feats[c] for c in ids], ids)
+        return enc.classify([tg.Tensor._wrap(np.stack([rows[c] for c in ids]), False)],
+                            model.store)
 
     def batch_loss(batch, epoch):
-        logits = _classify_forward(model, [feats[c] for c in batch], batch)
-        return metrics.cross_entropy(logits, [labels[c] for c in batch])
+        return metrics.cross_entropy(logits(batch), [labels[c] for c in batch])
 
     def dev_eer():
-        return metrics.compute_eer(score_entries(model, feats, dev_entries)).eer
+        return metrics.compute_eer(score_entries(dev_entries, logits)).eer
 
     return _fit(model, cfg, [e.clip_id for e in train_entries], batch_loss,
                 dev_eer if dev_entries else None,
                 out_dir / "model.sigc", out_dir / "finetune_trace.jsonl")
 
 
-def score_entries(model, feats, entries):
+def score_entries(entries, logits):
+    """Bona-fide probabilities of entries; ``logits(clip_ids)`` gives one batch's logits."""
     scores = []
     for batch in _batches(entries, EVAL_BATCH):
-        ids = [e.clip_id for e in batch]
-        logits = _classify_forward(model, [feats[c] for c in ids], ids)
-        probs = enc.softmax_np(logits.data)[:, 1]  # class 1 = bona fide
+        probs = enc.softmax_np(logits([e.clip_id for e in batch]).data)[:, 1]  # class 1 = bona fide
         scores.extend((e.clip_id, float(p), e.label) for e, p in zip(batch, probs))
     return metrics.ScoreSet(scores)
 
@@ -356,7 +376,8 @@ def evaluate(model, entries, data_dir, split="eval"):
         raise ConfigError(f"no entries in split {split!r}")
     feats = load_features([(e.clip_id, e.path) for e in rows], data_dir)
     _check_clip_shape(model, feats)
-    score_set = score_entries(model, feats, rows)
+    score_set = score_entries(
+        rows, lambda ids: _classify_forward(model, [feats[c] for c in ids], ids))
     return score_set, metrics.compute_eer(score_set)
 
 

@@ -1,5 +1,6 @@
 """Feature I/O, manifests, the synthetic corpus, and the limited-label sampler."""
 
+import json
 import math
 import struct
 import tempfile
@@ -72,6 +73,17 @@ class TestManifest:
         path = tmp_path / "m.jsonl"
         featio.write_manifest(entries, path)
         assert featio.read_manifest(path) == entries
+
+    def test_clip_id_is_derived_not_written(self, tmp_path):
+        entries = [featio.ManifestEntry("dir/a.sigf", "bonafide", "-", "train"),
+                   featio.ManifestEntry("b.sigf", "fake", "A01", "eval")]
+        path = tmp_path / "m.jsonl"
+        featio.write_manifest(entries, path)
+        rows = [json.loads(line) for line in path.read_text().splitlines()]
+        assert [set(r) for r in rows] == [{"path", "label", "attack_id", "split"}] * 2
+        back = featio.read_manifest(path)
+        assert back == entries
+        assert [e.clip_id for e in back] == ["a", "b"]
 
     def test_label_attack_consistency(self):
         with pytest.raises(featio.FormatError):

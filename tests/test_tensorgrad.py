@@ -183,6 +183,23 @@ class TestBackward:
             tape.backward(tg.tsum(x))
         assert np.array_equal(x.grad, 2 * first)
 
+    def test_input_used_twice_gets_both_shares(self, rng):
+        x = _t(rng.standard_normal((2, 3)))
+        g = rng.standard_normal((2, 3))
+        with tg.Tape() as tape:
+            tape.backward(tg.tsum(tg.mul(tg.add(x, x), tg.Tensor(g))))
+        assert np.array_equal(x.grad, 2 * g)
+
+    def test_first_gradient_shared_but_never_written_through(self, rng):
+        """An input's first gradient may be its output's array; later shares must not alter it."""
+        x = _t(rng.standard_normal((2, 3)))
+        g = rng.standard_normal((2, 3))
+        with tg.Tape() as tape:
+            y = tg.add(x, x)
+            tape.backward(tg.tsum(tg.mul(y, tg.Tensor(g))))
+        assert np.array_equal(y.grad, g)
+        assert np.array_equal(x.grad, 2 * g)
+
     def test_deterministic_gradients(self, rng):
         data = rng.standard_normal((4, 4))
         grads = []

@@ -1,6 +1,7 @@
 """Training loops: pre-training, fine-tuning, early stopping, evaluation."""
 
 import json
+import math
 import shutil
 
 import numpy as np
@@ -202,6 +203,83 @@ class TestFinetune:
                                          "train.epochs": 1})
         path, _, _ = train.finetune(cfg, entries, root, tmp_path)
         assert path.exists()
+
+
+class TestFrozenEmbeddingCache:
+    """A frozen fine-tune encodes each labelled clip once; the rows are the live inputs."""
+
+    VIEWS = 2  # view_mode "both"
+
+    @pytest.fixture
+    def view_embed_calls(self, monkeypatch):
+        calls = []
+        embed = train._view_embed
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return embed(*args, **kwargs)
+        monkeypatch.setattr(train, "_view_embed", counted)
+        return calls
+
+    @staticmethod
+    def _labelled(entries):
+        return [e for e in entries if e.split in ("train", "dev")]  # label fraction 1
+
+    @pytest.mark.parametrize("epochs", [1, 3])
+    def test_frozen_encodes_each_clip_once(self, tiny_corpus, tiny_cfg, tmp_path, monkeypatch,
+                                           view_embed_calls, epochs):
+        root, entries = tiny_corpus
+        monkeypatch.setattr(train, "EVAL_BATCH", 10)  # 50 labelled clips: 5 chunks
+        cfg = _finetune_cfg(tiny_cfg, **{"train.freeze_encoders": True, "train.epochs": epochs})
+        _, trace, _ = train.finetune(cfg, entries, root, tmp_path)
+        assert len(trace) == epochs
+        chunks = math.ceil(len(self._labelled(entries)) / train.EVAL_BATCH)
+        assert len(view_embed_calls) == self.VIEWS * chunks
+
+    def test_unfrozen_encodes_every_batch(self, tiny_corpus, tiny_cfg, tmp_path,
+                                          view_embed_calls):
+        root, entries = tiny_corpus
+        cfg = _finetune_cfg(tiny_cfg)
+        _, trace, _ = train.finetune(cfg, entries, root, tmp_path)
+        n_train = sum(e.split == "train" for e in entries)
+        n_dev = sum(e.split == "dev" for e in entries)
+        per_epoch = (math.ceil(n_train / cfg["train.batch_size"])
+                     + math.ceil(n_dev / train.EVAL_BATCH))
+        assert len(view_embed_calls) == self.VIEWS * per_epoch * len(trace)
+
+    @pytest.mark.parametrize("eval_batch, live_batch, exact", [
+        (10, 16, True),   # every chunk and batch has an even clip count
+        (7, 16, False),   # odd chunks: the last bits may differ, by a float32 ulp or so
+        (10, 5, False),
+    ])
+    def test_cached_rows_are_live_classifier_inputs(self, tiny_corpus, tiny_cfg, monkeypatch,
+                                                     eval_batch, live_batch, exact):
+        root, entries = tiny_corpus
+        model = train.build_model(tiny_cfg, head="cls", seed=3)
+        ids = [e.clip_id for e in self._labelled(entries)]
+        feats = train.load_features([(e.clip_id, e.path) for e in self._labelled(entries)],
+                                    root)
+        monkeypatch.setattr(train, "EVAL_BATCH", eval_batch)
+        rows = train._embedding_rows(model, feats)
+        assert list(rows) == ids
+
+        inputs = []
+        classify = enc.classify
+
+        def recorded(parts, store):
+            inputs.append(tg.concat(parts, axis=1).data)
+            return classify(parts, store)
+        monkeypatch.setattr(enc, "classify", recorded)
+        for batch in train._batches(ids, live_batch):
+            train._classify_forward(model, [feats[c] for c in batch], batch)
+        live = np.concatenate(inputs)
+        cached = np.stack([rows[c] for c in ids])
+        assert cached.dtype == np.float32
+        assert cached.shape == live.shape == (len(ids), model.store["cls.l0.w"].shape[0])
+        if exact:
+            assert cached.tobytes() == live.tobytes()
+        else:
+            assert np.allclose(cached, live, rtol=1e-6, atol=1e-6)
 
 
 class TestBatchedMatchesReference:
