@@ -25,6 +25,8 @@ class UsageError(ValueError):
 
 
 def _load_cfg(args):
+    if args.config is not None and not Path(args.config).is_file():
+        raise UsageError(f"config file not found: {args.config}")
     cfg = config.load(args.config, args.set or ())
     env_seed = os.environ.get("SIGNL_SEED")
     if env_seed is not None:
@@ -99,8 +101,8 @@ def cmd_eval(args, cfg):
     if not checkpoint or not Path(checkpoint).exists():
         raise UsageError(f"checkpoint not found: {checkpoint!r}")
     model = train.load_model(cfg, checkpoint, head="cls")
-    run = _run_dir(args, cfg, "eval")
     score_set, report = train.evaluate(model, entries, cfg["data.dir"])
+    run = _run_dir(args, cfg, "eval")
     score_set.to_jsonl(run / "scores.jsonl")
     (run / "eer.json").write_text(report.to_json())
     print(f"eval EER {report.eer:.4f} at threshold {report.threshold:.4f}")
@@ -113,7 +115,7 @@ def cmd_collapse(args, cfg):
     if not checkpoint or not Path(checkpoint).exists():
         raise UsageError(f"checkpoint not found: {checkpoint!r}")
     model = train.load_model(cfg, checkpoint, head="proj")
-    clips = train.strip_labels(entries, "train")[:200]
+    clips = train.strip_labels(entries)[:200]
     feats = train.load_features(clips, cfg["data.dir"])
     samples = [(cid, feats[cid]) for cid, _ in clips]
     report = metrics.collapse_report(train.collapse_pair_forward(model), samples)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 
 from .augment import AugmentSpec
+from .encoder import check_pyramid
 from .featio import ConfigError
 
 # key -> (type, default).  Booleans are written true/false.
@@ -108,9 +109,23 @@ def validate(cfg):
         raise ConfigError("train.patience must be >= 1")
     if not 1 <= cfg["graph.k"] <= cfg["graph.n"] - 1:
         raise ConfigError(f"graph.k must be in [1, graph.n - 1 = {cfg['graph.n'] - 1}]")
-    if cfg["graph.layers"] < 1:
-        raise ConfigError("graph.layers must be >= 1")
+    for key in ("graph.layers", "graph.d", "graph.heads", "data.f", "data.t"):
+        if cfg[key] < 1:
+            raise ConfigError(f"{key} must be >= 1")
+    patch_dims(cfg)
     AugmentSpec.from_config(cfg).validate()
+
+
+def patch_dims(cfg):
+    """Flattened patch length of each view, once cfg's clip, patch and pyramid sizes
+    are checked to make a model."""
+    f, t, n = cfg["data.f"], cfg["data.t"], cfg["graph.n"]
+    t_seg = (t + t % 2) // 2  # width of one half, odd T padded by a frame
+    if t_seg % n or f % n:
+        raise ConfigError(
+            f"patch count {n} must divide half-width {t_seg} and freq bins {f}")
+    check_pyramid(cfg["graph.d"], cfg["graph.layers"])
+    return {"temporal": f * (t_seg // n), "spatial": (f // n) * t_seg}
 
 
 def dump(cfg, path):

@@ -40,19 +40,6 @@ def gcn_layer(h: tg.Tensor, s: np.ndarray, theta: tg.Tensor) -> tg.Tensor:
     return tg.matmul(tg.bmm(s, h), theta)
 
 
-def multi_head_transform(h: tg.Tensor, weights) -> tg.Tensor:
-    """Map contiguous column chunk j of h by head weight j; outputs side by side."""
-    kh = len(weights)
-    d = h.shape[1]
-    if d % kh != 0:
-        raise ConfigError(f"{kh} heads do not divide input dim {d}")
-    chunk = d // kh
-    for w in weights:
-        if w.shape[0] != chunk:
-            raise ConfigError(f"head weight {w.shape} does not match chunk {chunk}")
-    return tg.grouped_matmul(h, weights)
-
-
 def head_count_for(d_in, d_out, preferred):
     """Largest head count <= preferred dividing both dims (pyramid tail shrinks)."""
     kh = max(1, preferred)
@@ -74,11 +61,18 @@ class EncoderStack:
     dims: list = field(default_factory=list)   # [d_0, ..., d_L]
 
 
+def check_pyramid(d0, n_layers):
+    """Raise ConfigError unless each of n_layers layers halves an even width or keeps 1.
+    O(log d0) for any n_layers: only d0's factors of 2 can be halved."""
+    twos = (d0 & -d0).bit_length() - 1
+    if d0 >> twos != 1 and n_layers > twos:
+        raise ConfigError(f"pyramid width {d0 >> twos} is not halvable")
+
+
 def pyramid_dims(d0, n_layers):
+    check_pyramid(d0, n_layers)
     dims = [d0]
     for _ in range(n_layers):
-        if dims[-1] % 2 != 0 and dims[-1] != 1:
-            raise ConfigError(f"pyramid width {dims[-1]} is not halvable")
         dims.append(max(1, dims[-1] // 2))
     return dims
 
@@ -110,7 +104,7 @@ def init_encoder(store: tg.ParamStore, prefix, d0, n_layers, heads, rng,
 
 
 def vision_gc_layer(h: tg.Tensor, s: np.ndarray, layer: LayerParams) -> tg.Tensor:
-    m = multi_head_transform(gcn_layer(h, s, layer.theta), layer.heads)
+    m = tg.grouped_matmul(gcn_layer(h, s, layer.theta), layer.heads)
     residual = h if layer.skip is None else tg.matmul(h, layer.skip)
     return tg.add(tg.relu(m), residual)
 
@@ -140,13 +134,13 @@ def init_mlp(store: tg.ParamStore, prefix, dims, rng, dtype=np.float32):
                   tg.Tensor(np.zeros((1, b), dtype=dtype), requires_grad=True))
 
 
-def run_mlp(x: tg.Tensor, store: tg.ParamStore, prefix, n_layers=3) -> tg.Tensor:
-    """ReLU between affine layers, none after the last."""
-    for i in range(n_layers):
-        x = tg.affine(x, store[f"{prefix}.l{i}.w"], store[f"{prefix}.l{i}.b"])
-        if i < n_layers - 1:
-            x = tg.relu(x)
-    return x
+def run_mlp(x: tg.Tensor, store: tg.ParamStore, prefix) -> tg.Tensor:
+    """Every affine layer init_mlp made under prefix; ReLU between them, none after the last."""
+    i = 0
+    while f"{prefix}.l{i + 1}.w" in store:
+        x = tg.relu(tg.affine(x, store[f"{prefix}.l{i}.w"], store[f"{prefix}.l{i}.b"]))
+        i += 1
+    return tg.affine(x, store[f"{prefix}.l{i}.w"], store[f"{prefix}.l{i}.b"])
 
 
 def classify(parts, store: tg.ParamStore) -> tg.Tensor:

@@ -2,6 +2,7 @@
 
 File format (SIGF, little-endian): 4-byte magic ``SIGF``, u16 version=1,
 u32 F, u32 T, then F*T float32 values row-major with frequency as rows.
+``read_feature`` returns that F x T float32 array; clip ids live in the manifest.
 Manifests are JSON lines with fields path/label/attack_id/split.
 """
 
@@ -9,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -34,19 +36,6 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class FeatureMatrix:
-    clip_id: str
-    values: np.ndarray  # F x T float32
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float32)
-        if self.values.ndim != 2:
-            raise FormatError("feature matrix must be 2-D")
-        if not np.all(np.isfinite(self.values)):
-            raise FormatError("feature matrix contains non-finite values")
-
-
-@dataclass
 class ManifestEntry:
     path: str
     label: str
@@ -64,14 +53,20 @@ class ManifestEntry:
             raise FormatError("label bonafide iff attack_id is '-'")
 
 
-def write_feature(m: FeatureMatrix, path):
-    payload = m.values.astype("<f4").tobytes()
+def write_feature(values, path):
+    """Write an F x T matrix as float32 SIGF; refuses what read_feature would reject."""
+    values = np.asarray(values, dtype=np.float32)
+    if values.ndim != 2:
+        raise FormatError("feature matrix must be 2-D")
+    if not np.all(np.isfinite(values)):
+        raise FormatError("feature matrix contains non-finite values")
     with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(SIGF_MAGIC, SIGF_VERSION, *m.values.shape))
-        fh.write(payload)
+        fh.write(_HEADER.pack(SIGF_MAGIC, SIGF_VERSION, *values.shape))
+        fh.write(values.astype("<f4").tobytes())
 
 
-def read_feature(path) -> FeatureMatrix:
+def read_feature(path) -> np.ndarray:
+    """The F x T float32 matrix of a SIGF file."""
     with open(path, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
@@ -81,13 +76,14 @@ def read_feature(path) -> FeatureMatrix:
             raise FormatError(f"{path}: bad magic {magic!r}")
         if version != SIGF_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
-        payload = fh.read(4 * f * t)
-    if len(payload) != 4 * f * t:
-        raise FormatError(f"{path}: truncated payload")
-    values = np.frombuffer(payload, dtype="<f4").reshape(f, t)
-    if not np.all(np.isfinite(values)):
+        # sized against the file before anything is allocated: a header can claim 2**66 bytes
+        if 4 * f * t > os.fstat(fh.fileno()).st_size - _HEADER.size:
+            raise FormatError(f"{path}: truncated payload")
+        values = np.fromfile(fh, "<f4", count=f * t)
+    values.shape = (f, t)  # in place: one array object per clip
+    if not np.isfinite(values).all():
         raise FormatError(f"{path}: non-finite values")
-    return FeatureMatrix(clip_id=Path(path).stem, values=values.copy())
+    return values
 
 
 def write_manifest(entries, path):
@@ -216,7 +212,7 @@ def gen_synthetic(cfg: SynthConfig, out_dir):
             if not bona:
                 _plant_artifact(x, family, cfg.artifact_strength, rng)
             rel = f"{clip_id}.sigf"
-            write_feature(FeatureMatrix(clip_id, x), out_dir / rel)
+            write_feature(x, out_dir / rel)
             entries.append(ManifestEntry(path=rel, label=label, attack_id=attack, split=split))
     write_manifest(entries, out_dir / "manifest.jsonl")
     return entries

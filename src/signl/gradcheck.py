@@ -17,18 +17,18 @@ from .graphbuild import knn_graph
 H = 1e-5
 
 
-def fd_gradient(f, param: tg.Tensor, h=H):
+def fd_gradient(f, param: tg.Tensor):
     g = np.zeros_like(param.data)
     flat = param.data.reshape(-1)
     gflat = g.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + h
+        flat[i] = orig + H
         hi = float(f().data)
-        flat[i] = orig - h
+        flat[i] = orig - H
         lo = float(f().data)
         flat[i] = orig
-        gflat[i] = (hi - lo) / (2 * h)
+        gflat[i] = (hi - lo) / (2 * H)
     return g
 
 
@@ -79,10 +79,9 @@ def primitive_checks(rng):
     yield "concat", check(
         lambda: tg.tsum(tg.mul(tg.concat([c1, c2], axis=1), tg.concat([c1, c2], axis=1))),
         [c1, c2])
-    sp = _t(rng, (4, 6))
+    sp = _t(rng, (6, 4))  # rows, as training splits a batch's two halves
     yield "split", check(
-        lambda: tg.tsum(tg.mul(tg.split(sp, [2, 4], axis=1)[1],
-                               tg.split(sp, [2, 4], axis=1)[1])), [sp])
+        lambda: tg.tsum(tg.mul(tg.split(sp, [2, 4])[1], tg.split(sp, [2, 4])[1])), [sp])
 
     s = tg.Tensor(np.abs(rng.standard_normal((3, 3))) + 0.5,
                   requires_grad=True, dtype=np.float64)
@@ -109,13 +108,13 @@ def primitive_checks(rng):
     yield "cross_entropy", check(lambda: metrics.cross_entropy(logits, labels), [logits])
 
 
-def network_check(rng, n_nodes=6, d=16, patch_dim=10, n_layers=3):
-    """Composed stem -> pyramid -> projection head on a batch of random graphs."""
+def network_check(rng):
+    """Composed stem -> pyramid -> projection head on two random 6-node graphs."""
+    n_nodes, d, patch_dim = 6, 16, 10
     store = tg.ParamStore()
     store.add("stem.w", _t(rng, (patch_dim, d)))
     store.add("stem.b", _t(rng, (1, d)))
-    stack = enc.init_encoder(store, "enc", d, n_layers, heads=4, rng=rng,
-                             dtype=np.float64)
+    stack = enc.init_encoder(store, "enc", d, 3, heads=4, rng=rng, dtype=np.float64)
     d_last = stack.dims[-1]
     enc.init_mlp(store, "proj", (n_nodes * d_last, 8, 6, 5), rng, dtype=np.float64)
     patches = tg.Tensor(rng.standard_normal((2 * n_nodes, patch_dim)), dtype=np.float64)
@@ -133,11 +132,11 @@ def network_check(rng, n_nodes=6, d=16, patch_dim=10, n_layers=3):
     return check(f, [store[name] for name in store.names()])
 
 
-def run_gradcheck(seed=0, n_random=20):
-    """Max relative error over all primitive and composed-network checks."""
-    rng = np.random.default_rng(seed)
+def run_gradcheck():
+    """Max relative error over two rounds of primitive checks and one composed network."""
+    rng = np.random.default_rng(0)
     worst = 0.0
-    for _ in range(max(1, n_random // 10)):
+    for _ in range(2):
         for _, err in primitive_checks(rng):
             worst = max(worst, err)
     worst = max(worst, network_check(rng))

@@ -23,6 +23,7 @@ from . import checkpoint as ckpt
 from . import encoder as enc
 from . import metrics
 from . import tensorgrad as tg
+from .config import patch_dims
 from .featio import ConfigError, FormatError, read_feature, sample_limited_labels
 from .graphbuild import GraphConfig, neighbor_table, patchify, split_pair
 from .seeding import Streams, stream
@@ -48,23 +49,20 @@ class Model:
     clip_shape: tuple      # (data.f, data.t) of the clips it takes
 
 
-def build_model(cfg, head, view_mode="both", seed=0):
-    """Create a "proj"- or "cls"-headed model, deterministically from seed."""
-    f, t = cfg["data.f"], cfg["data.t"]
+def build_model(cfg, head):
+    """A "proj"-headed model of both views, or a "cls"-headed one of the views of
+    ``train.view_mode``, initialised deterministically from ``train.seed``."""
     n, k, d = cfg["graph.n"], cfg["graph.k"], cfg["graph.d"]
-    t_seg = (t + t % 2) // 2  # width of one half, odd T padded by a frame
-    if t_seg % n or f % n:
-        raise ConfigError(
-            f"patch count {n} must divide half-width {t_seg} and freq bins {f}")
-    kinds = view_kinds(view_mode) if head == "cls" else ("temporal", "spatial")
-    patch_dims = {"temporal": f * (t_seg // n), "spatial": (f // n) * t_seg}
+    dims = patch_dims(cfg)
+    view_mode = cfg["train.view_mode"] if head == "cls" else "both"
+    kinds = view_kinds(view_mode)
     store = tg.ParamStore()
-    rng = stream(seed, "init")
+    rng = stream(cfg["train.seed"], "init")
     stacks = {}
     for kind in kinds:
         tag = "t" if kind == "temporal" else "s"
         store.add(f"stem.{kind}.w",
-                  tg.Tensor(enc._glorot(rng, (patch_dims[kind], d), np.float32),
+                  tg.Tensor(enc._glorot(rng, (dims[kind], d), np.float32),
                             requires_grad=True))
         store.add(f"stem.{kind}.b",
                   tg.Tensor(np.zeros((1, d), dtype=np.float32), requires_grad=True))
@@ -73,7 +71,8 @@ def build_model(cfg, head, view_mode="both", seed=0):
     embed_len = n * stacks[kinds[0]].dims[-1]  # concat-pooled length of one view
     head_dims = PROJ_DIMS if head == "proj" else CLS_DIMS
     enc.init_mlp(store, head, (len(kinds) * embed_len, *head_dims), rng)
-    return Model(store, GraphConfig(n, k), stacks, view_mode, clip_shape=(f, t))
+    return Model(store, GraphConfig(n, k), stacks, view_mode,
+                 clip_shape=(cfg["data.f"], cfg["data.t"]))
 
 
 def _is_encoder(name):
@@ -159,9 +158,9 @@ def _embedding_rows(model, feats):
 # ---------------------------------------------------------------------------
 # data plumbing
 
-def strip_labels(entries, split="train"):
-    """Label-free view of a manifest split: (clip_id, path) pairs only."""
-    return [(e.clip_id, e.path) for e in entries if e.split == split]
+def strip_labels(entries):
+    """Label-free view of the train split: (clip_id, path) pairs only."""
+    return [(e.clip_id, e.path) for e in entries if e.split == "train"]
 
 
 def load_features(items, data_dir):
@@ -169,7 +168,7 @@ def load_features(items, data_dir):
     data_dir = Path(data_dir)
     feats, first = {}, None
     for clip_id, rel in items:
-        values = read_feature(data_dir / rel).values
+        values = read_feature(data_dir / rel)
         if first is None:
             first = (data_dir / rel, values.shape)
         elif values.shape != first[1]:
@@ -284,7 +283,7 @@ def pretrain(cfg, clips, data_dir, out_dir):
     spec = aug.AugmentSpec.from_config(cfg)
     spec.validate()
     tau = cfg["train.temperature"]
-    model = build_model(cfg, head="proj", seed=seed)
+    model = build_model(cfg, head="proj")
     feats = load_features(clips, data_dir)
     _check_clip_shape(model, feats)
     ids = [cid for cid, _ in clips]
@@ -323,7 +322,7 @@ def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):
     if not cfg["train.skip_pretrain"] and checkpoint_path is None:
         raise ConfigError("fine-tuning needs a pre-trained checkpoint "
                           "(or train.skip_pretrain = true)")
-    model = build_model(cfg, head="cls", view_mode=cfg["train.view_mode"], seed=seed)
+    model = build_model(cfg, head="cls")
     encoder_names = [name for name in model.store.names() if _is_encoder(name)]
     if checkpoint_path is not None:
         _restore(model, checkpoint_path, encoder_names)
@@ -369,11 +368,11 @@ def score_entries(entries, logits):
     return metrics.ScoreSet(scores)
 
 
-def evaluate(model, entries, data_dir, split="eval"):
-    """Bona-fide probabilities + EER on one manifest split."""
-    rows = [e for e in entries if e.split == split]
+def evaluate(model, entries, data_dir):
+    """Bona-fide probabilities + EER on the eval split."""
+    rows = [e for e in entries if e.split == "eval"]
     if not rows:
-        raise ConfigError(f"no entries in split {split!r}")
+        raise ConfigError("no entries in split 'eval'")
     feats = load_features([(e.clip_id, e.path) for e in rows], data_dir)
     _check_clip_shape(model, feats)
     score_set = score_entries(
@@ -383,9 +382,7 @@ def evaluate(model, entries, data_dir, split="eval"):
 
 def load_model(cfg, checkpoint_path, head="cls"):
     """Model with all parameters restored from a SIGC file."""
-    model = build_model(cfg, head=head,
-                        view_mode=cfg["train.view_mode"] if head == "cls" else "both",
-                        seed=cfg["train.seed"])
+    model = build_model(cfg, head=head)
     _restore(model, checkpoint_path, model.store.names())
     return model
 

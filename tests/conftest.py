@@ -38,7 +38,7 @@ def make_model():
     def make(overrides=(), head="proj"):
         cfg = cfgmod.defaults()
         cfg.update(overrides)
-        return train.build_model(cfg, head=head, seed=cfg["train.seed"])
+        return train.build_model(cfg, head=head)
     return make
 
 

@@ -150,6 +150,34 @@ class TestErrors:
         assert "graph.k" in err
         assert sorted(out.iterdir()) == before
 
+    @pytest.mark.parametrize("setting, message", [
+        ("graph.d=30", "pyramid width 15 is not halvable"),
+        ("graph.n=6", "patch count 6 must divide half-width 16"),
+        ("data.f=0", "data.f must be >= 1"),
+        ("graph.d=0", "graph.d must be >= 1"),
+        ("graph.heads=0", "graph.heads must be >= 1"),
+        ("graph.heads=-3", "graph.heads must be >= 1"),
+    ])
+    def test_model_shape_value_exits_1_without_run_dir(self, base_cfg, tmp_path, capsys,
+                                                       setting, message):
+        out = tmp_path / "runs"
+        assert run(["gen-data", "--config", str(base_cfg), "--out", str(out)],
+                   capsys)[0] == 0
+        before = sorted(out.iterdir())
+        code, _, err = run(["pretrain", "--config", str(base_cfg),
+                            "--set", setting, "--out", str(out)], capsys)
+        assert code == 1
+        assert message in err
+        assert sorted(out.iterdir()) == before
+
+    def test_missing_config_file_exits_1_without_run_dir(self, tmp_path, capsys):
+        missing = tmp_path / "nonexistent.cfg"
+        out = tmp_path / "runs"
+        code, _, err = run(["pretrain", "--config", str(missing), "--out", str(out)], capsys)
+        assert code == 1
+        assert f"config file not found: {missing}" in err
+        assert not out.exists()
+
     def test_finetune_missing_checkpoint_path_exits_1(self, base_cfg, tmp_path, capsys):
         out = tmp_path / "runs"
         assert run(["gen-data", "--config", str(base_cfg), "--out", str(out)],
@@ -217,6 +245,7 @@ class TestErrors:
                             "--out", str(out)], capsys)
         assert code == 1
         assert "are (32, 32), but (data.f, data.t) is (64, 64)" in err
+        assert not [p for p in out.iterdir() if p.name.startswith("eval-")]
 
     def test_non_finite_finetune_loss_exits_2(self, base_cfg, tmp_path, capsys, monkeypatch):
         out = tmp_path / "runs"

@@ -41,8 +41,16 @@ def _valid_configs(draw):
     """Every key drawn from its type, within the ranges validate() accepts."""
     cfg = {key: draw(_CONSTRAINED.get(key, _ANY[typ]))
            for key, (typ, _) in config.SCHEMA.items()}
-    cfg["graph.n"] = draw(st.integers(2, 10**6))
-    cfg["graph.k"] = draw(st.integers(1, cfg["graph.n"] - 1))
+    n = cfg["graph.n"] = draw(st.integers(2, 10**3))
+    cfg["graph.k"] = draw(st.integers(1, n - 1))
+    # n patches tile the frequency bins and each clip half (odd T pads a frame)
+    cfg["data.f"] = n * draw(st.integers(1, 10**6))
+    cfg["data.t"] = 2 * n * draw(st.integers(1, 10**6)) - draw(st.integers(0, 1))
+    # every layer halves an even width or keeps a width of 1
+    twos = draw(st.integers(0, 40))
+    odd = 1 if twos < cfg["graph.layers"] else 2 * draw(st.integers(0, 10**6)) + 1
+    cfg["graph.d"] = 2**twos * odd
+    cfg["graph.heads"] = draw(st.integers(1, 10**9))
     config.validate(cfg)
     return cfg
 
@@ -151,6 +159,15 @@ class TestValidate:
         "graph.k = 8",    # graph.n = 8: a node would be its own neighbour
         "graph.k = 9",
         "graph.layers = 0",
+        "graph.d = 0",
+        "graph.d = 30",   # 30 -> 15: the second of 5 layers cannot halve it
+        "graph.heads = 0",
+        "graph.heads = -3",
+        "graph.n = 6",    # 6 patches do not tile 64 frequency bins
+        "data.f = 0",
+        "data.f = 60",    # 8 patches do not tile 60 bins
+        "data.t = 0",
+        "data.t = 40",    # 8 patches do not tile a half of 20 frames
         "aug.ed_prob = -0.1",
         "aug.ed_prob = 1.5",
         "aug.fm_prob = -0.5",
@@ -176,6 +193,14 @@ class TestValidate:
     ])
     def test_boundary_values_accepted(self, line):
         config.load(None, overrides=(line,))
+
+    @pytest.mark.parametrize("lines", [
+        ("data.t = 63",),                     # an odd T pads a frame: halves of 32
+        ("graph.d = 48", "graph.layers = 4"),  # 48 -> 24 -> 12 -> 6 -> 3
+        ("graph.d = 1", "graph.layers = 1000000"),
+    ])
+    def test_model_shapes_accepted(self, lines):
+        config.load(None, overrides=lines)
 
     def test_view_modes_accepted(self):
         for mode in config.VIEW_MODES:

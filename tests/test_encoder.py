@@ -1,4 +1,4 @@
-"""Pyramid encoder, multi-head transform, pooling, and MLP heads."""
+"""Pyramid encoder, multi-head transform (tensorgrad.grouped_matmul), pooling, MLP heads."""
 
 import numpy as np
 import pytest
@@ -61,20 +61,20 @@ class TestMultiHead:
     def test_single_head_is_plain_matmul(self, rng):
         h = tg.Tensor(rng.standard_normal((3, 4)).astype(np.float32))
         w = tg.Tensor(rng.standard_normal((4, 2)).astype(np.float32))
-        out = enc.multi_head_transform(h, [w])
+        out = tg.grouped_matmul(h, [w])
         assert np.allclose(out.data, h.data @ w.data)
 
     def test_two_identity_heads_preserve_input(self, rng):
         h = tg.Tensor(rng.standard_normal((3, 4)).astype(np.float32))
         eye = tg.Tensor(np.eye(2, dtype=np.float32))
-        out = enc.multi_head_transform(h, [eye, eye])
+        out = tg.grouped_matmul(h, [eye, eye])
         assert np.allclose(out.data, h.data)
 
     def test_matches_block_diagonal_oracle(self, rng):
         h = tg.Tensor(rng.standard_normal((1, 4)).astype(np.float64))
         w1 = tg.Tensor(rng.standard_normal((2, 3)).astype(np.float64))
         w2 = tg.Tensor(rng.standard_normal((2, 3)).astype(np.float64))
-        out = enc.multi_head_transform(h, [w1, w2])
+        out = tg.grouped_matmul(h, [w1, w2])
         block = np.zeros((4, 6))
         block[:2, :3] = w1.data
         block[2:, 3:] = w2.data
@@ -83,8 +83,8 @@ class TestMultiHead:
     def test_divisibility_enforced(self, rng):
         h = tg.Tensor(rng.standard_normal((2, 5)).astype(np.float32))
         w = tg.Tensor(rng.standard_normal((2, 2)).astype(np.float32))
-        with pytest.raises(ConfigError):
-            enc.multi_head_transform(h, [w, w])
+        with pytest.raises(tg.ShapeError):
+            tg.grouped_matmul(h, [w, w])
 
     def test_head_count_clamps_to_divisor(self):
         assert enc.head_count_for(32, 16, 4) == 4
@@ -99,6 +99,12 @@ class TestPyramid:
     def test_non_halvable_rejected(self):
         with pytest.raises(ConfigError):
             enc.pyramid_dims(12, 3)  # 12 -> 6 -> 3 is not halvable
+
+    def test_check_reads_only_the_factors_of_two(self):
+        enc.check_pyramid(32, 10**12)   # 32 -> ... -> 1, then 1 for ever
+        enc.check_pyramid(12, 2)        # 12 -> 6 -> 3
+        with pytest.raises(ConfigError, match="pyramid width 3 is not halvable"):
+            enc.check_pyramid(12, 10**12)
 
     def test_zero_weights_pure_residual(self, rng):
         store = tg.ParamStore()
@@ -119,7 +125,7 @@ class TestPyramid:
         s = enc.normalized_adjacency([(0, 1), (1, 2)], 4)[None]
         out = enc.vision_gc_layer(h, s, stack.layers[0])
         layer = stack.layers[0]
-        m = enc.multi_head_transform(enc.gcn_layer(h, s, layer.theta), layer.heads)
+        m = tg.grouped_matmul(enc.gcn_layer(h, s, layer.theta), layer.heads)
         oracle = np.maximum(m.data, 0) + h.data @ layer.skip.data
         assert np.allclose(out.data, oracle, atol=1e-6)
 

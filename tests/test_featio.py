@@ -19,10 +19,10 @@ class TestFeatureIO:
     def test_roundtrip_bit_exact(self, tmp_path, rng):
         values = rng.standard_normal((4, 4)).astype(np.float32)
         path = tmp_path / "clip.sigf"
-        featio.write_feature(featio.FeatureMatrix("clip", values), path)
+        featio.write_feature(values, path)
         back = featio.read_feature(path)
-        assert np.array_equal(back.values, values)
-        assert back.clip_id == "clip"
+        assert np.array_equal(back, values)
+        assert back.dtype == np.float32
 
     @settings(max_examples=60, deadline=None)
     @given(hnp.arrays(np.float32, hnp.array_shapes(min_dims=2, max_dims=2, min_side=1,
@@ -31,8 +31,8 @@ class TestFeatureIO:
     def test_any_finite_matrix_round_trips_bit_exact(self, values):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "clip.sigf"
-            featio.write_feature(featio.FeatureMatrix("clip", values), path)
-            back = featio.read_feature(path).values
+            featio.write_feature(values, path)
+            back = featio.read_feature(path)
         assert back.shape == values.shape
         assert back.tobytes() == values.tobytes()
 
@@ -49,6 +49,13 @@ class TestFeatureIO:
         with pytest.raises(featio.FormatError):
             featio.read_feature(path)
 
+    def test_header_sizes_beyond_the_file_are_truncation(self, tmp_path):
+        path = tmp_path / "huge.sigf"
+        header = struct.pack("<4sHII", b"SIGF", 1, 2**32 - 1, 2**32 - 1)
+        path.write_bytes(header + b"\x00" * 16)
+        with pytest.raises(featio.FormatError, match="truncated payload"):
+            featio.read_feature(path)
+
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "v9.sigf"
         path.write_bytes(struct.pack("<4sHII", b"SIGF", 9, 1, 1) + b"\x00" * 4)
@@ -58,12 +65,27 @@ class TestFeatureIO:
     def test_file_size_arithmetic(self, tmp_path):
         values = np.zeros((1024, 224), dtype=np.float32)
         path = tmp_path / "big.sigf"
-        featio.write_feature(featio.FeatureMatrix("big", values), path)
+        featio.write_feature(values, path)
         assert path.stat().st_size == 14 + 1024 * 224 * 4
 
-    def test_non_finite_rejected(self):
+    def test_non_finite_rejected(self, tmp_path):
+        path = tmp_path / "inf.sigf"
         with pytest.raises(featio.FormatError):
-            featio.FeatureMatrix("x", np.array([[np.inf]]))
+            featio.write_feature(np.array([[np.inf]]), path)
+        assert not path.exists()
+
+    def test_non_finite_payload_rejected(self, tmp_path):
+        path = tmp_path / "nan.sigf"
+        header = struct.pack("<4sHII", b"SIGF", 1, 1, 2)
+        path.write_bytes(header + np.array([0.0, np.nan], dtype="<f4").tobytes())
+        with pytest.raises(featio.FormatError, match="non-finite"):
+            featio.read_feature(path)
+
+    def test_non_2d_rejected(self, tmp_path):
+        path = tmp_path / "flat.sigf"
+        with pytest.raises(featio.FormatError, match="2-D"):
+            featio.write_feature(np.zeros(4), path)
+        assert not path.exists()
 
 
 class TestManifest:
@@ -127,7 +149,7 @@ class TestSynthCorpus:
         bona, fake = [], []
         for e in entries:
             m = featio.read_feature(tmp_path / e.path)
-            (bona if e.label == "bonafide" else fake).append(float(m.values.mean()))
+            (bona if e.label == "bonafide" else fake).append(float(m.mean()))
         # two-sample mean test: difference within 3 combined standard errors
         se = math.hypot(np.std(bona) / math.sqrt(len(bona)),
                         np.std(fake) / math.sqrt(len(fake)))
@@ -155,7 +177,7 @@ class TestSynthCorpus:
             d = np.diff(values, axis=0)
             return max(float(np.var(b)) for b in np.array_split(d, 8, axis=0))
 
-        vals = np.array([stat(featio.read_feature(root / e.path).values)
+        vals = np.array([stat(featio.read_feature(root / e.path))
                          for e in entries])
         labs = np.array([e.label == "bonafide" for e in entries])
         best = max(float(np.mean((vals < t) == labs)) for t in np.unique(vals))

@@ -32,7 +32,7 @@ def test_corpus_streams_join_seed_and_clip_with_colon(tmp_path):
                              seed=9)
     featio.gen_synthetic(cfg, tmp_path)  # train_00000 is bona fide: no artifact draws
     field = featio._bona_fide_field(stream(9, "train_00000", sep=":"), 4, 4)
-    got = featio.read_feature(tmp_path / "train_00000.sigf").values
+    got = featio.read_feature(tmp_path / "train_00000.sigf")
     assert np.array_equal(got, field.astype(np.float32))
 
 

@@ -159,6 +159,15 @@ class TestConcatSplit:
 
         _check_grad(loss, [x])
 
+        rows = _t(rng.standard_normal((6, 6)))  # rows, as training splits a batch's halves
+
+        def row_loss():
+            top, rest = tg.split(rows, [2, 4])
+            y = tg.concat([rest, top])
+            return tg.tsum(tg.mul(tg.matmul(y, w), tg.matmul(y, w)))
+
+        _check_grad(row_loss, [rows])
+
 
 class TestBackward:
     def test_sum_gradient_is_ones(self, rng):

@@ -48,11 +48,11 @@ class TestStripLabels:
         for clip_id, path in clips:
             assert "bona" not in path and "fake" not in path
 
-    def test_only_requested_split(self, tiny_corpus):
+    def test_only_train_split(self, tiny_corpus):
         _, entries = tiny_corpus
-        clips = train.strip_labels(entries, "dev")
-        assert len(clips) == 10
-        assert all(cid.startswith("dev_") for cid, _ in clips)
+        clips = train.strip_labels(entries)
+        assert len(clips) == 40
+        assert all(cid.startswith("train_") for cid, _ in clips)
 
 
 class TestPretrain:
@@ -177,8 +177,8 @@ class TestFinetune:
         assert cls_w  # the classifier head trains
 
     def test_temporal_only_halves_classifier_input(self, tiny_cfg):
-        both = train.build_model(tiny_cfg, head="cls", view_mode="both")
-        temp = train.build_model(tiny_cfg, head="cls", view_mode="temporal_only")
+        both = train.build_model(tiny_cfg, head="cls")
+        temp = train.build_model({**tiny_cfg, "train.view_mode": "temporal_only"}, head="cls")
         assert temp.store["cls.l0.w"].shape[0] * 2 == both.store["cls.l0.w"].shape[0]
 
         def spatial(model):
@@ -255,7 +255,7 @@ class TestFrozenEmbeddingCache:
     def test_cached_rows_are_live_classifier_inputs(self, tiny_corpus, tiny_cfg, monkeypatch,
                                                      eval_batch, live_batch, exact):
         root, entries = tiny_corpus
-        model = train.build_model(tiny_cfg, head="cls", seed=3)
+        model = train.build_model({**tiny_cfg, "train.seed": 3}, head="cls")
         ids = [e.clip_id for e in self._labelled(entries)]
         feats = train.load_features([(e.clip_id, e.path) for e in self._labelled(entries)],
                                     root)
@@ -422,7 +422,7 @@ class TestEarlyStopper:
 
 class TestEvaluate:
     def _constant_model(self, tiny_cfg):
-        model = train.build_model(tiny_cfg, head="cls", seed=0)
+        model = train.build_model({**tiny_cfg, "train.seed": 0}, head="cls")
         for layer in ("cls.l2.w", "cls.l2.b"):
             model.store[layer].data[:] = 0.0
         return model
@@ -474,13 +474,26 @@ class TestLoadFeatures:
         corpus = tmp_path / "corpus"
         shutil.copytree(root, corpus)
         clips = train.strip_labels(entries)
-        odd_id, odd_path = clips[3]
-        featio.write_feature(featio.FeatureMatrix(odd_id, np.zeros((32, 30))), corpus / odd_path)
+        _, odd_path = clips[3]
+        featio.write_feature(np.zeros((32, 30)), corpus / odd_path)
         with pytest.raises(featio.FormatError) as err:
             train.load_features(clips, corpus)
         assert str(corpus / odd_path) in str(err.value)
         assert str(corpus / clips[0][1]) in str(err.value)
         assert "(32, 30)" in str(err.value) and "(32, 32)" in str(err.value)
+
+
+class TestBuildModel:
+    def test_proj_head_encodes_both_views_whatever_view_mode(self, tiny_cfg):
+        model = train.build_model({**tiny_cfg, "train.view_mode": "spatial_only"}, head="proj")
+        assert set(model.stacks) == {"temporal", "spatial"}
+
+    def test_init_follows_train_seed(self, tiny_cfg):
+        def weights(seed):
+            model = train.build_model({**tiny_cfg, "train.seed": seed}, head="cls")
+            return model.store["cls.l0.w"].data
+        assert np.array_equal(weights(5), weights(5))
+        assert not np.array_equal(weights(5), weights(6))
 
 
 class TestLoadModel:
