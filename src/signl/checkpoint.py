@@ -7,6 +7,7 @@ extents, float32 payload.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from pathlib import Path
@@ -57,6 +58,7 @@ def load_arrays(path) -> dict:
 
     arrays = {}
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         if take(fh, 4, "magic") != SIGC_MAGIC:
             raise CheckpointError(f"{path}: bad magic")
         (version,) = struct.unpack("<H", take(fh, 2, "version"))
@@ -68,7 +70,10 @@ def load_arrays(path) -> dict:
             name = take(fh, name_len, "name").decode("utf-8")
             (rank,) = struct.unpack("<B", take(fh, 1, "rank"))
             shape = tuple(struct.unpack("<I", take(fh, 4, "dim"))[0] for _ in range(rank))
-            numel = int(np.prod(shape)) if shape else 1
+            numel = math.prod(shape)
+            # sized against the file before anything is read: extents can multiply past int64
+            if 4 * numel > size - fh.tell():
+                raise CheckpointError(f"{path}: truncated payload of {name!r}")
             payload = take(fh, 4 * numel, f"payload of {name!r}")
             arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
     return arrays

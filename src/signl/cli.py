@@ -16,8 +16,8 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 from . import augment, config, metrics, train
-from .featio import (SynthConfig, gen_synthetic, read_manifest, sample_limited_labels,
-                     write_manifest)
+from .featio import (ConfigError, SynthConfig, gen_synthetic, read_manifest,
+                     sample_limited_labels, write_manifest)
 
 
 class UsageError(ValueError):
@@ -30,7 +30,10 @@ def _load_cfg(args):
     cfg = config.load(args.config, args.set or ())
     env_seed = os.environ.get("SIGNL_SEED")
     if env_seed is not None:
-        cfg["train.seed"] = int(env_seed)
+        try:
+            cfg["train.seed"] = int(env_seed)
+        except ValueError:
+            raise UsageError(f"SIGNL_SEED: expected an integer, got {env_seed!r}") from None
     return cfg
 
 
@@ -114,8 +117,10 @@ def cmd_collapse(args, cfg):
     checkpoint = cfg["paths.checkpoint"]
     if not checkpoint or not Path(checkpoint).exists():
         raise UsageError(f"checkpoint not found: {checkpoint!r}")
-    model = train.load_model(cfg, checkpoint, head="proj")
     clips = train.strip_labels(entries)[:200]
+    if not clips:
+        raise ConfigError("the collapse diagnostic requires a non-empty train split")
+    model = train.load_model(cfg, checkpoint, head="proj")
     feats = train.load_features(clips, cfg["data.dir"])
     samples = [(cid, feats[cid]) for cid, _ in clips]
     report = metrics.collapse_report(train.collapse_pair_forward(model), samples)

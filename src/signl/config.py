@@ -43,7 +43,10 @@ SCHEMA = {
     "paths.checkpoint": (str, ""),
 }
 
-VIEW_MODES = ("both", "temporal_only", "spatial_only")
+# view mode -> the views a classifier encodes, in classifier-input order
+VIEW_MODES = {"both": ("temporal", "spatial"),
+              "temporal_only": ("temporal",),
+              "spatial_only": ("spatial",)}
 
 
 def _coerce(key, raw):
@@ -102,7 +105,7 @@ def validate(cfg):
     if not 0 < cfg["train.label_fraction"] <= 1:
         raise ConfigError("label fraction must be in (0, 1]")
     if cfg["train.view_mode"] not in VIEW_MODES:
-        raise ConfigError(f"view_mode must be one of {VIEW_MODES}")
+        raise ConfigError(f"view_mode must be one of {tuple(VIEW_MODES)}")
     if cfg["train.temperature"] <= 0:
         raise ConfigError("temperature must be positive")
     if cfg["train.patience"] < 1:

@@ -4,11 +4,11 @@ A pyramid layer computes M = multi_head(S @ H @ theta) and returns
 relu(M) + skip(H), where skip is identity when the width is unchanged
 and a learnable linear projection when the width halves.  The per-layer
 width reduction lives in the multi-head transform; theta stays square.
+Layers, like the MLP heads, are read by name from a ``tensorgrad.ParamStore``:
+``{prefix}.layer{i}.theta``, ``.head{j}.w`` and, when the width halves, ``.skip.w``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -48,19 +48,6 @@ def head_count_for(d_in, d_out, preferred):
     return kh
 
 
-@dataclass
-class LayerParams:
-    theta: tg.Tensor            # d_in x d_in
-    heads: list                 # per-head (d_in/Kh) x (d_out/Kh)
-    skip: tg.Tensor | None      # d_in x d_out, None when d_in == d_out
-
-
-@dataclass
-class EncoderStack:
-    layers: list
-    dims: list = field(default_factory=list)   # [d_0, ..., d_L]
-
-
 def check_pyramid(d0, n_layers):
     """Raise ConfigError unless each of n_layers layers halves an even width or keeps 1.
     O(log d0) for any n_layers: only d0's factors of 2 can be halved."""
@@ -84,34 +71,40 @@ def _glorot(rng, shape, dtype):
 
 
 def init_encoder(store: tg.ParamStore, prefix, d0, n_layers, heads, rng,
-                 dtype=np.float32) -> EncoderStack:
+                 dtype=np.float32) -> int:
+    """Add each pyramid layer's theta (d_in x d_in), heads ((d_in/Kh) x (d_out/Kh)
+    each) and, when the width halves, skip (d_in x d_out) under prefix; returns d_L."""
     dims = pyramid_dims(d0, n_layers)
-    layers = []
     for i, (d_in, d_out) in enumerate(zip(dims[:-1], dims[1:])):
         kh = head_count_for(d_in, d_out, heads)
-        theta = store.add(f"{prefix}.layer{i}.theta",
-                          tg.Tensor(_glorot(rng, (d_in, d_in), dtype), requires_grad=True))
-        head_ws = [store.add(f"{prefix}.layer{i}.head{j}.w",
-                             tg.Tensor(_glorot(rng, (d_in // kh, d_out // kh), dtype),
-                                       requires_grad=True))
-                   for j in range(kh)]
-        skip = None
+        store.add(f"{prefix}.layer{i}.theta",
+                  tg.Tensor(_glorot(rng, (d_in, d_in), dtype), requires_grad=True))
+        for j in range(kh):
+            store.add(f"{prefix}.layer{i}.head{j}.w",
+                      tg.Tensor(_glorot(rng, (d_in // kh, d_out // kh), dtype),
+                                requires_grad=True))
         if d_in != d_out:
-            skip = store.add(f"{prefix}.layer{i}.skip.w",
-                             tg.Tensor(_glorot(rng, (d_in, d_out), dtype), requires_grad=True))
-        layers.append(LayerParams(theta=theta, heads=head_ws, skip=skip))
-    return EncoderStack(layers=layers, dims=dims)
+            store.add(f"{prefix}.layer{i}.skip.w",
+                      tg.Tensor(_glorot(rng, (d_in, d_out), dtype), requires_grad=True))
+    return dims[-1]
 
 
-def vision_gc_layer(h: tg.Tensor, s: np.ndarray, layer: LayerParams) -> tg.Tensor:
-    m = tg.grouped_matmul(gcn_layer(h, s, layer.theta), layer.heads)
-    residual = h if layer.skip is None else tg.matmul(h, layer.skip)
+def vision_gc_layer(h: tg.Tensor, s: np.ndarray, store: tg.ParamStore, layer) -> tg.Tensor:
+    heads = []
+    while f"{layer}.head{len(heads)}.w" in store:
+        heads.append(store[f"{layer}.head{len(heads)}.w"])
+    m = tg.grouped_matmul(gcn_layer(h, s, store[f"{layer}.theta"]), heads)
+    skip = f"{layer}.skip.w"
+    residual = tg.matmul(h, store[skip]) if skip in store else h
     return tg.add(tg.relu(m), residual)
 
 
-def run_layers(h: tg.Tensor, s: np.ndarray, stack: EncoderStack) -> tg.Tensor:
-    for layer in stack.layers:
-        h = vision_gc_layer(h, s, layer)
+def run_layers(h: tg.Tensor, s: np.ndarray, store: tg.ParamStore, prefix) -> tg.Tensor:
+    """Every pyramid layer init_encoder made under prefix, in order."""
+    i = 0
+    while f"{prefix}.layer{i}.theta" in store:
+        h = vision_gc_layer(h, s, store, f"{prefix}.layer{i}")
+        i += 1
     return h
 
 

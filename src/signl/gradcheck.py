@@ -114,8 +114,7 @@ def network_check(rng):
     store = tg.ParamStore()
     store.add("stem.w", _t(rng, (patch_dim, d)))
     store.add("stem.b", _t(rng, (1, d)))
-    stack = enc.init_encoder(store, "enc", d, 3, heads=4, rng=rng, dtype=np.float64)
-    d_last = stack.dims[-1]
+    d_last = enc.init_encoder(store, "enc", d, 3, heads=4, rng=rng, dtype=np.float64)
     enc.init_mlp(store, "proj", (n_nodes * d_last, 8, 6, 5), rng, dtype=np.float64)
     patches = tg.Tensor(rng.standard_normal((2 * n_nodes, patch_dim)), dtype=np.float64)
     s = np.stack([enc.normalized_adjacency(knn_graph(p, 2), n_nodes, dtype=np.float64)
@@ -124,7 +123,7 @@ def network_check(rng):
 
     def f():
         x = tg.affine(patches, store["stem.w"], store["stem.b"])
-        h = enc.concat_pool(enc.run_layers(x, s, stack), n_nodes)
+        h = enc.concat_pool(enc.run_layers(x, s, store, "enc"), n_nodes)
         z = enc.run_mlp(h, store, "proj")
         diff = tg.add(z, tg.scale(target, -1.0))
         return tg.tsum(tg.mul(diff, diff))

@@ -22,12 +22,6 @@ class GraphView:
     segment_id: str         # "1" | "2" | "whole"
 
 
-@dataclass
-class GraphConfig:
-    n_patches: int = 8
-    k_neighbors: int = 3
-
-
 def split_pair(values: np.ndarray):
     """Halve (..., F, T) clips along time; odd widths are repeat-padded from column 0."""
     if values.shape[-1] % 2 == 1:

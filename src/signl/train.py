@@ -23,56 +23,47 @@ from . import checkpoint as ckpt
 from . import encoder as enc
 from . import metrics
 from . import tensorgrad as tg
-from .config import patch_dims
+from .config import VIEW_MODES, patch_dims
 from .featio import ConfigError, FormatError, read_feature, sample_limited_labels
-from .graphbuild import GraphConfig, neighbor_table, patchify, split_pair
+from .graphbuild import neighbor_table, patchify, split_pair
 from .seeding import Streams, stream
 
 PROJ_DIMS = (256, 128, 80)
 CLS_DIMS = (256, 128, 2)
 DEV_HOLDOUT = 0.1  # fraction of train clips monitored during pre-training
 EVAL_BATCH = 96    # clips per forward pass when scoring without gradients
-
-
-def view_kinds(view_mode):
-    return {"both": ("temporal", "spatial"),
-            "temporal_only": ("temporal",),
-            "spatial_only": ("spatial",)}[view_mode]
+ENCODER_PREFIX = {"temporal": "enc_t", "spatial": "enc_s"}  # a view's graph-conv layers
 
 
 @dataclass
 class Model:
     store: tg.ParamStore
-    graph: GraphConfig
-    stacks: dict           # kind -> EncoderStack
-    view_mode: str
+    kinds: tuple           # the views it encodes, in classifier-input order
+    n_patches: int
+    k_neighbors: int
     clip_shape: tuple      # (data.f, data.t) of the clips it takes
 
 
 def build_model(cfg, head):
     """A "proj"-headed model of both views, or a "cls"-headed one of the views of
     ``train.view_mode``, initialised deterministically from ``train.seed``."""
-    n, k, d = cfg["graph.n"], cfg["graph.k"], cfg["graph.d"]
+    n, d = cfg["graph.n"], cfg["graph.d"]
     dims = patch_dims(cfg)
-    view_mode = cfg["train.view_mode"] if head == "cls" else "both"
-    kinds = view_kinds(view_mode)
+    kinds = VIEW_MODES[cfg["train.view_mode"] if head == "cls" else "both"]
     store = tg.ParamStore()
     rng = stream(cfg["train.seed"], "init")
-    stacks = {}
     for kind in kinds:
-        tag = "t" if kind == "temporal" else "s"
         store.add(f"stem.{kind}.w",
                   tg.Tensor(enc._glorot(rng, (dims[kind], d), np.float32),
                             requires_grad=True))
         store.add(f"stem.{kind}.b",
                   tg.Tensor(np.zeros((1, d), dtype=np.float32), requires_grad=True))
-        stacks[kind] = enc.init_encoder(store, f"enc_{tag}", d, cfg["graph.layers"],
-                                        cfg["graph.heads"], rng)
-    embed_len = n * stacks[kinds[0]].dims[-1]  # concat-pooled length of one view
+        d_last = enc.init_encoder(store, ENCODER_PREFIX[kind], d, cfg["graph.layers"],
+                                  cfg["graph.heads"], rng)
+    embed_len = n * d_last  # concat-pooled length of one view
     head_dims = PROJ_DIMS if head == "proj" else CLS_DIMS
     enc.init_mlp(store, head, (len(kinds) * embed_len, *head_dims), rng)
-    return Model(store, GraphConfig(n, k), stacks, view_mode,
-                 clip_shape=(cfg["data.f"], cfg["data.t"]))
+    return Model(store, kinds, n, cfg["graph.k"], clip_shape=(cfg["data.f"], cfg["data.t"]))
 
 
 def _is_encoder(name):
@@ -105,7 +96,7 @@ def _view_embed(model, segs, kind, clip_ids=None, spec=None, seed=0, epoch=0, se
     """Embed one view of a (S*B, F, T_seg) batch: (S*B, N*d_L) tensor.
 
     Row s*B + i, segment seg_ids[s] of clip_ids[i], is augmented from its own stream."""
-    n, k = model.graph.n_patches, model.graph.k_neighbors
+    n, k = model.n_patches, model.k_neighbors
     patches = patchify(segs, n, kind)
     b = patches.shape[0]
     p = tg.Tensor._wrap(patches.reshape(b * n, -1).astype(np.float32, copy=False), False)
@@ -122,7 +113,8 @@ def _view_embed(model, segs, kind, clip_ids=None, spec=None, seed=0, epoch=0, se
             x = tg.add(x, tg.Tensor._wrap(draws.noise.reshape(x.shape), False))
         if spec.fm_enabled:
             x = tg.mul(x, tg.Tensor._wrap(draws.mask.reshape(x.shape), False))
-    h = enc.run_layers(x, _block_adjacency(neighbors, keep), model.stacks[kind])
+    h = enc.run_layers(x, _block_adjacency(neighbors, keep), model.store,
+                       ENCODER_PREFIX[kind])
     return enc.concat_pool(h, n)
 
 
@@ -130,7 +122,7 @@ def _pair_forward(model, mats, clip_ids, spec, seed, epoch):
     """Embeddings and projections (h1, h2, z1, z2) of both halves of a batch of clips."""
     segs = np.concatenate(split_pair(np.stack(mats)))  # halves 1 then 2: (2B, F, T/2)
     h = tg.concat([_view_embed(model, segs, kind, clip_ids, spec, seed, epoch, "12")
-                   for kind in ("temporal", "spatial")], axis=1)
+                   for kind in model.kinds], axis=1)
     b = len(mats)
     return (*tg.split(h, [b, b]), *tg.split(enc.run_mlp(h, model.store, "proj"), [b, b]))
 
@@ -138,7 +130,7 @@ def _pair_forward(model, mats, clip_ids, spec, seed, epoch):
 def _view_parts(model, mats):
     """Each in-use view's embedding of a batch's first clip halves, no augmentation."""
     segs = split_pair(np.stack(mats))[0]
-    return [_view_embed(model, segs, kind) for kind in view_kinds(model.view_mode)]
+    return [_view_embed(model, segs, kind) for kind in model.kinds]
 
 
 def _classify_forward(model, mats, clip_ids):
@@ -335,6 +327,8 @@ def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):
     dev_entries = [e for e in labeled if e.split == "dev"]
     if not train_entries:
         raise ConfigError("fine-tuning requires labeled train entries")
+    if not dev_entries:
+        raise ConfigError("fine-tuning requires labeled dev entries")
     used = train_entries + dev_entries  # the eval split is never read here
     feats = load_features([(e.clip_id, e.path) for e in used], data_dir)
     _check_clip_shape(model, feats)
@@ -355,8 +349,7 @@ def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):
         return metrics.compute_eer(score_entries(dev_entries, logits)).eer
 
     return _fit(model, cfg, [e.clip_id for e in train_entries], batch_loss,
-                dev_eer if dev_entries else None,
-                out_dir / "model.sigc", out_dir / "finetune_trace.jsonl")
+                dev_eer, out_dir / "model.sigc", out_dir / "finetune_trace.jsonl")
 
 
 def score_entries(entries, logits):

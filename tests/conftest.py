@@ -52,7 +52,7 @@ def stem_probe(monkeypatch):
     """
     seen = {}
 
-    def layers(h, s, stack):
+    def layers(h, s, store, prefix):
         seen["s"] = s
         return h
 

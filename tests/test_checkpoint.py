@@ -1,5 +1,6 @@
 """SIGC checkpoint format round-trips and compatibility checks."""
 
+import struct
 import tempfile
 from pathlib import Path
 
@@ -80,6 +81,16 @@ class TestRoundTrip:
         ckpt.save_arrays(_arrays(rng), path)
         path.write_bytes(path.read_bytes()[:-5])
         with pytest.raises(ckpt.CheckpointError):
+            ckpt.load_arrays(path)
+
+
+    @pytest.mark.parametrize("shape", [(2**31, 2**31), (2**16,) * 4])
+    def test_header_sizes_beyond_the_file_are_truncation(self, tmp_path, shape):
+        # (2**16)**4 floats wrap to 0 in int64; neither shape may be allocated or read
+        path = tmp_path / "huge.sigc"
+        path.write_bytes(ckpt.SIGC_MAGIC + struct.pack("<HIH", ckpt.SIGC_VERSION, 1, 1) + b"w"
+                         + struct.pack(f"<B{len(shape)}I", len(shape), *shape) + bytes(16))
+        with pytest.raises(ckpt.CheckpointError, match="truncated payload of 'w'"):
             ckpt.load_arrays(path)
 
 

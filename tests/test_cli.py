@@ -259,6 +259,23 @@ class TestErrors:
         assert code == 2
         assert "non-finite loss at epoch 1" in err
 
+    def test_collapse_without_train_clips_exits_1_without_run_dir(self, base_cfg, tmp_path,
+                                                                  capsys):
+        out = tmp_path / "runs"
+        assert run(["gen-data", "--config", str(base_cfg), "--out", str(out)],
+                   capsys)[0] == 0
+        manifest = tmp_path / "corpus" / "manifest.jsonl"
+        manifest.write_text("".join(line + "\n" for line in manifest.read_text().splitlines()
+                                    if json.loads(line)["split"] != "train"))
+        model = train.build_model(config.load(base_cfg), head="proj")
+        ck = tmp_path / "pretrained.sigc"
+        checkpoint.save_arrays(model.store.state_arrays(), ck)
+        code, _, err = run(["collapse", "--config", str(base_cfg),
+                            "--set", f"paths.checkpoint={ck}", "--out", str(out)], capsys)
+        assert code == 1
+        assert "non-empty train split" in err
+        assert not [p for p in out.iterdir() if p.name.startswith("collapse-")]
+
     def test_runtime_failure_exits_2(self, base_cfg, tmp_path, capsys):
         code, _, err = run(["gen-data", "--config", str(base_cfg),
                             "--set", "data.dir=/proc/no-such-dir/corpus",
@@ -273,6 +290,15 @@ class TestSeedPrecedence:
         assert run(["gen-data", "--config", str(base_cfg),
                     "--set", "train.seed=9", "--out", str(out)], capsys)[0] == 0
         assert only_run_dir(out, "gen-data").name.startswith("gen-data-42-")
+
+
+    def test_non_integer_env_seed_exits_1_naming_it(self, base_cfg, tmp_path, capsys,
+                                                     monkeypatch):
+        monkeypatch.setenv("SIGNL_SEED", "abc")
+        code, _, err = run(["sample-labels", "--config", str(base_cfg),
+                            "--out", str(tmp_path / "runs")], capsys)
+        assert code == 1
+        assert "SIGNL_SEED" in err and "'abc'" in err
 
 
 class TestGradcheckVerb:

@@ -28,7 +28,7 @@ _CONSTRAINED = {
     "train.lr": _finite(min_value=0, exclude_min=True),
     "train.temperature": _finite(min_value=0, exclude_min=True),
     "train.label_fraction": _finite(min_value=0, max_value=1, exclude_min=True),
-    "train.view_mode": st.sampled_from(config.VIEW_MODES),
+    "train.view_mode": st.sampled_from(list(config.VIEW_MODES)),
     "graph.layers": st.integers(1, 10**6),
     "aug.ed_prob": _finite(min_value=0, max_value=1),
     "aug.fm_prob": _finite(min_value=0, max_value=1),

@@ -108,43 +108,43 @@ class TestPyramid:
 
     def test_zero_weights_pure_residual(self, rng):
         store = tg.ParamStore()
-        stack = enc.init_encoder(store, "e", 8, 1, 2, rng)
+        enc.init_encoder(store, "e", 8, 1, 2, rng)
         for name in store.names():
             if "skip" not in name:
                 store[name].data = np.zeros_like(store[name].data)
         h = tg.Tensor(rng.standard_normal((4, 8)).astype(np.float32))
         s = enc.normalized_adjacency([(0, 1), (2, 3)], 4)[None]
-        out = enc.vision_gc_layer(h, s, stack.layers[0])
+        out = enc.vision_gc_layer(h, s, store, "e.layer0")
         skip = store["e.layer0.skip.w"].data
         assert np.allclose(out.data, h.data @ skip, atol=1e-6)
 
     def test_layer_matches_composed_primitives(self, rng):
         store = tg.ParamStore()
-        stack = enc.init_encoder(store, "e", 8, 1, 2, rng)
+        enc.init_encoder(store, "e", 8, 1, 2, rng)
         h = tg.Tensor(rng.standard_normal((4, 8)).astype(np.float32))
         s = enc.normalized_adjacency([(0, 1), (1, 2)], 4)[None]
-        out = enc.vision_gc_layer(h, s, stack.layers[0])
-        layer = stack.layers[0]
-        m = tg.grouped_matmul(enc.gcn_layer(h, s, layer.theta), layer.heads)
-        oracle = np.maximum(m.data, 0) + h.data @ layer.skip.data
+        out = enc.vision_gc_layer(h, s, store, "e.layer0")
+        heads = [store["e.layer0.head0.w"], store["e.layer0.head1.w"]]
+        m = tg.grouped_matmul(enc.gcn_layer(h, s, store["e.layer0.theta"]), heads)
+        oracle = np.maximum(m.data, 0) + h.data @ store["e.layer0.skip.w"].data
         assert np.allclose(out.data, oracle, atol=1e-6)
 
     def test_encode_reference_shape(self, rng):
         store = tg.ParamStore()
-        stack = enc.init_encoder(store, "e", 32, 5, 4, rng)
+        enc.init_encoder(store, "e", 32, 5, 4, rng)
         x = tg.Tensor(rng.standard_normal((8, 32)).astype(np.float32))
         edges = [(j, i) for i in range(8) for j in range(8) if j != i][:24]
         s = enc.normalized_adjacency(edges, 8)[None]
-        h = enc.concat_pool(enc.run_layers(x, s, stack), 8)
+        h = enc.concat_pool(enc.run_layers(x, s, store, "e"), 8)
         assert h.shape == (1, 8)  # node dim halves 32 -> 1 over 5 layers
 
     def test_encode_node_dim_mismatch(self, rng):
         store = tg.ParamStore()
-        stack = enc.init_encoder(store, "e", 32, 2, 4, rng)
+        enc.init_encoder(store, "e", 32, 2, 4, rng)
         x = tg.Tensor(rng.standard_normal((4, 16)).astype(np.float32))
         s = enc.normalized_adjacency([(0, 1)], 4)[None]
         with pytest.raises(tg.ShapeError):
-            enc.run_layers(x, s, stack)
+            enc.run_layers(x, s, store, "e")
 
 
 class TestConcatPool:
@@ -160,7 +160,7 @@ class TestConcatPool:
 
     def test_node_permutation_permutes_blocks(self, rng):
         store = tg.ParamStore()
-        stack = enc.init_encoder(store, "e", 8, 1, 2, rng)
+        enc.init_encoder(store, "e", 8, 1, 2, rng)
         x = rng.standard_normal((4, 8)).astype(np.float32)
         edges = [(0, 1), (1, 0), (2, 3), (3, 2)]
         perm = [2, 3, 0, 1]
@@ -168,7 +168,7 @@ class TestConcatPool:
 
         def encode(x, edges):
             s = enc.normalized_adjacency(edges, 4)[None]
-            h = enc.run_layers(tg.Tensor(x), s, stack)
+            h = enc.run_layers(tg.Tensor(x), s, store, "e")
             return enc.concat_pool(h, 4).data.reshape(4, -1)
 
         assert np.allclose(encode(x[perm], relabeled), encode(x, edges)[perm], atol=1e-6)

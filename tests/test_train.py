@@ -1,5 +1,6 @@
 """Training loops: pre-training, fine-tuning, early stopping, evaluation."""
 
+import hashlib
 import json
 import math
 import shutil
@@ -134,6 +135,13 @@ class TestFinetune:
         cfg = _finetune_cfg(tiny_cfg, **{"data.f": 64, "data.t": 64})
         with pytest.raises(ConfigError, match=_SHAPE_MISMATCH):
             train.finetune(cfg, entries, root, tmp_path)
+        assert not (tmp_path / "finetune_trace.jsonl").exists()  # no epoch started
+
+    def test_no_dev_clips_rejected(self, tiny_corpus, tiny_cfg, tmp_path):
+        root, entries = tiny_corpus
+        no_dev = [e for e in entries if e.split != "dev"]
+        with pytest.raises(ConfigError, match="labeled dev entries"):
+            train.finetune(_finetune_cfg(tiny_cfg), no_dev, root, tmp_path)
         assert not (tmp_path / "finetune_trace.jsonl").exists()  # no epoch started
 
     def test_missing_checkpoint_rejected(self, tiny_corpus, tiny_cfg, tmp_path):
@@ -304,7 +312,7 @@ class TestBatchedMatchesReference:
 
     def test_tables_draws_and_adjacency_match_reference(self, rng, make_model, stem_probe):
         model = make_model({"data.f": 32, "data.t": 32})
-        n, k = model.graph.n_patches, model.graph.k_neighbors
+        n, k = model.n_patches, model.k_neighbors
         spec = self.SPEC
         for seg_id, segs in zip("12", self._halves(rng)):
             for kind in ("temporal", "spatial"):
@@ -484,9 +492,23 @@ class TestLoadFeatures:
 
 
 class TestBuildModel:
+    # sha256 of the SIGC file of a default-config model's initial parameters: the names,
+    # their order and the init draws that every saved checkpoint relies on
+    @pytest.mark.parametrize("head, overrides, n_entries, sha256", [
+        ("proj", (), 60, "a7c5d7c5b94b6e303e2773599ed19935fbae249119ce0d5c5d0c9df4990366c9"),
+        ("cls", (), 60, "38f2ff25fbe0d4f9b141f672d2f2ffde64ee9256dee0302ed0aa74ed6fa5922b"),
+        ("cls", ("train.view_mode = temporal_only",), 33,
+         "2d5d8eeeec720c06bbd907ebc7651d5dfce070aeb9b283703bc19f94cb4eb91d"),
+    ], ids=["proj", "cls", "cls-temporal_only"])
+    def test_initial_layout_is_pinned(self, tmp_path, head, overrides, n_entries, sha256):
+        arrays = train.build_model(cfgmod.load(None, overrides), head).store.state_arrays()
+        ckpt.save_arrays(arrays, tmp_path / "init.sigc")
+        assert len(arrays) == n_entries
+        assert hashlib.sha256((tmp_path / "init.sigc").read_bytes()).hexdigest() == sha256
+
     def test_proj_head_encodes_both_views_whatever_view_mode(self, tiny_cfg):
         model = train.build_model({**tiny_cfg, "train.view_mode": "spatial_only"}, head="proj")
-        assert set(model.stacks) == {"temporal", "spatial"}
+        assert set(model.kinds) == {"temporal", "spatial"}
 
     def test_init_follows_train_seed(self, tiny_cfg):
         def weights(seed):
