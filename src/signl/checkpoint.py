@@ -2,7 +2,8 @@
 
 Layout (little-endian): magic ``SIGC``, u16 version=1, u32 entry count,
 then per entry: u16 name length + UTF-8 name, u8 rank, u32 per-dim
-extents, float32 payload.
+extents, finite float32 payload.  Names are distinct and the file ends with
+its last entry; ``load_arrays`` rejects any file ``save_arrays`` cannot write.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import numpy as np
 
 SIGC_MAGIC = b"SIGC"
 SIGC_VERSION = 1
+MAX_RANK = 64  # numpy's limit on array dimensions
 
 
 class CheckpointError(ValueError):
@@ -36,6 +38,8 @@ def save_arrays(arrays: dict, path):
             fh.write(struct.pack("<I", len(arrays)))
             for name, arr in arrays.items():
                 arr = np.asarray(arr, dtype="<f4")
+                if not np.isfinite(arr).all():
+                    raise CheckpointError(f"{path}: non-finite values in {name!r}")
                 encoded = name.encode("utf-8")
                 fh.write(struct.pack("<H", len(encoded)))
                 fh.write(encoded)
@@ -67,8 +71,15 @@ def load_arrays(path) -> dict:
         (count,) = struct.unpack("<I", take(fh, 4, "entry count"))
         for _ in range(count):
             (name_len,) = struct.unpack("<H", take(fh, 2, "name length"))
-            name = take(fh, name_len, "name").decode("utf-8")
+            try:
+                name = take(fh, name_len, "name").decode("utf-8")
+            except UnicodeDecodeError:
+                raise CheckpointError(f"{path}: entry name is not UTF-8") from None
+            if name in arrays:
+                raise CheckpointError(f"{path}: entry {name!r} appears twice")
             (rank,) = struct.unpack("<B", take(fh, 1, "rank"))
+            if rank > MAX_RANK:
+                raise CheckpointError(f"{path}: rank {rank} of {name!r} exceeds {MAX_RANK}")
             shape = tuple(struct.unpack("<I", take(fh, 4, "dim"))[0] for _ in range(rank))
             numel = math.prod(shape)
             # sized against the file before anything is read: extents can multiply past int64
@@ -76,6 +87,10 @@ def load_arrays(path) -> dict:
                 raise CheckpointError(f"{path}: truncated payload of {name!r}")
             payload = take(fh, 4 * numel, f"payload of {name!r}")
             arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
+            if not np.isfinite(arrays[name]).all():
+                raise CheckpointError(f"{path}: non-finite values in {name!r}")
+        if fh.tell() != size:
+            raise CheckpointError(f"{path}: {size - fh.tell()} bytes after the last entry")
     return arrays
 
 

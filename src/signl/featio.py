@@ -77,8 +77,11 @@ def read_feature(path) -> np.ndarray:
         if version != SIGF_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
         # sized against the file before anything is allocated: a header can claim 2**66 bytes
-        if 4 * f * t > os.fstat(fh.fileno()).st_size - _HEADER.size:
+        extra = os.fstat(fh.fileno()).st_size - _HEADER.size - 4 * f * t
+        if extra < 0:
             raise FormatError(f"{path}: truncated payload")
+        if extra:
+            raise FormatError(f"{path}: {extra} bytes after the payload")
         values = np.fromfile(fh, "<f4", count=f * t)
     values.shape = (f, t)  # in place: one array object per clip
     if not np.isfinite(values).all():

@@ -102,6 +102,10 @@ def compute_eer(s: ScoreSet) -> EERReport:
     n_fake = int(len(scores) - n_bona)
     if n_bona == 0 or n_fake == 0:
         raise tg.ContractError("EER needs at least one score of each label")
+    bad = np.flatnonzero(~np.isfinite(scores))
+    if bad.size:
+        clip_id, score, _ = s.entries[bad[0]]
+        raise tg.ContractError(f"EER needs finite scores; {clip_id!r} scored {score}")
     bona = np.sort(scores[is_bona])
     fake = np.sort(scores[~is_bona])
     cand = np.concatenate(([-np.inf], np.unique(scores), [np.inf]))

@@ -6,6 +6,7 @@ clip's N node rows, so a batch is a handful of matmuls instead of per-sample
 Python loops.  The math is identical to encoding each graph separately.
 A pre-training step encodes both clip halves as one (2B, F, T/2) batch per view.
 A frozen fine-tune encodes each labelled clip once and trains the classifier on those rows.
+Evaluation streams its clips: one EVAL_BATCH chunk of features is in memory at a time.
 """
 
 from __future__ import annotations
@@ -362,14 +363,21 @@ def score_entries(entries, logits):
 
 
 def evaluate(model, entries, data_dir):
-    """Bona-fide probabilities + EER on the eval split."""
+    """Bona-fide probabilities + EER on the eval split.
+
+    Clips are read, shape-checked and scored one EVAL_BATCH chunk at a time, so
+    memory holds one chunk of features whatever the size of the eval split."""
     rows = [e for e in entries if e.split == "eval"]
     if not rows:
         raise ConfigError("no entries in split 'eval'")
-    feats = load_features([(e.clip_id, e.path) for e in rows], data_dir)
-    _check_clip_shape(model, feats)
-    score_set = score_entries(
-        rows, lambda ids: _classify_forward(model, [feats[c] for c in ids], ids))
+    paths = {e.clip_id: e.path for e in rows}
+
+    def logits(ids):
+        feats = load_features([(c, paths[c]) for c in ids], data_dir)
+        _check_clip_shape(model, feats)
+        return _classify_forward(model, list(feats.values()), ids)
+
+    score_set = score_entries(rows, logits)
     return score_set, metrics.compute_eer(score_set)
 
 

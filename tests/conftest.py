@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from signl import config as cfgmod
 from signl import encoder, featio, train
@@ -62,3 +63,18 @@ def stem_probe(monkeypatch):
         x = train._view_embed(model, segs, kind, *args, **kwargs)
         return x, seen["s"]
     return probe
+
+
+@st.composite
+def byte_edits(draw):
+    """One single-byte change, truncation or append, as a function of a file's bytes."""
+    kind = draw(st.sampled_from(["set", "truncate", "append"]))
+    tail = draw(st.binary(min_size=1, max_size=8))
+    where = draw(st.floats(0, 1, exclude_max=True))
+
+    def edit(raw):
+        i = int(where * len(raw))
+        if kind == "set":
+            return raw[:i] + tail[:1] + raw[i + 1:]
+        return raw[:i] if kind == "truncate" else raw + tail
+    return edit

@@ -10,7 +10,26 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import byte_edits
 from signl import checkpoint as ckpt
+
+
+def _sigc(*entries, count=None):
+    """Raw SIGC bytes of (name bytes, 1-D float32 payload) entries."""
+    raw = ckpt.SIGC_MAGIC + struct.pack("<HI", ckpt.SIGC_VERSION,
+                                        len(entries) if count is None else count)
+    for name, values in entries:
+        values = np.asarray(values, dtype="<f4")
+        raw += struct.pack("<H", len(name)) + name + struct.pack("<BI", 1, values.size)
+        raw += values.tobytes()
+    return raw
+
+
+_ARRAY_DICTS = st.dictionaries(
+    st.text(max_size=12),
+    hnp.arrays(np.float32, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
+               elements=st.floats(width=32, allow_nan=False, allow_infinity=False)),
+    max_size=5)
 
 
 def _arrays(rng):
@@ -45,11 +64,7 @@ class TestRoundTrip:
         assert path.stat().st_size == 10 + 2 + 1 + 1 + 8 + 24
 
     @settings(max_examples=60, deadline=None)
-    @given(st.dictionaries(
-        st.text(max_size=12),
-        hnp.arrays(np.float32, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4),
-                   elements=st.floats(width=32)),
-        max_size=5))
+    @given(_ARRAY_DICTS)
     def test_any_arrays_round_trip_bit_exact(self, arrays):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "m.sigc"
@@ -83,6 +98,73 @@ class TestRoundTrip:
         with pytest.raises(ckpt.CheckpointError):
             ckpt.load_arrays(path)
 
+    def test_hand_built_file_loads(self, tmp_path):
+        path = tmp_path / "m.sigc"
+        path.write_bytes(_sigc((b"w", [2.0]), (b"b", [1.0, -1.0])))
+        back = ckpt.load_arrays(path)
+        assert list(back) == ["w", "b"] and back["b"].tolist() == [1.0, -1.0]
+
+    def test_bytes_after_last_entry_rejected(self, tmp_path):
+        path = tmp_path / "m.sigc"
+        path.write_bytes(_sigc((b"w", [2.0])) + b"junk")
+        with pytest.raises(ckpt.CheckpointError) as err:
+            ckpt.load_arrays(path)
+        assert str(err.value) == f"{path}: 4 bytes after the last entry"
+
+    def test_repeated_name_rejected(self, tmp_path):
+        path = tmp_path / "m.sigc"
+        path.write_bytes(_sigc((b"w", [1.0]), (b"w", [2.0])))
+        with pytest.raises(ckpt.CheckpointError) as err:
+            ckpt.load_arrays(path)
+        assert str(err.value) == f"{path}: entry 'w' appears twice"
+
+    def test_non_utf8_name_rejected(self, tmp_path):
+        path = tmp_path / "m.sigc"
+        path.write_bytes(_sigc((b"\xff", [1.0])))
+        with pytest.raises(ckpt.CheckpointError) as err:
+            ckpt.load_arrays(path)
+        assert str(err.value) == f"{path}: entry name is not UTF-8"
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_payload_rejected(self, tmp_path, bad):
+        path = tmp_path / "m.sigc"
+        path.write_bytes(_sigc((b"cls.l2.b", [0.5, bad])))
+        with pytest.raises(ckpt.CheckpointError) as err:
+            ckpt.load_arrays(path)
+        assert str(err.value) == f"{path}: non-finite values in 'cls.l2.b'"
+
+    def test_non_finite_array_not_saved(self, tmp_path, rng):
+        path = tmp_path / "m.sigc"
+        ckpt.save_arrays(_arrays(rng), path)
+        before = path.read_bytes()
+        with pytest.raises(ckpt.CheckpointError, match="non-finite values in 'b'"):
+            ckpt.save_arrays({"a": np.zeros(2), "b": np.array([np.nan])}, path)
+        assert path.read_bytes() == before
+
+    def test_rank_beyond_numpy_rejected(self, tmp_path):
+        path = tmp_path / "m.sigc"
+        path.write_bytes(_sigc(count=1) + struct.pack("<H", 1) + b"w"
+                         + struct.pack("<B", 65) + struct.pack("<65I", *[0] * 65))
+        with pytest.raises(ckpt.CheckpointError, match="rank 65 of 'w' exceeds 64"):
+            ckpt.load_arrays(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_ARRAY_DICTS, byte_edits())
+    def test_any_edit_reads_back_as_written_or_raises_checkpoint_error(self, arrays, edit):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.sigc"
+            ckpt.save_arrays(arrays, path)
+            back = ckpt.load_arrays(path)
+            assert {k: (v.shape, v.tobytes()) for k, v in back.items()} == \
+                {k: (v.shape, v.tobytes()) for k, v in arrays.items()}
+            edited = edit(path.read_bytes())
+            path.write_bytes(edited)
+            try:
+                back = ckpt.load_arrays(path)
+            except ckpt.CheckpointError:
+                return
+            ckpt.save_arrays(back, path)  # only what the writer would write reads back
+            assert path.read_bytes() == edited
 
     @pytest.mark.parametrize("shape", [(2**31, 2**31), (2**16,) * 4])
     def test_header_sizes_beyond_the_file_are_truncation(self, tmp_path, shape):

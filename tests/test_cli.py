@@ -3,9 +3,10 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
-from signl import checkpoint, cli, config
+from signl import checkpoint, cli, config, featio
 from signl import tensorgrad as tg
 from signl import train
 
@@ -245,6 +246,22 @@ class TestErrors:
                             "--out", str(out)], capsys)
         assert code == 1
         assert "are (32, 32), but (data.f, data.t) is (64, 64)" in err
+        assert not [p for p in out.iterdir() if p.name.startswith("eval-")]
+
+    def test_eval_with_other_shape_in_a_later_chunk_exits_1(self, base_cfg, tmp_path, capsys,
+                                                            monkeypatch):
+        out = tmp_path / "runs"
+        assert run(["gen-data", "--config", str(base_cfg), "--out", str(out)],
+                   capsys)[0] == 0  # 8 eval clips of 32 x 32
+        featio.write_feature(np.zeros((30, 32)), tmp_path / "corpus" / "eval_00007.sigf")
+        model = train.build_model(config.load(base_cfg), head="cls")
+        ck = tmp_path / "model.sigc"
+        checkpoint.save_arrays(model.store.state_arrays(), ck)
+        monkeypatch.setattr(train, "EVAL_BATCH", 7)  # the last clip is a chunk of its own
+        code, _, err = run(["eval", "--config", str(base_cfg),
+                            "--set", f"paths.checkpoint={ck}", "--out", str(out)], capsys)
+        assert code == 1
+        assert "'eval_00007' are (30, 32)" in err
         assert not [p for p in out.iterdir() if p.name.startswith("eval-")]
 
     def test_non_finite_finetune_loss_exits_2(self, base_cfg, tmp_path, capsys, monkeypatch):

@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+from conftest import byte_edits
 from signl import featio
 
 
@@ -55,6 +56,32 @@ class TestFeatureIO:
         path.write_bytes(header + b"\x00" * 16)
         with pytest.raises(featio.FormatError, match="truncated payload"):
             featio.read_feature(path)
+
+    def test_trailing_bytes_rejected(self, tmp_path):
+        path = tmp_path / "long.sigf"
+        featio.write_feature(np.zeros((2, 3)), path)
+        path.write_bytes(path.read_bytes() + b"\x00")
+        with pytest.raises(featio.FormatError, match="1 bytes after the payload"):
+            featio.read_feature(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float32, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0,
+                                                   max_side=4),
+                      elements=st.floats(width=32, allow_nan=False, allow_infinity=False)),
+           byte_edits())
+    def test_any_edit_reads_back_as_written_or_raises_format_error(self, values, edit):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "clip.sigf"
+            featio.write_feature(values, path)
+            assert featio.read_feature(path).tobytes() == values.tobytes()
+            edited = edit(path.read_bytes())
+            path.write_bytes(edited)
+            try:
+                back = featio.read_feature(path)
+            except featio.FormatError:
+                return
+            featio.write_feature(back, path)  # only what the writer would write reads back
+            assert path.read_bytes() == edited
 
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "v9.sigf"

@@ -161,6 +161,11 @@ class TestEER:
         with pytest.raises(tg.ContractError):
             metrics.compute_eer(_scores([0.5], []))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_score_rejected_naming_clip(self, bad):
+        with pytest.raises(tg.ContractError, match=r"'f1' scored"):
+            metrics.compute_eer(_scores([0.9, 0.4], [0.1, bad]))
+
     def test_matches_oracle_on_random_sets(self, rng):
         for _ in range(200):
             n_bona = int(rng.integers(1, 26))

@@ -455,6 +455,45 @@ class TestEvaluate:
         assert len(scores.entries) == 20
         assert all(cid.startswith("eval_") for cid, _, _ in scores.entries)
 
+    def test_streams_one_chunk_at_a_time_with_the_same_bits(self, tiny_corpus, tiny_cfg,
+                                                            monkeypatch):
+        root, entries = tiny_corpus
+        model = train.build_model(tiny_cfg, head="cls")
+        monkeypatch.setattr(train, "EVAL_BATCH", 6)  # 20 eval clips: chunks of 6, 6, 6, 2
+        rows = [e for e in entries if e.split == "eval"]
+        # the whole-split algorithm: load every eval clip, then score
+        feats = train.load_features([(e.clip_id, e.path) for e in rows], root)
+        expected = train.score_entries(
+            rows, lambda ids: train._classify_forward(model, [feats[c] for c in ids], ids))
+        loads = []
+        load = train.load_features
+
+        def counted(items, data_dir):
+            loads.append([clip_id for clip_id, _ in items])
+            return load(items, data_dir)
+
+        monkeypatch.setattr(train, "load_features", counted)
+        scores, report = train.evaluate(model, entries, root)
+        assert max(map(len, loads)) <= train.EVAL_BATCH
+        assert sum(loads, []) == [e.clip_id for e in rows]
+        assert scores.entries == expected.entries
+        assert report.eer == metrics.compute_eer(expected).eer
+
+    @pytest.mark.parametrize("eval_batch, error", [(19, ConfigError),
+                                                   (6, featio.FormatError)])
+    def test_other_shape_in_the_last_chunk_rejected(self, tiny_corpus, tiny_cfg, tmp_path,
+                                                    monkeypatch, eval_batch, error):
+        # alone in its chunk the odd clip fails the model's shape check; beside
+        # another clip it fails load_features' check that a chunk has one shape
+        root, entries = tiny_corpus
+        corpus = tmp_path / "corpus"
+        shutil.copytree(root, corpus)
+        odd = [e for e in entries if e.split == "eval"][-1]
+        featio.write_feature(np.zeros((32, 30)), corpus / odd.path)
+        monkeypatch.setattr(train, "EVAL_BATCH", eval_batch)
+        with pytest.raises(error, match=odd.clip_id):
+            train.evaluate(train.build_model(tiny_cfg, head="cls"), entries, corpus)
+
 
 class TestClipShape:
     """Every entry point refuses clips of a shape other than the model's (F, T)."""
