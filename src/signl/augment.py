@@ -1,13 +1,12 @@
 """Stochastic graph augmentations: edge dropping, Gaussian noise, feature masking.
 
 All randomness comes from externally derived streams so that runs are
-reproducible and each (sample, epoch, view) combination draws independently.
-Application order is fixed: ED -> GN -> FM.  Training draws a whole batch,
-one stream per clip, with ``sample_draws``; ``edge_drop``, ``gaussian_noise``
-and ``feature_mask`` are its single-transform views on one graph, so chaining
-them over one stream reproduces the draws of a full spec.  A training batch's
-streams are ``derive_rng``'s, seeded together by ``seeding.Streams``: one
-reused Generator is moved to each clip's state before that clip's draws.
+reproducible.  Application order is fixed: ED -> GN -> FM.  Training draws a
+whole batch view's augmentations from one ``derive_rng`` stream with
+``sample_draws``, so a clip's draws depend on its batch, whose order is itself
+a seeded function of (seed, epoch).  ``edge_drop``, ``gaussian_noise`` and
+``feature_mask`` are its single-transform B=1 views on one graph, so chaining
+them over one stream reproduces the draws of a full spec on one graph.
 """
 
 from __future__ import annotations
@@ -63,33 +62,26 @@ class AugmentDraws:
     mask: np.ndarray | None         # B x N x D multiplicative 0/1 mask
 
 
-def derive_rng(global_seed, sample_key, epoch, view_tag):
-    """The augmentation stream of one (clip, epoch, view:segment)."""
-    return stream(global_seed, sample_key, epoch, view_tag)
+def derive_rng(global_seed, batch_key, epoch, view_tag):
+    """The augmentation stream of one (batch, epoch, view:segments)."""
+    return stream(global_seed, batch_key, epoch, view_tag)
 
 
-def sample_draws(spec: AugmentSpec, rngs, n_edges, feat_shape) -> AugmentDraws:
-    """Draw a batch's augmentations, each clip's stream in fixed ED -> GN -> FM order."""
-    b = len(rngs)
-    keep = np.empty((b, n_edges)) if spec.ed_enabled else None
-    noise = np.empty((b, *feat_shape)) if spec.gn_enabled else None
-    mask = np.empty((b, *feat_shape)) if spec.fm_enabled else None
-    for i, rng in enumerate(rngs):
-        if keep is not None:
-            rng.random(out=keep[i])
-        if noise is not None:
-            rng.standard_normal(out=noise[i])
-        if mask is not None:
-            rng.random(out=mask[i])
-    return AugmentDraws(None if keep is None else keep >= spec.ed_prob,
-                        None if noise is None else (spec.gn_sigma * noise).astype(np.float32),
-                        None if mask is None else (mask >= spec.fm_prob).astype(np.float32))
+def sample_draws(spec: AugmentSpec, rng, b, n_edges, feat_shape) -> AugmentDraws:
+    """Draw b graphs' augmentations from one stream, each enabled transform as one
+    (b, ...) array, in fixed ED -> GN -> FM order."""
+    keep = rng.random((b, n_edges)) >= spec.ed_prob if spec.ed_enabled else None
+    noise = spec.gn_sigma * rng.standard_normal((b, *feat_shape)) if spec.gn_enabled else None
+    mask = rng.random((b, *feat_shape)) >= spec.fm_prob if spec.fm_enabled else None
+    return AugmentDraws(keep,
+                        None if noise is None else noise.astype(np.float32),
+                        None if mask is None else mask.astype(np.float32))
 
 
 def _draw(rng, g: GraphView, **spec_fields) -> AugmentDraws:
     spec = AugmentSpec(**spec_fields)
     spec.validate()
-    return sample_draws(spec, [rng], len(g.edges), g.x.shape)
+    return sample_draws(spec, rng, 1, len(g.edges), g.x.shape)
 
 
 def edge_drop(g: GraphView, p, rng) -> GraphView:

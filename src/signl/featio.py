@@ -96,16 +96,24 @@ def write_manifest(entries, path):
                                  "attack_id": e.attack_id, "split": e.split}) + "\n")
 
 
+def _unique_keys(pairs):
+    """A JSON object as a dict; a repeated key would silently keep its last value."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        raise FormatError(f"repeated key in {[k for k, _ in pairs]}")
+    return obj
+
+
 def read_manifest(path):
     entries, first_seen = [], {}  # a repeated clip_id would overwrite features and labels
-    with open(path) as fh:
+    with open(path, "rb") as fh:
         for lineno, line in enumerate(fh, 1):
             line = line.strip()
             if not line:
                 continue
             try:
-                e = ManifestEntry(**json.loads(line))
-            except (json.JSONDecodeError, TypeError, FormatError) as exc:
+                e = ManifestEntry(**json.loads(line.decode(), object_pairs_hook=_unique_keys))
+            except (UnicodeDecodeError, json.JSONDecodeError, TypeError, FormatError) as exc:
                 raise FormatError(f"{path}:{lineno}: {exc}") from exc
             first, first_path = first_seen.setdefault(e.clip_id, (lineno, e.path))
             if first != lineno:

@@ -11,6 +11,7 @@ Evaluation streams its clips: one EVAL_BATCH chunk of features is in memory at a
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import time
@@ -27,7 +28,7 @@ from . import tensorgrad as tg
 from .config import VIEW_MODES, patch_dims
 from .featio import ConfigError, FormatError, read_feature, sample_limited_labels
 from .graphbuild import neighbor_table, patchify, split_pair
-from .seeding import Streams, stream
+from .seeding import stream
 
 PROJ_DIMS = (256, 128, 80)
 CLS_DIMS = (256, 128, 2)
@@ -96,7 +97,8 @@ def _block_adjacency(neighbors, keep=None):
 def _view_embed(model, segs, kind, clip_ids=None, spec=None, seed=0, epoch=0, seg_ids="1"):
     """Embed one view of a (S*B, F, T_seg) batch: (S*B, N*d_L) tensor.
 
-    Row s*B + i, segment seg_ids[s] of clip_ids[i], is augmented from its own stream."""
+    Row s*B + i is segment seg_ids[s] of clip_ids[i].  With a spec, all rows draw
+    from one stream keyed by (seed, the batch's clip ids, epoch, view:segments)."""
     n, k = model.n_patches, model.k_neighbors
     patches = patchify(segs, n, kind)
     b = patches.shape[0]
@@ -105,9 +107,9 @@ def _view_embed(model, segs, kind, clip_ids=None, spec=None, seed=0, epoch=0, se
     neighbors = neighbor_table(x.data.reshape(b, n, -1), k)
     keep = None
     if spec is not None and (spec.ed_enabled or spec.gn_enabled or spec.fm_enabled):
-        keys = [(seed, cid, epoch, f"{kind}:{s}") for s in seg_ids for cid in clip_ids]
-        rngs = Streams(keys, aug.derive_rng(*keys[0]))  # one Generator, moved key to key
-        draws = aug.sample_draws(spec, rngs, n * k, (n, x.shape[1]))
+        batch_key = hashlib.sha256("\0".join(clip_ids).encode()).hexdigest()
+        rng = aug.derive_rng(seed, batch_key, epoch, f"{kind}:{seg_ids}")
+        draws = aug.sample_draws(spec, rng, b, n * k, (n, x.shape[1]))
         if spec.ed_enabled:
             keep = draws.edge_keep.reshape(b, n, k)
         if spec.gn_enabled:

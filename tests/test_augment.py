@@ -89,7 +89,7 @@ class TestFeatureMask:
 
 
 class TestApply:
-    """Augmentation as training applies it: per-clip draws inside train._view_embed."""
+    """Augmentation as training applies it: one stream per batch view in train._view_embed."""
 
     CFG = {"data.f": 16, "data.t": 16, "graph.n": 4, "graph.k": 2, "graph.d": 8,
            "graph.layers": 2}
@@ -132,9 +132,9 @@ class TestApply:
         """Draw streams are consumed only by enabled transforms, in fixed order."""
         full_spec = aug.AugmentSpec(True, True, True, fm_prob=0.0)
         no_fm_spec = aug.AugmentSpec(True, True, False)
-        key = (1, "clip0", 0, "temporal:1")
-        full = aug.sample_draws(full_spec, [aug.derive_rng(*key)], 8, (4, 8))
-        no_fm = aug.sample_draws(no_fm_spec, [aug.derive_rng(*key)], 8, (4, 8))
+        key = (1, "batch0", 0, "temporal:1")
+        full = aug.sample_draws(full_spec, aug.derive_rng(*key), 2, 8, (4, 8))
+        no_fm = aug.sample_draws(no_fm_spec, aug.derive_rng(*key), 2, 8, (4, 8))
         # FM with p=0 is an identity mask, so both runs share the ED/GN draws
         assert np.array_equal(full.edge_keep, no_fm.edge_keep)
         assert np.array_equal(full.noise, no_fm.noise)
@@ -143,6 +143,39 @@ class TestApply:
         x_no_fm, s_no_fm = stem_probe(model, segs, "temporal", self.IDS, no_fm_spec, 1)
         assert np.array_equal(s_full, s_no_fm)
         assert np.array_equal(x_full.data, x_no_fm.data)
+
+
+class TestSampleDraws:
+    @pytest.mark.parametrize("combo", aug.GRID, ids=[row[0] for row in aug.GRID])
+    def test_one_row_equals_single_graph_chain(self, rng, combo):
+        """B=1 draws equal the enabled single-graph transforms chained on one stream."""
+        _, ed, gn, fm = combo
+        spec = aug.AugmentSpec(ed, gn, fm, ed_prob=0.3, gn_sigma=0.2, fm_prob=0.6)
+        g = _view(rng)
+        draws = aug.sample_draws(spec, np.random.default_rng(9), 1, len(g.edges), g.x.shape)
+        chained, stream = g, np.random.default_rng(9)
+        if ed:
+            chained = aug.edge_drop(chained, spec.ed_prob, stream)
+        if gn:
+            chained = aug.gaussian_noise(chained, spec.gn_sigma, stream)
+        if fm:
+            chained = aug.feature_mask(chained, spec.fm_prob, stream)
+        edges, x = g.edges, g.x
+        if ed:
+            edges = [e for e, keep in zip(edges, draws.edge_keep[0]) if keep]
+        if gn:
+            x = x + draws.noise[0]
+        if fm:
+            x = x * draws.mask[0]
+        assert chained.edges == edges
+        assert np.array_equal(chained.x, x)
+
+    def test_rows_follow_one_stream(self):
+        """A (b, E) draw is b successive E-draws of its stream: row 0 is random(E)'s bits."""
+        spec = aug.AugmentSpec(ed_enabled=True, ed_prob=0.5)
+        draws = aug.sample_draws(spec, np.random.default_rng(4), 3, 10, (2, 2))
+        ref = np.random.default_rng(4)
+        assert np.array_equal(draws.edge_keep, [ref.random(10) >= 0.5 for _ in range(3)])
 
 
 class TestGrid:

@@ -158,6 +158,43 @@ class TestManifest:
         with pytest.raises(featio.FormatError, match="m.jsonl:1"):
             featio.read_manifest(path)
 
+    def test_non_utf8_byte_rejected_with_location(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        featio.write_manifest([featio.ManifestEntry("a.sigf", "bonafide", "-", "train")], path)
+        path.write_bytes(path.read_bytes() + b'{"path": "b\xff.sigf"}\n')
+        with pytest.raises(featio.FormatError, match=r"m\.jsonl:2: .*utf-8"):
+            featio.read_manifest(path)
+
+    def test_repeated_key_rejected_with_location(self, tmp_path):
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"path": "a.sigf", "label": "bonafide", "attack_id": "-", '
+                        '"split": "train", "path": "b.sigf"}\n')
+        with pytest.raises(featio.FormatError, match=r"m\.jsonl:1: repeated key"):
+            featio.read_manifest(path)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(st.text(st.characters(blacklist_characters="/."), min_size=1,
+                                      max_size=6),
+                              st.sampled_from(featio.SPLITS),
+                              st.one_of(st.just("-"), st.text(min_size=1, max_size=4))),
+                    max_size=4, unique_by=lambda row: row[0]),
+           byte_edits())
+    def test_any_edit_reads_back_as_written_or_raises_format_error(self, rows, edit):
+        entries = [featio.ManifestEntry(f"{stem}.sigf", "bonafide" if attack == "-" else "fake",
+                                        attack, split)
+                   for stem, split, attack in rows]
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "m.jsonl"
+            featio.write_manifest(entries, path)
+            assert featio.read_manifest(path) == entries
+            path.write_bytes(edit(path.read_bytes()))
+            try:
+                back = featio.read_manifest(path)
+            except featio.FormatError:
+                return
+            featio.write_manifest(back, path)  # what was read is what the writer writes
+            assert featio.read_manifest(path) == back
+
 
 class TestSynthCorpus:
     def test_same_seed_byte_identical(self, tmp_path):

@@ -20,6 +20,7 @@ from signl import tensorgrad as tg
 from signl import train
 from signl.featio import ConfigError
 from signl.graphbuild import GraphView, knn_graph, neighbor_table, split_pair
+from signl.seeding import stream
 
 
 def _pretrain_cfg(tiny_cfg, **extra):
@@ -290,8 +291,45 @@ class TestFrozenEmbeddingCache:
             assert np.allclose(cached, live, rtol=1e-6, atol=1e-6)
 
 
+class _RowStream:
+    """A stand-in Generator that serves fixed batch draws row by row.
+
+    ``random((b, *shape))`` and ``standard_normal((b, *shape))`` return the next
+    b of ``rows`` of one fixed table per (method, shape).  Every _RowStream reads
+    the same tables, so a batch stream over rows 0..B-1 and a one-clip stream
+    over row i hand clip i the same draws.
+    """
+
+    def __init__(self, rows):
+        self.rows, self.taken = list(rows), {}
+
+    def _serve(self, method, shape):
+        b, *row_shape = shape
+        start = self.taken.get((method, *row_shape), 0)
+        self.taken[(method, *row_shape)] = start + b
+        take = self.rows[start:start + b]
+        assert len(take) == b, "a transform asked for more rows than were fed"
+        # row i of a Generator's (R, ...) draw is the same bits for every R > i
+        table = getattr(stream(method, *row_shape), method)((max(take) + 1, *row_shape))
+        return table[take]
+
+    def random(self, shape):
+        return self._serve("random", shape)
+
+    def standard_normal(self, shape):
+        return self._serve("standard_normal", shape)
+
+
+@pytest.fixture
+def feed_rows(monkeypatch):
+    """``feed(rows)``: train's augmentation streams serve ``rows`` of _RowStream's tables."""
+    def feed(rows):
+        monkeypatch.setattr(aug, "derive_rng", lambda *key: _RowStream(rows))
+    return feed
+
+
 class TestBatchedMatchesReference:
-    """The batched view path equals its one-clip (B=1) reference functions."""
+    """Given the same draws, the batched view path equals its one-clip (B=1) references."""
 
     SPEC = aug.AugmentSpec(True, True, True, ed_prob=0.4, gn_sigma=0.2, fm_prob=0.3)
     IDS = [f"clip{i}" for i in range(5)]
@@ -300,20 +338,26 @@ class TestBatchedMatchesReference:
     def _halves(self, rng):
         return split_pair(rng.standard_normal((5, 32, 32)).astype(np.float32))
 
-    def test_view_embed_matches_single_clip_calls(self, rng, make_model):
+    def test_view_embed_matches_single_clip_calls(self, rng, make_model, feed_rows):
         model = make_model({"data.f": 32, "data.t": 32})
         for seg_id, segs in zip("12", self._halves(rng)):
             for kind in ("temporal", "spatial"):
                 args = (self.SPEC, self.SEED, self.EPOCH, seg_id)
+                feed_rows(range(5))
                 batched = train._view_embed(model, segs, kind, self.IDS, *args)
-                singles = [train._view_embed(model, segs[i:i + 1], kind, self.IDS[i:i + 1],
-                                             *args).data for i in range(5)]
+                singles = []
+                for i in range(5):
+                    feed_rows([i])
+                    singles.append(train._view_embed(model, segs[i:i + 1], kind,
+                                                     self.IDS[i:i + 1], *args).data)
                 assert np.allclose(batched.data, np.concatenate(singles), atol=1e-5)
 
-    def test_tables_draws_and_adjacency_match_reference(self, rng, make_model, stem_probe):
+    def test_tables_draws_and_adjacency_match_reference(self, rng, make_model, stem_probe,
+                                                       feed_rows):
         model = make_model({"data.f": 32, "data.t": 32})
         n, k = model.n_patches, model.k_neighbors
         spec = self.SPEC
+        feed_rows(range(5))
         for seg_id, segs in zip("12", self._halves(rng)):
             for kind in ("temporal", "spatial"):
                 stem, _ = stem_probe(model, segs, kind)
@@ -328,7 +372,7 @@ class TestBatchedMatchesReference:
                     assert np.array_equal(table[i], neighbor_table(nodes[i][None], k)[0])
                     assert table[i].tolist() == [[j for j, dst in edges if dst == node]
                                                  for node in range(n)]
-                    rng_i = aug.derive_rng(self.SEED, cid, self.EPOCH, f"{kind}:{seg_id}")
+                    rng_i = _RowStream([i])  # clip i's row of the batch draws
                     g = GraphView(kind, nodes[i], edges, cid, seg_id)
                     g = aug.edge_drop(g, spec.ed_prob, rng_i)
                     g = aug.gaussian_noise(g, spec.gn_sigma, rng_i)
@@ -336,13 +380,15 @@ class TestBatchedMatchesReference:
                     assert np.array_equal(x[i], g.x)
                     assert np.array_equal(s[i], enc.normalized_adjacency(g.edges, n))
 
-    def test_pair_forward_matches_per_half_composition(self, rng, make_model):
+    def test_pair_forward_matches_per_half_composition(self, rng, make_model, feed_rows):
         """Both halves stacked in one batch per view give each half's own rows."""
         model = make_model({"data.f": 32, "data.t": 32})
         mats = list(rng.standard_normal((5, 32, 32)).astype(np.float32))
+        feed_rows(range(10))  # row s*B + i: half s of clip i
         stacked = train._pair_forward(model, mats, self.IDS, self.SPEC, self.SEED, self.EPOCH)
         hs, zs = [], []
-        for seg_id, segs in zip("12", split_pair(np.stack(mats))):
+        for seg_id, segs, rows in zip("12", split_pair(np.stack(mats)), (range(5), range(5, 10))):
+            feed_rows(rows)
             h = tg.concat([train._view_embed(model, segs, kind, self.IDS, self.SPEC, self.SEED,
                                              self.EPOCH, seg_id)
                            for kind in ("temporal", "spatial")], axis=1)
@@ -352,15 +398,27 @@ class TestBatchedMatchesReference:
             assert got.shape == want.shape
             assert np.allclose(got.data, want, atol=1e-6)
 
+    def test_pair_forward_derives_one_stream_per_view(self, rng, make_model, monkeypatch):
+        model = make_model({"data.f": 32, "data.t": 32})
+        mats = list(rng.standard_normal((5, 32, 32)).astype(np.float32))
+        keys = []
+        derive = aug.derive_rng
+        monkeypatch.setattr(aug, "derive_rng", lambda *key: keys.append(key) or derive(*key))
+        train._pair_forward(model, mats, self.IDS, self.SPEC, self.SEED, self.EPOCH)
+        batch_key = hashlib.sha256("\0".join(self.IDS).encode()).hexdigest()
+        assert keys == [(self.SEED, batch_key, self.EPOCH, f"{kind}:12") for kind in model.kinds]
+
     @settings(max_examples=10, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(perm=st.permutations(range(5)), kind=st.sampled_from(["temporal", "spatial"]))
-    def test_clip_permutation_permutes_rows(self, make_model, perm, kind):
-        """Each clip's row depends on that clip alone, wherever it sits in the batch."""
+    def test_clip_permutation_permutes_rows(self, make_model, feed_rows, perm, kind):
+        """Given its draws, each clip's row depends on that clip alone, wherever it sits."""
         model = make_model({"data.f": 32, "data.t": 32})
         segs = self._halves(np.random.default_rng(0))[0]
         args = (self.SPEC, self.SEED, self.EPOCH, "1")
+        feed_rows(range(5))
         out = train._view_embed(model, segs, kind, self.IDS, *args).data
+        feed_rows(perm)  # each clip keeps its own row of the draws
         permuted = train._view_embed(model, segs[perm], kind, [self.IDS[i] for i in perm],
                                      *args).data
         assert np.allclose(permuted, out[perm], atol=1e-5)
