@@ -2,7 +2,8 @@
 
 File format (SIGF, little-endian): 4-byte magic ``SIGF``, u16 version=1,
 u32 F, u32 T, then F*T float32 values row-major with frequency as rows.
-``read_feature`` returns that F x T float32 array; clip ids live in the manifest.
+``read_feature`` returns that F x T float32 array, its payload read once,
+unbuffered, straight into the array; clip ids live in the manifest.
 Manifests are JSON lines with fields path/label/attack_id/split.
 """
 
@@ -44,7 +45,13 @@ class ManifestEntry:
     clip_id: str = field(init=False, compare=False, repr=False)  # the path's stem
 
     def __post_init__(self):
-        self.clip_id = Path(self.path).stem
+        for name in ("path", "attack_id"):
+            if not isinstance(getattr(self, name), str):
+                raise FormatError(f"{name} must be a string, not {getattr(self, name)!r}")
+        rel = Path(self.path)  # read relative to its corpus, so it may not leave it
+        if not self.path or rel.is_absolute() or ".." in rel.parts:
+            raise FormatError(f"path {self.path!r} is not a relative path inside the corpus")
+        self.clip_id = rel.stem
         if self.label not in LABELS:
             raise FormatError(f"bad label {self.label!r}")
         if self.split not in SPLITS:
@@ -66,8 +73,11 @@ def write_feature(values, path):
 
 
 def read_feature(path) -> np.ndarray:
-    """The F x T float32 matrix of a SIGF file."""
-    with open(path, "rb") as fh:
+    """The F x T float32 matrix of a SIGF file.
+
+    The header is checked against the file's size first; the payload is then
+    read once, unbuffered, straight into the returned array."""
+    with open(path, "rb", buffering=0) as fh:
         header = fh.read(_HEADER.size)
         if len(header) < _HEADER.size:
             raise FormatError(f"{path}: truncated header")
@@ -82,8 +92,13 @@ def read_feature(path) -> np.ndarray:
             raise FormatError(f"{path}: truncated payload")
         if extra:
             raise FormatError(f"{path}: {extra} bytes after the payload")
-        values = np.fromfile(fh, "<f4", count=f * t)
-    values.shape = (f, t)  # in place: one array object per clip
+        values = np.empty((f, t), "<f4")
+        got = fh.readinto(values)
+        while got < values.nbytes:  # one read returns at most about 2 GiB
+            n = fh.readinto(values.reshape(-1).view(np.uint8)[got:])
+            if not n:  # the file shrank after fstat
+                raise FormatError(f"{path}: truncated payload")
+            got += n
     if not np.isfinite(values).all():
         raise FormatError(f"{path}: non-finite values")
     return values

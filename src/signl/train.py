@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -137,7 +138,10 @@ def _view_parts(model, mats):
 
 
 def _classify_forward(model, mats, clip_ids):
-    """Logits for a batch using the first clip half, no augmentation."""
+    """Logits for a batch using the first clip half, no augmentation.
+
+    ``clip_ids`` is not read here: it names the batch's clips for perfbench's
+    tracer, whose ``_clip_ids`` seam reads it to compute ``encoder.useful_ratio``."""
     return enc.classify(_view_parts(model, mats), model.store)
 
 
@@ -160,14 +164,15 @@ def strip_labels(entries):
 
 def load_features(items, data_dir):
     """clip_id -> F x T values; every clip of one load must have the same shape."""
-    data_dir = Path(data_dir)
+    data_dir = os.fspath(data_dir)  # a string join per clip costs less than a pathlib join
     feats, first = {}, None
     for clip_id, rel in items:
-        values = read_feature(data_dir / rel)
+        path = os.path.join(data_dir, rel)
+        values = read_feature(path)
         if first is None:
-            first = (data_dir / rel, values.shape)
+            first = (path, values.shape)
         elif values.shape != first[1]:
-            raise FormatError(f"{data_dir / rel}: clip shape {values.shape} differs from "
+            raise FormatError(f"{path}: clip shape {values.shape} differs from "
                               f"{first[1]} of {first[0]}")
         feats[clip_id] = values
     return feats

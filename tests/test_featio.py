@@ -1,7 +1,10 @@
 """Feature I/O, manifests, the synthetic corpus, and the limited-label sampler."""
 
+import io
 import json
 import math
+import os
+import re
 import struct
 import tempfile
 from pathlib import Path
@@ -14,6 +17,74 @@ from hypothesis.extra import numpy as hnp
 
 from conftest import byte_edits
 from signl import featio
+
+
+def _fromfile_reader(path):
+    """The buffered ``np.fromfile`` SIGF reader that ``read_feature`` replaced."""
+    with open(path, "rb") as fh:
+        header = fh.read(14)
+        if len(header) < 14:
+            raise featio.FormatError(f"{path}: truncated header")
+        magic, version, f, t = struct.unpack("<4sHII", header)
+        if magic != b"SIGF":
+            raise featio.FormatError(f"{path}: bad magic {magic!r}")
+        if version != 1:
+            raise featio.FormatError(f"{path}: unsupported version {version}")
+        extra = os.fstat(fh.fileno()).st_size - 14 - 4 * f * t
+        if extra < 0:
+            raise featio.FormatError(f"{path}: truncated payload")
+        if extra:
+            raise featio.FormatError(f"{path}: {extra} bytes after the payload")
+        values = np.fromfile(fh, "<f4", count=f * t)
+    values.shape = (f, t)
+    if not np.isfinite(values).all():
+        raise featio.FormatError(f"{path}: non-finite values")
+    return values
+
+
+@st.composite
+def sigf_edits(draw):
+    """A SIGF file's bytes, unchanged or with one header or payload mutation."""
+    kind = draw(st.sampled_from(["none", "truncate", "append", "flip", "magic", "version"]))
+    where = draw(st.floats(0, 1, exclude_max=True))
+    tail = draw(st.binary(min_size=1, max_size=8))
+    mask = draw(st.integers(1, 255))
+    magic = draw(st.one_of(st.just(b"SIGF"), st.binary(min_size=4, max_size=4)))
+    version = draw(st.one_of(st.just(1), st.integers(0, 2**16 - 1)))
+
+    def edit(raw):
+        i = int(where * len(raw))
+        if kind == "truncate":
+            return raw[:i]
+        if kind == "append":
+            return raw + tail
+        if kind == "flip":
+            return raw[:i] + bytes([raw[i] ^ mask]) + raw[i + 1:]
+        if kind == "magic":
+            return magic + raw[4:]
+        if kind == "version":
+            return raw[:4] + struct.pack("<H", version) + raw[6:]
+        return raw
+    return edit
+
+
+class _ShortReads(io.FileIO):
+    """A raw file whose ``readinto`` returns at most 8 bytes, as a read past ~2 GiB stops short.
+
+    ``payload`` caps the bytes that all ``readinto`` calls return together, as
+    if the file shrank after its size was checked."""
+
+    def __init__(self, path, mode, payload=None):
+        super().__init__(path, mode)
+        self.payload, self.calls = payload, 0
+
+    def readinto(self, b):
+        self.calls += 1
+        chunk = self.read(8 if self.payload is None else min(8, self.payload))
+        if self.payload is not None:
+            self.payload -= len(chunk)
+        np.asarray(b).reshape(-1).view(np.uint8)[:len(chunk)] = np.frombuffer(chunk, np.uint8)
+        return len(chunk)
 
 
 class TestFeatureIO:
@@ -83,6 +154,68 @@ class TestFeatureIO:
             featio.write_feature(back, path)  # only what the writer would write reads back
             assert path.read_bytes() == edited
 
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float32, hnp.array_shapes(min_dims=2, max_dims=2, min_side=0,
+                                                   max_side=5),
+                      elements=st.floats(width=32, allow_nan=False, allow_infinity=False)),
+           sigf_edits())
+    def test_reads_and_rejects_what_the_fromfile_reader_did(self, values, edit):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "clip.sigf"
+            featio.write_feature(values, path)
+            path.write_bytes(edit(path.read_bytes()))
+            outcomes = []
+            for reader in (featio.read_feature, _fromfile_reader):
+                try:
+                    back = reader(path)
+                except featio.FormatError as exc:
+                    outcomes.append(("FormatError", str(exc)))
+                else:
+                    outcomes.append((back.dtype.str, back.shape, back.tobytes()))
+        assert outcomes[0] == outcomes[1]
+
+    @pytest.mark.parametrize("shape", [(3, 5), (1, 1), (0, 4), (4, 0)])
+    def test_result_is_a_writable_contiguous_float32_matrix(self, tmp_path, rng, shape):
+        path = tmp_path / "clip.sigf"
+        featio.write_feature(rng.standard_normal(shape), path)
+        back = featio.read_feature(path)
+        assert back.shape == shape
+        assert back.dtype == np.dtype("<f4")
+        assert back.flags.writeable and back.flags.c_contiguous and back.flags.owndata
+
+    def test_missing_file_names_the_path(self, tmp_path):
+        path = tmp_path / "absent.sigf"
+        with pytest.raises(FileNotFoundError, match=re.escape(str(path))) as info:
+            featio.read_feature(path)
+        assert info.value.filename == str(path)
+
+    def test_directory_names_the_path(self, tmp_path):
+        with pytest.raises(IsADirectoryError, match=re.escape(str(tmp_path))) as info:
+            featio.read_feature(tmp_path)
+        assert info.value.filename == str(tmp_path)
+
+    def test_short_reads_are_resumed(self, tmp_path, rng, monkeypatch):
+        values = rng.standard_normal((3, 7)).astype(np.float32)
+        path = tmp_path / "clip.sigf"
+        path.write_bytes(struct.pack("<4sHII", b"SIGF", 1, 3, 7) + values.tobytes())
+        opened = []
+
+        def short_open(p, mode, buffering):
+            opened.append(_ShortReads(p, mode))
+            return opened[-1]
+
+        monkeypatch.setattr(featio, "open", short_open, raising=False)
+        assert featio.read_feature(path).tobytes() == values.tobytes()
+        assert opened[0].calls == 11  # 84 payload bytes, 8 per read
+
+    def test_file_shrinking_after_the_size_check_is_truncation(self, tmp_path, monkeypatch):
+        path = tmp_path / "clip.sigf"
+        featio.write_feature(np.ones((2, 4)), path)
+        monkeypatch.setattr(featio, "open", lambda p, mode, buffering:
+                            _ShortReads(p, mode, payload=12), raising=False)  # 3 of 8 values
+        with pytest.raises(featio.FormatError, match="clip.sigf: truncated payload"):
+            featio.read_feature(path)
+
     def test_unsupported_version(self, tmp_path):
         path = tmp_path / "v9.sigf"
         path.write_bytes(struct.pack("<4sHII", b"SIGF", 9, 1, 1) + b"\x00" * 4)
@@ -139,6 +272,29 @@ class TestManifest:
             featio.ManifestEntry("a.sigf", "bonafide", "A00", "train")
         with pytest.raises(featio.FormatError):
             featio.ManifestEntry("a.sigf", "fake", "-", "train")
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("path", "", "path '' is not a relative path inside the corpus"),
+        ("path", "/etc/x.sigf", "path '/etc/x.sigf' is not a relative path inside the corpus"),
+        ("path", "../x.sigf", "path '../x.sigf' is not a relative path inside the corpus"),
+        ("path", "a/../../x.sigf",
+         "path 'a/../../x.sigf' is not a relative path inside the corpus"),
+        ("path", 5, "path must be a string, not 5"),
+        ("attack_id", 5, "attack_id must be a string, not 5"),
+        ("attack_id", None, "attack_id must be a string, not None"),
+    ])
+    def test_bad_path_or_attack_id_rejected_with_location(self, tmp_path, field, value,
+                                                           message):
+        row = {"path": "a.sigf", "label": "fake", "attack_id": "A00", "split": "train"}
+        row[field] = value
+        path = tmp_path / "m.jsonl"
+        path.write_text('{"path": "b.sigf", "label": "bonafide", "attack_id": "-", '
+                        '"split": "train"}\n' + json.dumps(row) + "\n")
+        with pytest.raises(featio.FormatError, match=re.escape(f"m.jsonl:2: {message}")):
+            featio.read_manifest(path)
+
+    def test_path_inside_a_subdirectory_accepted(self):
+        assert featio.ManifestEntry("a/b/x.sigf", "bonafide", "-", "train").clip_id == "x"
 
     def test_duplicate_clip_id_rejected_naming_both_lines(self, tmp_path):
         # clip_id is the path stem, so a/x.sigf and b/x.sigf would share features
