@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .featio import ConfigError
+from .errors import ConfigError
 from .graphbuild import GraphView
 from .seeding import stream
 

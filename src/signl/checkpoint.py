@@ -15,13 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import CheckpointError
+
 SIGC_MAGIC = b"SIGC"
 SIGC_VERSION = 1
 MAX_RANK = 64  # numpy's limit on array dimensions
-
-
-class CheckpointError(ValueError):
-    pass
 
 
 def save_arrays(arrays: dict, path):
@@ -85,6 +83,9 @@ def load_arrays(path) -> dict:
             # sized against the file before anything is read: extents can multiply past int64
             if 4 * numel > size - fh.tell():
                 raise CheckpointError(f"{path}: truncated payload of {name!r}")
+            # numpy refuses even an empty array whose nonzero extents multiply past intp
+            if 4 * math.prod(e for e in shape if e) > np.iinfo(np.intp).max:
+                raise CheckpointError(f"{path}: extents {shape} of {name!r} are too large")
             payload = take(fh, 4 * numel, f"payload of {name!r}")
             arrays[name] = np.frombuffer(payload, dtype="<f4").reshape(shape).copy()
             if not np.isfinite(arrays[name]).all():

@@ -1,27 +1,30 @@
 """Command-line surface for batch experiment runs.
 
-Every artifact-producing command creates a fresh run directory named
-<verb>-<seed>-<UTC timestamp> under --out and writes a resolved-config
-snapshot next to its outputs.  Flag overrides (--set key=value) win over
-the config file; SIGNL_SEED wins over both.
+Every verb but gradcheck runs in a fresh run directory named
+<verb>-<seed>-<UTC timestamp> under --out, made by ``main`` before the verb
+starts and holding a resolved-config snapshot next to its outputs.  Flag
+overrides (--set key=value) win over the config file; SIGNL_SEED wins over both.
+
+Exit codes: 0 on success; 1 on an ``errors.InputError``, after removing the run
+directory and any --out parents this invocation made; 2 on any other failure,
+keeping the run directory for diagnosis.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
+import shutil
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
 
 from . import augment, config, metrics, train
-from .featio import (ConfigError, SynthConfig, gen_synthetic, read_manifest,
-                     sample_limited_labels, write_manifest)
-
-
-class UsageError(ValueError):
-    pass
+from .errors import ConfigError, InputError, UsageError
+from .featio import (SynthConfig, gen_synthetic, read_manifest, sample_limited_labels,
+                     write_manifest)
 
 
 def _load_cfg(args):
@@ -37,14 +40,24 @@ def _load_cfg(args):
     return cfg
 
 
-def _run_dir(args, cfg, verb):
+def _run_dir(args, cfg):
+    """Make the run directory; return it and the --out parents it had to make, innermost first."""
     stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%S%fZ")
-    path = Path(args.out) / f"{verb}-{cfg['train.seed']}-{stamp}"
+    path = Path(args.out) / f"{args.verb}-{cfg['train.seed']}-{stamp}"
     if path.exists():
         raise UsageError(f"run directory {path} already exists; refusing to overwrite")
+    made = [p for p in path.parents if not p.exists()]
     path.mkdir(parents=True)
     config.dump(cfg, path / "config.resolved.cfg")
-    return path
+    return path, made
+
+
+def _drop_run_dir(path, made):
+    """Remove a run directory, then each --out parent made for it that nothing else has filled."""
+    shutil.rmtree(path)
+    with contextlib.suppress(OSError):  # rmdir refuses a parent that is not empty
+        for parent in made:
+            parent.rmdir()
 
 
 def _manifest(cfg):
@@ -54,7 +67,7 @@ def _manifest(cfg):
     return read_manifest(path)
 
 
-def cmd_gen_data(args, cfg):
+def cmd_gen_data(cfg, run):
     synth = SynthConfig(F=cfg["data.f"], T=cfg["data.t"],
                         n_per_split={"train": cfg["data.n_train"],
                                      "dev": cfg["data.n_dev"],
@@ -63,56 +76,51 @@ def cmd_gen_data(args, cfg):
                         artifact_strength=cfg["data.artifact_strength"],
                         seed=cfg["train.seed"])
     entries = gen_synthetic(synth, cfg["data.dir"])
-    run = _run_dir(args, cfg, "gen-data")
     (run / "summary.json").write_text(json.dumps(
         {"corpus_dir": cfg["data.dir"], "n_entries": len(entries)}))
     print(f"wrote {len(entries)} clips to {cfg['data.dir']}")
     return 0
 
 
-def cmd_sample_labels(args, cfg):
+def cmd_sample_labels(cfg, run):
     entries = _manifest(cfg)
     subset = sample_limited_labels(entries, cfg["train.label_fraction"], cfg["train.seed"])
-    run = _run_dir(args, cfg, "sample-labels")
     write_manifest(subset, run / "manifest.jsonl")
     print(f"kept {len(subset)} of {len(entries)} entries -> {run / 'manifest.jsonl'}")
     return 0
 
 
-def cmd_pretrain(args, cfg):
+def cmd_pretrain(cfg, run):
     entries = _manifest(cfg)
-    run = _run_dir(args, cfg, "pretrain")
     path, trace = train.pretrain(cfg, train.strip_labels(entries), cfg["data.dir"], run)
     print(f"checkpoint: {path} (final dev metric {trace[-1]['dev_metric']:.4f})")
     return 0
 
 
-def cmd_finetune(args, cfg):
+def cmd_finetune(cfg, run):
     entries = _manifest(cfg)
     checkpoint = cfg["paths.checkpoint"] or None
     if checkpoint is not None and not Path(checkpoint).exists():
         raise UsageError(f"checkpoint not found: {checkpoint}")
-    run = _run_dir(args, cfg, "finetune")
     path, trace, dev_eer = train.finetune(cfg, entries, cfg["data.dir"], run, checkpoint)
     print(f"model: {path} (best dev EER {dev_eer:.4f})")
     return 0
 
 
-def cmd_eval(args, cfg):
+def cmd_eval(cfg, run):
     entries = _manifest(cfg)
     checkpoint = cfg["paths.checkpoint"]
     if not checkpoint or not Path(checkpoint).exists():
         raise UsageError(f"checkpoint not found: {checkpoint!r}")
     model = train.load_model(cfg, checkpoint, head="cls")
     score_set, report = train.evaluate(model, entries, cfg["data.dir"])
-    run = _run_dir(args, cfg, "eval")
     score_set.to_jsonl(run / "scores.jsonl")
     (run / "eer.json").write_text(report.to_json())
     print(f"eval EER {report.eer:.4f} at threshold {report.threshold:.4f}")
     return 0
 
 
-def cmd_collapse(args, cfg):
+def cmd_collapse(cfg, run):
     entries = _manifest(cfg)
     checkpoint = cfg["paths.checkpoint"]
     if not checkpoint or not Path(checkpoint).exists():
@@ -124,23 +132,21 @@ def cmd_collapse(args, cfg):
     feats = train.load_features(clips, cfg["data.dir"])
     samples = [(cid, feats[cid]) for cid, _ in clips]
     report = metrics.collapse_report(train.collapse_pair_forward(model), samples)
-    run = _run_dir(args, cfg, "collapse")
     (run / "collapse.json").write_text(json.dumps(report))
     print(f"pair similarity before projection {report['before']:.4f}, "
           f"after {report['after']:.4f} ({report['n_pairs']} pairs)")
     return 0
 
 
-def cmd_gradcheck(args, cfg):
+def cmd_gradcheck(cfg, run):
     from .gradcheck import run_gradcheck
     worst = run_gradcheck()
     print(f"max relative gradient error: {worst:.3e}")
     return 0 if worst <= 1e-4 else 2
 
 
-def cmd_ablation_grid(args, cfg):
+def cmd_ablation_grid(cfg, run):
     entries = _manifest(cfg)
-    run = _run_dir(args, cfg, "ablation-grid")
     rows = run_grid(cfg, entries, run)
     table = run / "grid.tsv"
     with open(table, "w") as fh:
@@ -198,13 +204,18 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    run = None
     try:
         cfg = _load_cfg(args)
-        return COMMANDS[args.verb](args, cfg)
-    except ValueError as exc:  # config, input and usage errors all derive from ValueError
+        if args.verb != "gradcheck":
+            run, made = _run_dir(args, cfg)
+        return COMMANDS[args.verb](cfg, run)
+    except InputError as exc:
+        if run is not None:
+            _drop_run_dir(run, made)
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except Exception as exc:  # runtime failure
+    except Exception as exc:  # runtime failure: the run directory stays for diagnosis
         print(f"runtime failure: {exc}", file=sys.stderr)
         return 2
 

@@ -6,7 +6,7 @@ import math
 
 from .augment import AugmentSpec
 from .encoder import check_pyramid
-from .featio import ConfigError
+from .errors import ConfigError
 
 # key -> (type, default).  Booleans are written true/false.
 SCHEMA = {

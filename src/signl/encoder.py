@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import tensorgrad as tg
-from .featio import ConfigError
+from .errors import ConfigError
 
 
 def _normalize_adjacency(a):

@@ -5,6 +5,8 @@ u32 F, u32 T, then F*T float32 values row-major with frequency as rows.
 ``read_feature`` returns that F x T float32 array, its payload read once,
 unbuffered, straight into the array; clip ids live in the manifest.
 Manifests are JSON lines with fields path/label/attack_id/split.
+Malformed files and lines raise ``errors.FormatError``, which names the file
+(and line), so ``signl`` exits 1 on them.
 """
 
 from __future__ import annotations
@@ -18,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import ConfigError, FormatError
 from .seeding import stream
 
 SIGF_MAGIC = b"SIGF"
@@ -26,14 +29,6 @@ _HEADER = struct.Struct("<4sHII")  # magic, version, F, T
 
 LABELS = ("bonafide", "fake")
 SPLITS = ("train", "dev", "eval")
-
-
-class FormatError(ValueError):
-    """Malformed SIGF file or manifest line."""
-
-
-class ConfigError(ValueError):
-    """Invalid generation / sampling configuration."""
 
 
 @dataclass
@@ -48,6 +43,8 @@ class ManifestEntry:
         for name in ("path", "attack_id"):
             if not isinstance(getattr(self, name), str):
                 raise FormatError(f"{name} must be a string, not {getattr(self, name)!r}")
+        if "\0" in self.path:  # no file name can hold one
+            raise FormatError(f"path {self.path!r} holds a NUL character")
         rel = Path(self.path)  # read relative to its corpus, so it may not leave it
         if not self.path or rel.is_absolute() or ".." in rel.parts:
             raise FormatError(f"path {self.path!r} is not a relative path inside the corpus")

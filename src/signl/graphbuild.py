@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .featio import ConfigError
+from .errors import ConfigError
 
 
 @dataclass

@@ -8,11 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensorgrad as tg
-from .featio import ConfigError
-
-
-class NumericGuardError(RuntimeError):
-    """A numeric precondition (e.g. nonzero vectors) failed during training."""
+from .errors import ConfigError, ContractError, NumericGuardError, ShapeError
 
 
 @dataclass
@@ -53,7 +49,7 @@ class EERReport:
 def cosine_similarity(z1: tg.Tensor, z2: tg.Tensor) -> tg.Tensor:
     """Row-wise cosine similarity of two B x d tensors -> B x 1 (differentiable)."""
     if z1.shape != z2.shape:
-        raise tg.ShapeError(f"cosine shapes disagree: {z1.shape} vs {z2.shape}")
+        raise ShapeError(f"cosine shapes disagree: {z1.shape} vs {z2.shape}")
     dot = tg.tsum(tg.mul(z1, z2), axis=1)
     n1 = tg.tsum(tg.mul(z1, z1), axis=1)
     n2 = tg.tsum(tg.mul(z2, z2), axis=1)
@@ -74,7 +70,7 @@ def cross_entropy(logits: tg.Tensor, labels) -> tg.Tensor:
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     b, c = logits.shape
     if labels.shape[0] != b:
-        raise tg.ShapeError("label count does not match logit rows")
+        raise ShapeError("label count does not match logit rows")
     onehot = np.zeros((b, c), dtype=logits.dtype)
     onehot[np.arange(b), labels] = 1.0
     nll = tg.scale(tg.tsum(tg.mul(tg.Tensor._wrap(onehot, False), tg.log_softmax(logits))), -1.0)
@@ -101,11 +97,11 @@ def compute_eer(s: ScoreSet) -> EERReport:
     n_bona = int(is_bona.sum())
     n_fake = int(len(scores) - n_bona)
     if n_bona == 0 or n_fake == 0:
-        raise tg.ContractError("EER needs at least one score of each label")
+        raise ContractError("EER needs at least one score of each label")
     bad = np.flatnonzero(~np.isfinite(scores))
     if bad.size:
         clip_id, score, _ = s.entries[bad[0]]
-        raise tg.ContractError(f"EER needs finite scores; {clip_id!r} scored {score}")
+        raise ContractError(f"EER needs finite scores; {clip_id!r} scored {score}")
     bona = np.sort(scores[is_bona])
     fake = np.sort(scores[~is_bona])
     cand = np.concatenate(([-np.inf], np.unique(scores), [np.inf]))

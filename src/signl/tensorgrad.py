@@ -19,13 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-
-class ShapeError(ValueError):
-    """Operand shapes violate an operation's precondition."""
-
-
-class ContractError(RuntimeError):
-    """An operation was called outside its contract (e.g. non-scalar loss)."""
+from .errors import ContractError, ShapeError
 
 
 _TAPE_STACK: list["Tape"] = []

@@ -27,7 +27,8 @@ from . import encoder as enc
 from . import metrics
 from . import tensorgrad as tg
 from .config import VIEW_MODES, patch_dims
-from .featio import ConfigError, FormatError, read_feature, sample_limited_labels
+from .errors import CheckpointError, ConfigError, FormatError
+from .featio import read_feature, sample_limited_labels
 from .graphbuild import neighbor_table, patchify, split_pair
 from .seeding import stream
 
@@ -78,7 +79,10 @@ def _restore(model, path, names):
     """Load the named parameters from a SIGC file after checking names and shapes."""
     arrays = ckpt.load_arrays(path)
     expected = {name: model.store[name].shape for name in names}
-    ckpt.check_compatible(arrays, expected)
+    try:
+        ckpt.check_compatible(arrays, expected)
+    except CheckpointError as exc:
+        raise CheckpointError(f"{exc}, in {path}") from None
     model.store.load_arrays({k: arrays[k] for k in expected})
 
 

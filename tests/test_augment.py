@@ -5,7 +5,7 @@ import pytest
 
 from signl import augment as aug
 from signl import config, train
-from signl.featio import ConfigError
+from signl.errors import ConfigError
 from signl.graphbuild import GraphView
 
 

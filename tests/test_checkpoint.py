@@ -175,6 +175,22 @@ class TestRoundTrip:
         with pytest.raises(ckpt.CheckpointError, match="truncated payload of 'w'"):
             ckpt.load_arrays(path)
 
+    @pytest.mark.parametrize("shape", [(0, 2**32 - 1, 2**32 - 1), (2**31, 0, 2**30)])
+    def test_empty_array_numpy_cannot_make_is_rejected(self, tmp_path, shape):
+        # numel is 0, so no payload is due, but 4 * 2**31 * 2**30 bytes is past intp
+        path = tmp_path / "huge.sigc"
+        path.write_bytes(ckpt.SIGC_MAGIC + struct.pack("<HIH", ckpt.SIGC_VERSION, 1, 1) + b"w"
+                         + struct.pack("<B3I", 3, *shape))
+        with pytest.raises(ckpt.CheckpointError,
+                           match=rf"huge\.sigc: extents \({shape[0]}, .* of 'w' are too large"):
+            ckpt.load_arrays(path)
+
+    def test_empty_array_at_the_numpy_limit_reads_back(self, tmp_path):
+        path = tmp_path / "m.sigc"
+        path.write_bytes(ckpt.SIGC_MAGIC + struct.pack("<HIH", ckpt.SIGC_VERSION, 1, 1) + b"w"
+                         + struct.pack("<B3I", 3, 2**31, 0, 2**30 - 1))
+        assert ckpt.load_arrays(path)["w"].shape == (2**31, 0, 2**30 - 1)
+
 
 class TestCompatibility:
     def test_matching_passes(self, rng):

@@ -2,6 +2,7 @@
 
 import json
 import os
+from datetime import datetime, timezone
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ import pytest
 from signl import checkpoint, cli, config, featio
 from signl import tensorgrad as tg
 from signl import train
+from signl.errors import ShapeError
 
 
 def run(argv, capsys):
@@ -21,6 +23,11 @@ def only_run_dir(out, verb):
     dirs = [p for p in out.iterdir() if p.name.startswith(verb + "-")]
     assert len(dirs) == 1, dirs
     return dirs[0]
+
+
+def tree(root):
+    """Every path under root, with the bytes of each file."""
+    return {p: p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
 
 
 @pytest.fixture
@@ -275,6 +282,7 @@ class TestErrors:
                             "--set", "train.skip_pretrain=true", "--out", str(out)], capsys)
         assert code == 2
         assert "non-finite loss at epoch 1" in err
+        assert (only_run_dir(out, "finetune") / "config.resolved.cfg").is_file()
 
     def test_collapse_without_train_clips_exits_1_without_run_dir(self, base_cfg, tmp_path,
                                                                   capsys):
@@ -292,6 +300,95 @@ class TestErrors:
         assert code == 1
         assert "non-empty train split" in err
         assert not [p for p in out.iterdir() if p.name.startswith("collapse-")]
+
+    _OTHER_SHAPE = ["data.f=64", "data.t=64"]
+    _OTHER_SHAPE_ERROR = "are (32, 32), but (data.f, data.t) is (64, 64)"
+
+    @pytest.mark.parametrize("verb, settings, checkpoint_of, edit, message", [
+        ("pretrain", _OTHER_SHAPE, None, None, _OTHER_SHAPE_ERROR),
+        ("finetune", _OTHER_SHAPE + ["train.skip_pretrain=true"], None, None, _OTHER_SHAPE_ERROR),
+        ("eval", _OTHER_SHAPE, ("cls", []), None, _OTHER_SHAPE_ERROR),
+        ("collapse", _OTHER_SHAPE, ("proj", []), None, _OTHER_SHAPE_ERROR),
+        ("ablation-grid", _OTHER_SHAPE, None, None, _OTHER_SHAPE_ERROR),
+        ("pretrain", [], None, "truncate", "train_00000.sigf: truncated payload"),
+        ("finetune", [], ("proj", ["graph.d=16"]), None,
+         "checkpoint incompatible: 'stem.temporal.w' has shape (64, 16), expected (64, 32), "
+         "in {checkpoint}"),
+        ("pretrain", [], None, "nul", "path 'x\\x00.sigf' holds a NUL character"),
+        ("sample-labels", [], None, "nul", "path 'x\\x00.sigf' holds a NUL character"),
+        ("gen-data", ["data.n_attack_types=0"], None, None, "n_attack_types must be >= 1"),
+    ], ids=["pretrain-shape", "finetune-shape", "eval-shape", "collapse-shape",
+            "ablation-grid-shape", "pretrain-truncated-sigf", "finetune-incompatible-checkpoint",
+            "pretrain-nul-path", "sample-labels-nul-path", "gen-data-synth-config"])
+    def test_input_error_inside_a_verb_exits_1_leaving_out_as_it_was(
+            self, base_cfg, tmp_path, capsys, verb, settings, checkpoint_of, edit, message):
+        out = tmp_path / "runs"
+        assert run(["gen-data", "--config", str(base_cfg), "--out", str(out)],
+                   capsys)[0] == 0
+        corpus = tmp_path / "corpus"
+        if edit == "truncate":
+            clip = corpus / "train_00000.sigf"
+            clip.write_bytes(clip.read_bytes()[:-4])
+        if edit == "nul":
+            with open(corpus / "manifest.jsonl", "a") as fh:
+                fh.write(json.dumps({"path": "x\0.sigf", "label": "bonafide",
+                                     "attack_id": "-", "split": "train"}) + "\n")
+        ck = tmp_path / "model.sigc"
+        if checkpoint_of is not None:
+            head, extra = checkpoint_of
+            model = train.build_model(config.load(base_cfg, settings + extra), head=head)
+            checkpoint.save_arrays(model.store.state_arrays(), ck)
+            settings = settings + [f"paths.checkpoint={ck}"]
+        before = tree(out)
+        code, _, err = run([verb, "--config", str(base_cfg), "--out", str(out)]
+                           + [arg for item in settings for arg in ("--set", item)], capsys)
+        assert code == 1
+        assert message.format(checkpoint=ck) in err
+        assert tree(out) == before
+
+    def test_input_error_removes_the_out_directories_it_made(self, base_cfg, tmp_path,
+                                                             capsys):
+        assert run(["gen-data", "--config", str(base_cfg), "--out", str(tmp_path / "runs")],
+                   capsys)[0] == 0
+        fresh = tmp_path / "fresh"
+        code, _, err = run(["pretrain", "--config", str(base_cfg), "--set", "data.f=64",
+                            "--set", "data.t=64", "--out", str(fresh / "runs")], capsys)
+        assert code == 1, err
+        assert not fresh.exists()
+
+    def test_run_dir_name_collision_exits_1_keeping_the_existing_dir(self, base_cfg, tmp_path,
+                                                                     capsys, monkeypatch):
+        class Frozen(datetime):
+            @classmethod
+            def now(cls, tz=None):
+                return datetime(2026, 1, 2, tzinfo=timezone.utc)
+
+        monkeypatch.setattr(cli, "datetime", Frozen)
+        out = tmp_path / "runs"
+        assert run(["gen-data", "--config", str(base_cfg), "--out", str(out)],
+                   capsys)[0] == 0
+        before = tree(out)
+        code, _, err = run(["gen-data", "--config", str(base_cfg), "--out", str(out)], capsys)
+        assert code == 1
+        assert "gen-data-0-20260102T000000000000Z already exists" in err
+        assert tree(out) == before
+
+    @pytest.mark.parametrize("failure", ["ShapeError", "missing SIGF"])
+    def test_runtime_failure_inside_a_verb_exits_2_keeping_its_run_dir(
+            self, base_cfg, tmp_path, capsys, monkeypatch, failure):
+        out = tmp_path / "runs"
+        assert run(["gen-data", "--config", str(base_cfg), "--out", str(out)],
+                   capsys)[0] == 0
+        if failure == "ShapeError":
+            def broken(*args):
+                raise ShapeError("matmul inner dims disagree")
+            monkeypatch.setattr(train, "_pair_forward", broken)
+        else:
+            (tmp_path / "corpus" / "train_00003.sigf").unlink()
+        code, _, err = run(["pretrain", "--config", str(base_cfg), "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("runtime failure:")
+        assert (only_run_dir(out, "pretrain") / "config.resolved.cfg").is_file()
 
     def test_runtime_failure_exits_2(self, base_cfg, tmp_path, capsys):
         code, _, err = run(["gen-data", "--config", str(base_cfg),

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from signl import config
-from signl.featio import ConfigError
+from signl.errors import ConfigError
 
 
 def _finite(**bounds):

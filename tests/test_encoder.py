@@ -5,7 +5,7 @@ import pytest
 
 from signl import encoder as enc
 from signl import tensorgrad as tg
-from signl.featio import ConfigError
+from signl.errors import ConfigError
 
 
 class TestNormalizedAdjacency:

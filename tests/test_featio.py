@@ -279,6 +279,7 @@ class TestManifest:
         ("path", "../x.sigf", "path '../x.sigf' is not a relative path inside the corpus"),
         ("path", "a/../../x.sigf",
          "path 'a/../../x.sigf' is not a relative path inside the corpus"),
+        ("path", "a\0.sigf", "path 'a\\x00.sigf' holds a NUL character"),
         ("path", 5, "path must be a string, not 5"),
         ("attack_id", 5, "attack_id must be a string, not 5"),
         ("attack_id", None, "attack_id must be a string, not None"),
@@ -329,7 +330,7 @@ class TestManifest:
             featio.read_manifest(path)
 
     @settings(max_examples=300, deadline=None)
-    @given(st.lists(st.tuples(st.text(st.characters(blacklist_characters="/."), min_size=1,
+    @given(st.lists(st.tuples(st.text(st.characters(blacklist_characters="/.\x00"), min_size=1,
                                       max_size=6),
                               st.sampled_from(featio.SPLITS),
                               st.one_of(st.just("-"), st.text(min_size=1, max_size=4))),

@@ -7,7 +7,7 @@ from signl import augment as aug
 from signl import graphbuild as gb
 from signl import tensorgrad as tg
 from signl import train
-from signl.featio import ConfigError
+from signl.errors import ConfigError
 
 # 4 x 8 clips: 4 x 4 halves, 2 temporal patches of 4 x 2 -> patch dim 8 = node dim
 STEM_CFG = {"data.f": 4, "data.t": 8, "graph.n": 2, "graph.k": 1, "graph.d": 8,

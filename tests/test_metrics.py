@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from signl import metrics
 from signl import tensorgrad as tg
-from signl.featio import ConfigError
+from signl.errors import ConfigError
 
 
 def _t(arr):

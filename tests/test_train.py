@@ -18,7 +18,7 @@ from signl import featio
 from signl import metrics
 from signl import tensorgrad as tg
 from signl import train
-from signl.featio import ConfigError
+from signl.errors import ConfigError
 from signl.graphbuild import GraphView, knn_graph, neighbor_table, split_pair
 from signl.seeding import stream
 
