@@ -66,6 +66,10 @@ def primitive_checks(rng):
             lambda: tg.tsum(tg.mul(tg.grouped_matmul(gh, heads), tg.grouped_matmul(gh, heads))),
             [gh, *(w for w in heads if w.requires_grad)])
 
+    ax, aw, ab = _t(rng, (5, 3)), _t(rng, (3, 4)), _t(rng, (1, 4))
+    yield "affine", check(
+        lambda: tg.tsum(tg.mul(tg.affine(ax, aw, ab), tg.affine(ax, aw, ab))), [ax, aw, ab])
+
     x = _t(rng, (4, 6))
     y = _t(rng, (4, 6))
     yield "add", check(lambda: tg.tsum(tg.add(x, y)), [x, y])

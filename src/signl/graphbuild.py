@@ -32,13 +32,20 @@ def split_pair(values: np.ndarray):
 
 def patchify(values: np.ndarray, n: int, kind: str):
     """(..., F, T) -> (..., n, patch_dim): n equal temporal (column) or spatial
-    (row) tiles, each flattened row-major."""
+    (row) tiles, each flattened row-major.
+
+    Spatial tiles are a reshape.  Temporal tiles take one copy, in which each
+    row's T/n-value piece of a tile moves as a single void item; any input
+    whose last axis is contiguous, such as a ``split_pair`` half, is read in
+    place."""
     *lead, f, t = values.shape
     if kind == "temporal":
         if t % n != 0:
             raise ConfigError(f"time dimension {t} not divisible by {n} patches")
-        tiles = values.reshape(*lead, f, n, t // n)
-        return np.swapaxes(tiles, -3, -2).reshape(*lead, n, -1)
+        if values.strides[-1] != values.itemsize:  # a void view needs contiguous rows
+            values = np.ascontiguousarray(values)
+        tiles = values.view(np.dtype((np.void, values.itemsize * (t // n))))  # (..., F, n)
+        return np.ascontiguousarray(np.swapaxes(tiles, -2, -1)).view(values.dtype)
     if kind == "spatial":
         if f % n != 0:
             raise ConfigError(f"frequency dimension {f} not divisible by {n} patches")
@@ -50,13 +57,18 @@ def neighbor_table(x_batch: np.ndarray, k: int):
     """Batched k-NN: (B, N, D) features -> (B, N, K) neighbor indices.
 
     Row i lists the k nearest Euclidean neighbors of node i, nearest
-    first; ties break toward the smaller node index.
+    first; ties break toward the smaller node index.  Each pair's distance
+    is computed once, over the upper triangle, and mirrored.
     """
     b, n, _ = x_batch.shape
     if not 1 <= k <= n - 1:
         raise ConfigError(f"K={k} out of range for {n} nodes")
-    diff = x_batch[:, :, None, :] - x_batch[:, None, :, :]
-    dist = np.sqrt(np.square(diff, out=diff).sum(axis=-1))  # in place: no second (B, N, N, D)
+    i, j = np.triu_indices(n, 1)  # each pair once: (a-b)**2 has the bits of (b-a)**2
+    diff = np.take(x_batch, i, axis=1) - np.take(x_batch, j, axis=1)
+    half = np.sqrt(np.square(diff, out=diff).sum(axis=-1))  # (B, N(N-1)/2)
+    dist = np.empty((b, n, n), dtype=half.dtype)
+    dist[:, i, j] = half
+    dist[:, j, i] = half
     idx = np.arange(n)
     dist[:, idx, idx] = np.inf
     order = np.argsort(dist, axis=2, kind="stable")  # stable => index tie-break

@@ -11,6 +11,10 @@ the pairs in reverse, hands each output's gradient to its backward rule,
 and skips outputs that got no gradient because they are off the loss's path.
 Each rule accumulates only into inputs that require a gradient.
 
+``affine`` (x @ w + b) is one primitive with one record.  ``adam_step``
+updates each run of adjacent trainable parameters as one flat array, and
+``ParamStore`` keeps Adam's moments as two flat arrays over all parameters.
+
 Training runs in float32; gradient checking builds float64 tensors and
 uses the exact same code path.
 """
@@ -272,29 +276,56 @@ def log_softmax(a: Tensor) -> Tensor:
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """x @ w + b with b a 1xK row broadcast over rows of x."""
+    """x @ w + b with b a 1xK row broadcast over rows of x, as one primitive.
+
+    b's gradient is the column sum of g taken as ``ones(M, 1).T @ g``, the
+    product a bias broadcast by a ones column has; ``g.sum(0)`` would round
+    differently."""
     if b.data.ndim != 2 or b.shape[0] != 1:
         raise ShapeError(f"bias must be a 1xK row, got {b.shape}")
-    ones = Tensor._wrap(np.ones((x.shape[0], 1), dtype=x.dtype), False)
-    return add(matmul(x, w), matmul(ones, b))
+    if x.data.ndim != 2 or w.data.ndim != 2:
+        raise ShapeError("matmul operands must be 2-D")
+    if x.shape[1] != w.shape[0]:
+        raise ShapeError(f"matmul inner dims disagree: {x.shape} x {w.shape}")
+    m = x.shape[0]
+    if w.shape[1] != b.shape[1]:
+        raise ShapeError(f"add shape mismatch: {(m, w.shape[1])} vs {(m, b.shape[1])}")
+
+    def backward(g):
+        if b.requires_grad:
+            b._accumulate(np.ones((m, 1), dtype=x.dtype).T @ g)
+        if x.requires_grad:
+            x._accumulate(g @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(x.data.T @ g)
+
+    return _op(x.data @ w.data + b.data, x.requires_grad or w.requires_grad or b.requires_grad,
+               backward)
 
 
 # ---------------------------------------------------------------------------
 # parameters and optimizer
 
 class ParamStore:
-    """Named parameter tensors with per-parameter Adam state."""
+    """Named parameter tensors, and Adam's moments as two flat arrays.
+
+    ``_m`` and ``_v`` lay every parameter out end to end in insertion order.
+    The first ``adam_step`` allocates them as zeros; a frozen parameter's
+    slice keeps its values until the parameter trains again."""
 
     def __init__(self):
         self._params: dict[str, Tensor] = {}
-        self._m: dict[str, np.ndarray] = {}
-        self._v: dict[str, np.ndarray] = {}
+        self._m: np.ndarray | None = None
+        self._v: np.ndarray | None = None
         self.step_count = 0
 
     def add(self, name: str, t: Tensor):
         if name in self._params:
             raise ContractError(f"duplicate parameter name {name!r}")
         self._params[name] = t
+        if self._m is not None:  # added after a step: its moments start at zero
+            zeros = np.zeros(t.data.size, self._m.dtype)
+            self._m, self._v = np.concatenate([self._m, zeros]), np.concatenate([self._v, zeros])
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -331,25 +362,42 @@ ADAM_EPS = 1e-8
 
 
 def adam_step(store: ParamStore, lr):
-    """One Adam update with bias correction; zeroes gradients afterward."""
+    """One Adam update with bias correction; zeroes gradients afterward.
+
+    Each run of adjacent trainable parameters is updated as one flat array
+    with the per-parameter expression, so every element gets the same bits;
+    each slice is written back in its parameter's shape and dtype.
+    """
     store.step_count += 1
     t = store.step_count
-    for name, p in store.items():
-        if not p.requires_grad:
-            continue
-        if p.grad is None:
-            raise ContractError(f"parameter {name!r} has no gradient")
-        g = p.grad
-        m = store._m.get(name)
-        v = store._v.get(name)
-        if m is None:
-            m = np.zeros_like(p.data)
-            v = np.zeros_like(p.data)
-        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * g
-        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * g * g
-        store._m[name] = m
-        store._v[name] = v
+    params = list(store.items())
+    if store._m is None and params:
+        dtype = np.result_type(*(p.data.dtype for _, p in params))
+        size = sum(p.data.size for _, p in params)
+        store._m, store._v = np.zeros(size, dtype), np.zeros(size, dtype)
+    runs, lo = [], 0  # [start, stop, tensors] of each run of trainable parameters
+    for name, p in params:
+        if p.requires_grad:
+            if p.grad is None:
+                raise ContractError(f"parameter {name!r} has no gradient")
+            if runs and runs[-1][1] == lo:
+                runs[-1][1] += p.data.size
+                runs[-1][2].append(p)
+            else:
+                runs.append([lo, lo + p.data.size, [p]])
+        lo += p.data.size
+    for lo, hi, tensors in runs:
+        g = np.concatenate([p.grad.ravel() for p in tensors])
+        m, v = store._m[lo:hi], store._v[lo:hi]  # views: updated in place
+        m *= ADAM_BETA1
+        m += (1 - ADAM_BETA1) * g
+        v *= ADAM_BETA2
+        v += (1 - ADAM_BETA2) * g * g
         mhat = m / (1 - ADAM_BETA1 ** t)
         vhat = v / (1 - ADAM_BETA2 ** t)
-        p.data = p.data - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
-        p.grad = None
+        data = np.concatenate([p.data.ravel() for p in tensors])
+        data = data - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        for p in tensors:
+            new, data = data[:p.data.size], data[p.data.size:]
+            p.data = new.reshape(p.data.shape).astype(p.data.dtype, copy=False)
+            p.grad = None

@@ -166,6 +166,18 @@ class TestKnnGraph:
                      for a, b in edges}
         assert permuted == relabeled
 
+    def test_ties_break_toward_smaller_index(self):
+        # nodes 1 and 3 are identical, so node 0 is equally far from both
+        x = np.array([[[0.0, 0.0], [1.0, 0.0], [5.0, 5.0], [1.0, 0.0]]])
+        table = gb.neighbor_table(x, 3)[0]
+        assert table[0].tolist() == [1, 3, 2]
+        assert table[1].tolist()[0] == 3 and table[3].tolist()[0] == 1
+        assert gb.neighbor_table(x[:, ::-1].copy(), 3)[0][3].tolist() == [0, 2, 1]
+
+    @pytest.mark.parametrize("x", [[[0.0], [3.0]], [[2.0], [2.0]]])
+    def test_two_nodes_list_each_other(self, x):
+        assert gb.neighbor_table(np.array([x]), 1)[0].tolist() == [[1], [0]]
+
     def test_neighbor_table_matches_single(self, rng):
         xb = rng.standard_normal((3, 6, 4))
         table = gb.neighbor_table(xb, 2)
