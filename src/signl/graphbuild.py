@@ -66,11 +66,9 @@ def neighbor_table(x_batch: np.ndarray, k: int):
     i, j = np.triu_indices(n, 1)  # each pair once: (a-b)**2 has the bits of (b-a)**2
     diff = np.take(x_batch, i, axis=1) - np.take(x_batch, j, axis=1)
     half = np.sqrt(np.square(diff, out=diff).sum(axis=-1))  # (B, N(N-1)/2)
-    dist = np.empty((b, n, n), dtype=half.dtype)
+    dist = np.full((b, n, n), np.inf, dtype=half.dtype)  # the diagonal stays inf
     dist[:, i, j] = half
     dist[:, j, i] = half
-    idx = np.arange(n)
-    dist[:, idx, idx] = np.inf
     order = np.argsort(dist, axis=2, kind="stable")  # stable => index tie-break
     return order[:, :, :k]
 

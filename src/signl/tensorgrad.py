@@ -109,11 +109,15 @@ def _op(data, requires_grad, backward):
 # ---------------------------------------------------------------------------
 # primitives
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def _check_matmul(a: Tensor, b: Tensor):
     if a.data.ndim != 2 or b.data.ndim != 2:
         raise ShapeError("matmul operands must be 2-D")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul inner dims disagree: {a.shape} x {b.shape}")
+
+
+def matmul(a: Tensor, b: Tensor) -> Tensor:
+    _check_matmul(a, b)
 
     def backward(g):
         if a.requires_grad:
@@ -283,10 +287,7 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     differently."""
     if b.data.ndim != 2 or b.shape[0] != 1:
         raise ShapeError(f"bias must be a 1xK row, got {b.shape}")
-    if x.data.ndim != 2 or w.data.ndim != 2:
-        raise ShapeError("matmul operands must be 2-D")
-    if x.shape[1] != w.shape[0]:
-        raise ShapeError(f"matmul inner dims disagree: {x.shape} x {w.shape}")
+    _check_matmul(x, w)
     m = x.shape[0]
     if w.shape[1] != b.shape[1]:
         raise ShapeError(f"add shape mismatch: {(m, w.shape[1])} vs {(m, b.shape[1])}")
