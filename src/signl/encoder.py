@@ -136,12 +136,6 @@ def run_mlp(x: tg.Tensor, store: tg.ParamStore, prefix) -> tg.Tensor:
     return tg.affine(x, store[f"{prefix}.l{i}.w"], store[f"{prefix}.l{i}.b"])
 
 
-def classify(parts, store: tg.ParamStore) -> tg.Tensor:
-    """Logits (B x 2) from the view embeddings that are in use."""
-    x = parts[0] if len(parts) == 1 else tg.concat(parts, axis=1)
-    return run_mlp(x, store, "cls")
-
-
 def softmax_np(logits: np.ndarray) -> np.ndarray:
     shifted = logits - logits.max(axis=-1, keepdims=True)
     e = np.exp(shifted)

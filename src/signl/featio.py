@@ -157,6 +157,13 @@ class SynthConfig:
         for s in SPLITS:
             if s not in self.n_per_split or self.n_per_split[s] < 0:
                 raise ConfigError(f"n_per_split missing or negative for {s!r}")
+        # _plant_artifact needs 2 rows for family 0, 2 frames a half for any, 4 for 2 and up
+        fakes = max(n - n // 2 for n in map(self.n_per_split.get, SPLITS))
+        families = min(fakes, self.n_attack_types)
+        need_t = 8 if families >= 3 else 4
+        if families and (self.F < 2 or self.T < need_t):
+            raise ConfigError(f"{self.F} x {self.T} clips cannot hold the artifacts of "
+                              f"{families} attack families: they need F >= 2 and T >= {need_t}")
 
 
 def _bona_fide_field(rng, f, t):

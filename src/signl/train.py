@@ -4,6 +4,8 @@ Batches are pushed through the encoder together: ``tensorgrad.bmm`` applies
 each clip's normalized adjacency, one slice of a (B, N, N) stack, to that
 clip's N node rows, so a batch is a handful of matmuls instead of per-sample
 Python loops.  The math is identical to encoding each graph separately.
+Every forward reaches the encoder through ``_embed`` (the model's views side by side),
+and every clip through ``load_features``, which checks it against (data.f, data.t).
 A pre-training step encodes both clip halves as one (2B, F, T/2) batch per view.
 A frozen fine-tune encodes each labelled clip once and trains the classifier on those rows.
 Evaluation streams its clips: one EVAL_BATCH chunk of features is in memory at a time.
@@ -27,8 +29,8 @@ from . import encoder as enc
 from . import metrics
 from . import tensorgrad as tg
 from .config import VIEW_MODES, patch_dims
-from .errors import CheckpointError, ConfigError, FormatError
-from .featio import read_feature, sample_limited_labels
+from .errors import CheckpointError, ConfigError
+from .featio import LABELS, read_feature, sample_limited_labels
 from .graphbuild import neighbor_table, patchify, split_pair
 from .seeding import stream
 
@@ -126,19 +128,19 @@ def _view_embed(model, segs, kind, clip_ids=None, spec=None, seed=0, epoch=0, se
     return enc.concat_pool(h, n)
 
 
+def _embed(model, segs, *aug_key):
+    """Every view in ``model.kinds`` of a (S*B, F, T_seg) batch, side by side:
+    the (S*B, views*N*d_L) classifier or projection input.  ``aug_key`` is
+    _view_embed's (clip_ids, spec, seed, epoch, seg_ids); without it no view is augmented."""
+    return tg.concat([_view_embed(model, segs, kind, *aug_key) for kind in model.kinds], axis=1)
+
+
 def _pair_forward(model, mats, clip_ids, spec, seed, epoch):
     """Embeddings and projections (h1, h2, z1, z2) of both halves of a batch of clips."""
     segs = np.concatenate(split_pair(np.stack(mats)))  # halves 1 then 2: (2B, F, T/2)
-    h = tg.concat([_view_embed(model, segs, kind, clip_ids, spec, seed, epoch, "12")
-                   for kind in model.kinds], axis=1)
+    h = _embed(model, segs, clip_ids, spec, seed, epoch, "12")
     b = len(mats)
     return (*tg.split(h, [b, b]), *tg.split(enc.run_mlp(h, model.store, "proj"), [b, b]))
-
-
-def _view_parts(model, mats):
-    """Each in-use view's embedding of a batch's first clip halves, no augmentation."""
-    segs = split_pair(np.stack(mats))[0]
-    return [_view_embed(model, segs, kind) for kind in model.kinds]
 
 
 def _classify_forward(model, mats, clip_ids):
@@ -146,15 +148,15 @@ def _classify_forward(model, mats, clip_ids):
 
     ``clip_ids`` is not read here: it names the batch's clips for perfbench's
     tracer, whose ``_clip_ids`` seam reads it to compute ``encoder.useful_ratio``."""
-    return enc.classify(_view_parts(model, mats), model.store)
+    return enc.run_mlp(_embed(model, split_pair(np.stack(mats))[0]), model.store, "cls")
 
 
 def _embedding_rows(model, feats):
     """clip_id -> its float32 classifier input (views*N*d_L), encoded in EVAL_BATCH chunks."""
     rows = {}
     for chunk in _batches(list(feats), EVAL_BATCH):
-        parts = _view_parts(model, [feats[c] for c in chunk])
-        rows.update(zip(chunk, np.hstack([p.data for p in parts])))
+        h = _embed(model, split_pair(np.stack([feats[c] for c in chunk]))[0])
+        rows.update(zip(chunk, h.data))
     return rows
 
 
@@ -166,28 +168,26 @@ def strip_labels(entries):
     return [(e.clip_id, e.path) for e in entries if e.split == "train"]
 
 
-def load_features(items, data_dir):
-    """clip_id -> F x T values; every clip of one load must have the same shape."""
+def load_features(items, data_dir, shape):
+    """clip_id -> F x T values; ``shape`` is the (data.f, data.t) of the model that
+    takes them, and a clip of any other shape raises ConfigError as it loads."""
     data_dir = os.fspath(data_dir)  # a string join per clip costs less than a pathlib join
-    feats, first = {}, None
+    feats = {}
     for clip_id, rel in items:
         path = os.path.join(data_dir, rel)
         values = read_feature(path)
-        if first is None:
-            first = (path, values.shape)
-        elif values.shape != first[1]:
-            raise FormatError(f"{path}: clip shape {values.shape} differs from "
-                              f"{first[1]} of {first[0]}")
+        if values.shape != shape:
+            raise ConfigError(f"corpus clips such as {clip_id!r} are {values.shape}, "
+                              f"but (data.f, data.t) is {shape}: {path}")
         feats[clip_id] = values
     return feats
 
 
-def _check_clip_shape(model, feats):
-    """Reject a corpus whose clips are not the (data.f, data.t) the model is built for."""
-    clip_id, values = next(iter(feats.items()))
-    if values.shape != model.clip_shape:
-        raise ConfigError(f"corpus clips such as {clip_id!r} are {values.shape}, "
-                          f"but (data.f, data.t) is {model.clip_shape}")
+def _check_both_labels(entries, split):
+    """Raise ConfigError unless ``entries`` hold both labels, as ``split``'s EER needs."""
+    missing = [label for label in LABELS if label not in {e.label for e in entries}]
+    if missing:
+        raise ConfigError(f"split {split!r} holds no {missing[0]!r} clips, but its EER needs both")
 
 
 def _batches(ids, batch_size):
@@ -288,8 +288,7 @@ def pretrain(cfg, clips, data_dir, out_dir):
     spec.validate()
     tau = cfg["train.temperature"]
     model = build_model(cfg, head="proj")
-    feats = load_features(clips, data_dir)
-    _check_clip_shape(model, feats)
+    feats = load_features(clips, data_dir, model.clip_shape)
     ids = [cid for cid, _ in clips]
 
     order = stream(seed, "holdout").permutation(len(ids))
@@ -341,9 +340,9 @@ def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):
         raise ConfigError("fine-tuning requires labeled train entries")
     if not dev_entries:
         raise ConfigError("fine-tuning requires labeled dev entries")
+    _check_both_labels(dev_entries, "dev")
     used = train_entries + dev_entries  # the eval split is never read here
-    feats = load_features([(e.clip_id, e.path) for e in used], data_dir)
-    _check_clip_shape(model, feats)
+    feats = load_features([(e.clip_id, e.path) for e in used], data_dir, model.clip_shape)
     labels = {e.clip_id: 1 if e.label == "bonafide" else 0 for e in used}
     # a frozen encoder's embedding of a clip never changes: encode each clip once
     rows = _embedding_rows(model, feats) if cfg["train.freeze_encoders"] else None
@@ -351,8 +350,8 @@ def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):
     def logits(ids):
         if rows is None:
             return _classify_forward(model, [feats[c] for c in ids], ids)
-        return enc.classify([tg.Tensor._wrap(np.stack([rows[c] for c in ids]), False)],
-                            model.store)
+        return enc.run_mlp(tg.Tensor._wrap(np.stack([rows[c] for c in ids]), False),
+                           model.store, "cls")
 
     def batch_loss(batch, epoch):
         return metrics.cross_entropy(logits(batch), [labels[c] for c in batch])
@@ -379,13 +378,11 @@ def evaluate(model, entries, data_dir):
     Clips are read, shape-checked and scored one EVAL_BATCH chunk at a time, so
     memory holds one chunk of features whatever the size of the eval split."""
     rows = [e for e in entries if e.split == "eval"]
-    if not rows:
-        raise ConfigError("no entries in split 'eval'")
+    _check_both_labels(rows, "eval")
     paths = {e.clip_id: e.path for e in rows}
 
     def logits(ids):
-        feats = load_features([(c, paths[c]) for c in ids], data_dir)
-        _check_clip_shape(model, feats)
+        feats = load_features([(c, paths[c]) for c in ids], data_dir, model.clip_shape)
         return _classify_forward(model, list(feats.values()), ids)
 
     score_set = score_entries(rows, logits)
@@ -403,6 +400,5 @@ def collapse_pair_forward(model):
     """Callable for metrics.collapse_report: clip matrix -> (h1, h2, z1, z2)."""
     def forward(sample):
         clip_id, values = sample
-        _check_clip_shape(model, {clip_id: values})
         return tuple(t.data[0] for t in _pair_forward(model, [values], [clip_id], None, 0, 0))
     return forward

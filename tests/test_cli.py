@@ -317,9 +317,16 @@ class TestErrors:
         ("pretrain", [], None, "nul", "path 'x\\x00.sigf' holds a NUL character"),
         ("sample-labels", [], None, "nul", "path 'x\\x00.sigf' holds a NUL character"),
         ("gen-data", ["data.n_attack_types=0"], None, None, "n_attack_types must be >= 1"),
+        ("gen-data", ["data.f=2", "data.t=4", "graph.n=2", "graph.k=1",
+                      "data.n_attack_types=3", "data.n_train=20"], None, None,
+         "2 x 4 clips cannot hold the artifacts of 3 attack families"),
+        ("finetune", ["train.skip_pretrain=true"], None, "dev bonafide only",
+         "split 'dev' holds no 'fake' clips"),
+        ("eval", [], ("cls", []), "eval bonafide only", "split 'eval' holds no 'fake' clips"),
     ], ids=["pretrain-shape", "finetune-shape", "eval-shape", "collapse-shape",
             "ablation-grid-shape", "pretrain-truncated-sigf", "finetune-incompatible-checkpoint",
-            "pretrain-nul-path", "sample-labels-nul-path", "gen-data-synth-config"])
+            "pretrain-nul-path", "sample-labels-nul-path", "gen-data-synth-config",
+            "gen-data-narrow-clips", "finetune-single-label-dev", "eval-single-label-eval"])
     def test_input_error_inside_a_verb_exits_1_leaving_out_as_it_was(
             self, base_cfg, tmp_path, capsys, verb, settings, checkpoint_of, edit, message):
         out = tmp_path / "runs"
@@ -333,6 +340,13 @@ class TestErrors:
             with open(corpus / "manifest.jsonl", "a") as fh:
                 fh.write(json.dumps({"path": "x\0.sigf", "label": "bonafide",
                                      "attack_id": "-", "split": "train"}) + "\n")
+        if edit is not None and edit.endswith("bonafide only"):
+            split = edit.split()[0]
+            manifest = corpus / "manifest.jsonl"
+            rows = [json.loads(line) for line in manifest.read_text().splitlines()]
+            manifest.write_text("".join(json.dumps(r) + "\n" for r in rows
+                                        if r["split"] != split or r["label"] == "bonafide"))
+        corpus_before = tree(corpus)
         ck = tmp_path / "model.sigc"
         if checkpoint_of is not None:
             head, extra = checkpoint_of
@@ -345,6 +359,7 @@ class TestErrors:
         assert code == 1
         assert message.format(checkpoint=ck) in err
         assert tree(out) == before
+        assert tree(corpus) == corpus_before
 
     def test_input_error_removes_the_out_directories_it_made(self, base_cfg, tmp_path,
                                                              capsys):

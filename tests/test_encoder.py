@@ -193,14 +193,12 @@ class TestHeads:
         assert enc.run_mlp(tg.concat([h_t, h_s], axis=1), store, "proj").shape == (3, 80)
 
     def test_classifier_two_logits_and_view_modes(self, rng):
+        # the classifier head reads one view's embedding, or two side by side
         store = tg.ParamStore()
         enc.init_mlp(store, "cls", [8, 6, 4, 2], rng)
-        part = tg.Tensor(rng.standard_normal((2, 8)).astype(np.float32))
-        assert enc.classify([part], store).shape == (2, 2)
-        half = tg.Tensor(rng.standard_normal((2, 4)).astype(np.float32))
-        store2 = tg.ParamStore()
-        enc.init_mlp(store2, "cls", [8, 6, 4, 2], rng)
-        assert enc.classify([half, half], store2).shape == (2, 2)
+        for views in (1, 2):
+            parts = [tg.Tensor(rng.standard_normal((2, 8 // views)).astype(np.float32))] * views
+            assert enc.run_mlp(tg.concat(parts, axis=1), store, "cls").shape == (2, 2)
 
     def test_softmax_values(self):
         assert np.allclose(enc.softmax_np(np.array([[0.0, 0.0]])), [[0.5, 0.5]])

@@ -412,6 +412,30 @@ class TestSynthCorpus:
         with pytest.raises(featio.ConfigError):
             featio.SynthConfig(n_per_split={"train": 4}).validate()
 
+    @settings(max_examples=200, deadline=None)
+    @given(f=st.integers(1, 8), t=st.integers(1, 11), attack_types=st.integers(1, 4),
+           sizes=st.lists(st.integers(0, 6), min_size=3, max_size=3))
+    def test_narrow_clips_rejected_before_any_file_or_generated(self, f, t, attack_types,
+                                                                sizes):
+        cfg = featio.SynthConfig(F=f, T=t, n_per_split=dict(zip(featio.SPLITS, sizes)),
+                                 n_attack_types=attack_types)
+        with tempfile.TemporaryDirectory() as scratch:
+            out = Path(scratch) / "corpus"
+            try:
+                entries = featio.gen_synthetic(cfg, out)
+            except featio.ConfigError:
+                assert not out.exists()
+            else:
+                assert len(entries) == sum(sizes)
+
+    @pytest.mark.parametrize("f, t, attack_types", [(2, 4, 2), (2, 8, 3)])
+    def test_narrowest_accepted_clips(self, tmp_path, f, t, attack_types):
+        sizes = {"train": 6, "dev": 2, "eval": 0}
+        entries = featio.gen_synthetic(featio.SynthConfig(F=f, T=t, n_per_split=sizes,
+                                                          n_attack_types=attack_types),
+                                       tmp_path)
+        assert {e.attack_id for e in entries} == {"-", *(f"A{i:02d}" for i in range(attack_types))}
+
 
 class TestLimitedLabels:
     def _manifest(self, n_bona, n_fake, n_attacks=2, split="train"):

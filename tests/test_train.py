@@ -145,6 +145,15 @@ class TestFinetune:
             train.finetune(_finetune_cfg(tiny_cfg), no_dev, root, tmp_path)
         assert not (tmp_path / "finetune_trace.jsonl").exists()  # no epoch started
 
+    @pytest.mark.parametrize("missing", ["bonafide", "fake"])
+    def test_single_label_dev_split_rejected_before_any_clip_is_read(self, tiny_corpus,
+                                                                     tiny_cfg, tmp_path, missing):
+        _, entries = tiny_corpus
+        one_label = [e for e in entries if e.split != "dev" or e.label != missing]
+        with pytest.raises(ConfigError, match=f"split 'dev' holds no '{missing}' clips"):
+            train.finetune(_finetune_cfg(tiny_cfg), one_label, tmp_path / "no-corpus", tmp_path)
+        assert not (tmp_path / "finetune_trace.jsonl").exists()
+
     def test_missing_checkpoint_rejected(self, tiny_corpus, tiny_cfg, tmp_path):
         root, entries = tiny_corpus
         cfg = _finetune_cfg(tiny_cfg, **{"train.skip_pretrain": False})
@@ -267,18 +276,18 @@ class TestFrozenEmbeddingCache:
         model = train.build_model({**tiny_cfg, "train.seed": 3}, head="cls")
         ids = [e.clip_id for e in self._labelled(entries)]
         feats = train.load_features([(e.clip_id, e.path) for e in self._labelled(entries)],
-                                    root)
+                                    root, model.clip_shape)
         monkeypatch.setattr(train, "EVAL_BATCH", eval_batch)
         rows = train._embedding_rows(model, feats)
         assert list(rows) == ids
 
         inputs = []
-        classify = enc.classify
+        run_mlp = enc.run_mlp
 
-        def recorded(parts, store):
-            inputs.append(tg.concat(parts, axis=1).data)
-            return classify(parts, store)
-        monkeypatch.setattr(enc, "classify", recorded)
+        def recorded(x, store, prefix):
+            inputs.append(x.data)
+            return run_mlp(x, store, prefix)
+        monkeypatch.setattr(enc, "run_mlp", recorded)
         for batch in train._batches(ids, live_batch):
             train._classify_forward(model, [feats[c] for c in batch], batch)
         live = np.concatenate(inputs)
@@ -520,15 +529,15 @@ class TestEvaluate:
         monkeypatch.setattr(train, "EVAL_BATCH", 6)  # 20 eval clips: chunks of 6, 6, 6, 2
         rows = [e for e in entries if e.split == "eval"]
         # the whole-split algorithm: load every eval clip, then score
-        feats = train.load_features([(e.clip_id, e.path) for e in rows], root)
+        feats = train.load_features([(e.clip_id, e.path) for e in rows], root, model.clip_shape)
         expected = train.score_entries(
             rows, lambda ids: train._classify_forward(model, [feats[c] for c in ids], ids))
         loads = []
         load = train.load_features
 
-        def counted(items, data_dir):
+        def counted(items, data_dir, shape):
             loads.append([clip_id for clip_id, _ in items])
-            return load(items, data_dir)
+            return load(items, data_dir, shape)
 
         monkeypatch.setattr(train, "load_features", counted)
         scores, report = train.evaluate(model, entries, root)
@@ -537,20 +546,13 @@ class TestEvaluate:
         assert scores.entries == expected.entries
         assert report.eer == metrics.compute_eer(expected).eer
 
-    @pytest.mark.parametrize("eval_batch, error", [(19, ConfigError),
-                                                   (6, featio.FormatError)])
-    def test_other_shape_in_the_last_chunk_rejected(self, tiny_corpus, tiny_cfg, tmp_path,
-                                                    monkeypatch, eval_batch, error):
-        # alone in its chunk the odd clip fails the model's shape check; beside
-        # another clip it fails load_features' check that a chunk has one shape
-        root, entries = tiny_corpus
-        corpus = tmp_path / "corpus"
-        shutil.copytree(root, corpus)
-        odd = [e for e in entries if e.split == "eval"][-1]
-        featio.write_feature(np.zeros((32, 30)), corpus / odd.path)
-        monkeypatch.setattr(train, "EVAL_BATCH", eval_batch)
-        with pytest.raises(error, match=odd.clip_id):
-            train.evaluate(train.build_model(tiny_cfg, head="cls"), entries, corpus)
+    def test_single_label_split_rejected_before_any_clip_is_read(self, tiny_corpus,
+                                                                 tiny_cfg, tmp_path):
+        _, entries = tiny_corpus
+        no_fakes = [e for e in entries if e.split != "eval" or e.label == "bonafide"]
+        model = train.build_model(tiny_cfg, head="cls")
+        with pytest.raises(ConfigError, match="split 'eval' holds no 'fake' clips"):
+            train.evaluate(model, no_fakes, tmp_path / "no-corpus")
 
 
 class TestClipShape:
@@ -565,27 +567,45 @@ class TestClipShape:
         with pytest.raises(ConfigError, match=_SHAPE_MISMATCH):
             train.evaluate(model, entries, root)
 
-    def test_collapse_forward_rejects_other_shape(self, tiny_corpus):
+    @pytest.fixture(scope="class")
+    def corpus_copy(self, tiny_corpus, tmp_path_factory):
         root, entries = tiny_corpus
-        model = train.build_model(cfgmod.defaults(), head="proj")
-        feats = train.load_features(train.strip_labels(entries)[:1], root)
-        with pytest.raises(ConfigError, match=_SHAPE_MISMATCH):
-            train.collapse_pair_forward(model)(next(iter(feats.items())))
-
-
-class TestLoadFeatures:
-    def test_clip_of_another_shape_rejected_naming_both(self, tiny_corpus, tmp_path):
-        root, entries = tiny_corpus
-        corpus = tmp_path / "corpus"
+        corpus = tmp_path_factory.mktemp("odd-clip") / "corpus"
         shutil.copytree(root, corpus)
-        clips = train.strip_labels(entries)
-        _, odd_path = clips[3]
-        featio.write_feature(np.zeros((32, 30)), corpus / odd_path)
-        with pytest.raises(featio.FormatError) as err:
-            train.load_features(clips, corpus)
-        assert str(corpus / odd_path) in str(err.value)
-        assert str(corpus / clips[0][1]) in str(err.value)
-        assert "(32, 30)" in str(err.value) and "(32, 32)" in str(err.value)
+        return corpus, entries
+
+    @pytest.mark.parametrize("split", ["train", "dev", "eval"])
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), eval_batch=st.integers(1, 24))
+    def test_one_odd_clip_raises_one_error_wherever_it_falls(self, corpus_copy, tiny_cfg,
+                                                            tmp_path, monkeypatch, split,
+                                                            data, eval_batch):
+        corpus, entries = corpus_copy
+        odd = data.draw(st.sampled_from([e for e in entries if e.split == split]))
+        path = corpus / odd.path
+        expected = (f"corpus clips such as {odd.clip_id!r} are (32, 30), "
+                    f"but (data.f, data.t) is (32, 32): {path}")
+        monkeypatch.setattr(train, "EVAL_BATCH", eval_batch)
+        calls = {
+            "pretrain": lambda: train.pretrain(_pretrain_cfg(tiny_cfg),
+                                               train.strip_labels(entries), corpus, tmp_path),
+            "finetune": lambda: train.finetune(_finetune_cfg(tiny_cfg), entries, corpus,
+                                               tmp_path),
+            "evaluate": lambda: train.evaluate(train.build_model(tiny_cfg, head="cls"),
+                                               entries, corpus),
+        }
+        readers = {"train": ["pretrain", "finetune"], "dev": ["finetune"],
+                   "eval": ["evaluate"]}[split]
+        original = path.read_bytes()
+        featio.write_feature(np.zeros((32, 30)), path)
+        try:
+            for name in readers:
+                with pytest.raises(ConfigError) as err:
+                    calls[name]()
+                assert str(err.value) == expected, name
+        finally:
+            path.write_bytes(original)
 
 
 class TestBuildModel:
@@ -631,7 +651,7 @@ class TestLoadModel:
         path, _ = train.pretrain(cfg, train.strip_labels(entries), root, tmp_path)
         model = train.load_model(cfg, path, head="proj")
         clips = train.strip_labels(entries)[:4]
-        feats = train.load_features(clips, root)
+        feats = train.load_features(clips, root, model.clip_shape)
         forward = train.collapse_pair_forward(model)
         h1, h2, z1, z2 = forward(next(iter(feats.items())))
         assert h1.shape == h2.shape
