@@ -546,6 +546,20 @@ class TestEvaluate:
         assert scores.entries == expected.entries
         assert report.eer == metrics.compute_eer(expected).eer
 
+    @pytest.mark.parametrize("eval_batch, error", [(19, ConfigError), (6, ConfigError)])
+    def test_other_shape_in_the_last_chunk_rejected(self, tiny_corpus, tiny_cfg, tmp_path,
+                                                    monkeypatch, eval_batch, error):
+        # alone in its chunk or beside other clips, the odd clip fails the one
+        # shape check in load_features
+        root, entries = tiny_corpus
+        corpus = tmp_path / "corpus"
+        shutil.copytree(root, corpus)
+        odd = [e for e in entries if e.split == "eval"][-1]
+        featio.write_feature(np.zeros((32, 30)), corpus / odd.path)
+        monkeypatch.setattr(train, "EVAL_BATCH", eval_batch)
+        with pytest.raises(error, match=odd.clip_id):
+            train.evaluate(train.build_model(tiny_cfg, head="cls"), entries, corpus)
+
     def test_single_label_split_rejected_before_any_clip_is_read(self, tiny_corpus,
                                                                  tiny_cfg, tmp_path):
         _, entries = tiny_corpus
