@@ -129,8 +129,7 @@ def cmd_collapse(cfg, run):
     if not clips:
         raise ConfigError("the collapse diagnostic requires a non-empty train split")
     model = train.load_model(cfg, checkpoint, head="proj")
-    feats = train.load_features(clips, cfg["data.dir"], model.clip_shape)
-    samples = [(cid, feats[cid]) for cid, _ in clips]
+    samples = list(train.load_split(clips, cfg["data.dir"], model.clip_shape).items())
     report = metrics.collapse_report(train.collapse_pair_forward(model), samples)
     (run / "collapse.json").write_text(json.dumps(report))
     print(f"pair similarity before projection {report['before']:.4f}, "

@@ -2,8 +2,10 @@
 
 File format (SIGF, little-endian): 4-byte magic ``SIGF``, u16 version=1,
 u32 F, u32 T, then F*T float32 values row-major with frequency as rows.
-``read_feature`` returns that F x T float32 array, its payload read once,
-unbuffered, straight into the array; clip ids live in the manifest.
+``read_feature`` is the one SIGF parser.  It reads a file into a new float32
+array, checked to be finite, or, with one ``os.readv`` of header and payload,
+into a row of a caller's (B, F, T) chunk, whose finiteness the caller checks
+once for the whole chunk.  Clip ids live in the manifest.
 Manifests are JSON lines with fields path/label/attack_id/split.
 Malformed files and lines raise ``errors.FormatError``, which names the file
 (and line), so ``signl`` exits 1 on them.
@@ -11,9 +13,11 @@ Malformed files and lines raise ``errors.FormatError``, which names the file
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
+import stat
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -69,14 +73,45 @@ def write_feature(values, path):
         fh.write(values.astype("<f4").tobytes())
 
 
-def read_feature(path) -> np.ndarray:
+def _fill(fd, buffers, size):
+    """Read ``fd`` into ``buffers``, which hold ``size`` bytes, in order, resuming
+    short reads: the bytes read, fewer than ``size`` only at the end of the file."""
+    got = os.readv(fd, buffers)
+    while 0 < got < size:
+        rest, skip = [], got
+        for view in map(memoryview, buffers):
+            if skip < view.nbytes:
+                rest.append(view.cast("B")[skip:])
+            skip = max(0, skip - view.nbytes)
+        n = os.readv(fd, rest)
+        if not n:
+            break
+        got += n
+    return got
+
+
+def read_feature(path, out=None) -> np.ndarray:
     """The F x T float32 matrix of a SIGF file.
 
-    The header is checked against the file's size first; the payload is then
-    read once, unbuffered, straight into the returned array."""
-    with open(path, "rb", buffering=0) as fh:
-        header = fh.read(_HEADER.size)
-        if len(header) < _HEADER.size:
+    The magic, the version and the header's size against the file's are
+    checked before anything is allocated from header values, and short reads
+    are resumed.  Without ``out`` the header is read, then the payload into a
+    new array, which is checked to be finite.  ``out`` is an F x T float32 row,
+    say of a (B, F, T) chunk: one ``os.readv`` fills the header and ``out``,
+    which is returned when the file has its shape, its finiteness left to the
+    caller's one check over the chunk; a file of another shape is read again
+    as without ``out``."""
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        info = os.fstat(fd)
+        if stat.S_ISDIR(info.st_mode):  # os.open opens a directory, and readv names no file
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+        header = bytearray(_HEADER.size)
+        if out is None:
+            got = _fill(fd, [header], _HEADER.size)
+        else:
+            got = _fill(fd, [header, out], _HEADER.size + out.nbytes)
+        if got < _HEADER.size:
             raise FormatError(f"{path}: truncated header")
         magic, version, f, t = _HEADER.unpack(header)
         if magic != SIGF_MAGIC:
@@ -84,21 +119,23 @@ def read_feature(path) -> np.ndarray:
         if version != SIGF_VERSION:
             raise FormatError(f"{path}: unsupported version {version}")
         # sized against the file before anything is allocated: a header can claim 2**66 bytes
-        extra = os.fstat(fh.fileno()).st_size - _HEADER.size - 4 * f * t
+        extra = info.st_size - _HEADER.size - 4 * f * t
         if extra < 0:
             raise FormatError(f"{path}: truncated payload")
         if extra:
             raise FormatError(f"{path}: {extra} bytes after the payload")
-        values = np.empty((f, t), "<f4")
-        got = fh.readinto(values)
-        while got < values.nbytes:  # one read returns at most about 2 GiB
-            n = fh.readinto(values.reshape(-1).view(np.uint8)[got:])
-            if not n:  # the file shrank after fstat
-                raise FormatError(f"{path}: truncated payload")
-            got += n
-    if not np.isfinite(values).all():
+        fresh = out is None or out.shape != (f, t)
+        if fresh:
+            out = np.empty((f, t), "<f4")
+            os.lseek(fd, _HEADER.size, os.SEEK_SET)
+            got = _HEADER.size + _fill(fd, [out], out.nbytes)
+        if got < _HEADER.size + out.nbytes:  # the file shrank after fstat
+            raise FormatError(f"{path}: truncated payload")
+    finally:
+        os.close(fd)
+    if fresh and not np.isfinite(out).all():
         raise FormatError(f"{path}: non-finite values")
-    return values
+    return out
 
 
 def write_manifest(entries, path):

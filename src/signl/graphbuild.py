@@ -6,6 +6,7 @@ The kernels are batched: leading axes of the inputs are batch axes, and
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,6 +54,14 @@ def patchify(values: np.ndarray, n: int, kind: str):
     raise ConfigError(f"unknown patch kind {kind!r}")
 
 
+@functools.lru_cache(maxsize=None)
+def _pairs(n):
+    """Row and column indices of the upper triangle of an n x n matrix, built once per n."""
+    i, j = np.triu_indices(n, 1)
+    i.flags.writeable = j.flags.writeable = False
+    return i, j
+
+
 def neighbor_table(x_batch: np.ndarray, k: int):
     """Batched k-NN: (B, N, D) features -> (B, N, K) neighbor indices.
 
@@ -63,7 +72,7 @@ def neighbor_table(x_batch: np.ndarray, k: int):
     b, n, _ = x_batch.shape
     if not 1 <= k <= n - 1:
         raise ConfigError(f"K={k} out of range for {n} nodes")
-    i, j = np.triu_indices(n, 1)  # each pair once: (a-b)**2 has the bits of (b-a)**2
+    i, j = _pairs(n)  # each pair once: (a-b)**2 has the bits of (b-a)**2
     diff = np.take(x_batch, i, axis=1) - np.take(x_batch, j, axis=1)
     half = np.sqrt(np.square(diff, out=diff).sum(axis=-1))  # (B, N(N-1)/2)
     dist = np.full((b, n, n), np.inf, dtype=half.dtype)  # the diagonal stays inf

@@ -5,10 +5,12 @@ each clip's normalized adjacency, one slice of a (B, N, N) stack, to that
 clip's N node rows, so a batch is a handful of matmuls instead of per-sample
 Python loops.  The math is identical to encoding each graph separately.
 Every forward reaches the encoder through ``_embed`` (the model's views side by side),
-and every clip through ``load_features``, which checks it against (data.f, data.t).
+and every clip through ``load_features``, which reads a chunk of clips into one
+(B, F, T) array, checks each against (data.f, data.t) and the chunk's finiteness once.
+Whole splits load in EVAL_BATCH chunks; each clip's matrix is a row of its chunk.
 A pre-training step encodes both clip halves as one (2B, F, T/2) batch per view.
 A frozen fine-tune encodes each labelled clip once and trains the classifier on those rows.
-Evaluation streams its clips: one EVAL_BATCH chunk of features is in memory at a time.
+Evaluation streams its clips: one EVAL_BATCH chunk array is read and scored at a time.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from . import encoder as enc
 from . import metrics
 from . import tensorgrad as tg
 from .config import VIEW_MODES, patch_dims
-from .errors import CheckpointError, ConfigError
+from .errors import CheckpointError, ConfigError, FormatError, InputError
 from .featio import LABELS, read_feature, sample_limited_labels
 from .graphbuild import neighbor_table, patchify, split_pair
 from .seeding import stream
@@ -144,19 +146,20 @@ def _pair_forward(model, mats, clip_ids, spec, seed, epoch):
 
 
 def _classify_forward(model, mats, clip_ids):
-    """Logits for a batch using the first clip half, no augmentation.
+    """Logits for a (B, F, T) array or list of clips using the first clip half, no
+    augmentation; an array is encoded in place.
 
     ``clip_ids`` is not read here: it names the batch's clips for perfbench's
     tracer, whose ``_clip_ids`` seam reads it to compute ``encoder.useful_ratio``."""
-    return enc.run_mlp(_embed(model, split_pair(np.stack(mats))[0]), model.store, "cls")
+    return enc.run_mlp(_embed(model, split_pair(np.asarray(mats))[0]), model.store, "cls")
 
 
-def _embedding_rows(model, feats):
-    """clip_id -> its float32 classifier input (views*N*d_L), encoded in EVAL_BATCH chunks."""
+def _embedding_rows(model, chunks):
+    """clip_id -> its float32 classifier input (views*N*d_L), one forward per
+    (clip ids, (B, F, T) array) chunk, as ``load_chunks`` yields them."""
     rows = {}
-    for chunk in _batches(list(feats), EVAL_BATCH):
-        h = _embed(model, split_pair(np.stack([feats[c] for c in chunk]))[0])
-        rows.update(zip(chunk, h.data))
+    for ids, mats in chunks:
+        rows.update(zip(ids, _embed(model, split_pair(mats)[0]).data))
     return rows
 
 
@@ -169,18 +172,49 @@ def strip_labels(entries):
 
 
 def load_features(items, data_dir, shape):
-    """clip_id -> F x T values; ``shape`` is the (data.f, data.t) of the model that
-    takes them, and a clip of any other shape raises ConfigError as it loads."""
+    """The (len(items), F, T) float32 array of the (clip_id, relative path) ``items``,
+    in order; ``shape`` is the (data.f, data.t) of the model that takes them.
+
+    Each file is read straight into its row.  A clip of another shape raises
+    ConfigError as it loads, and one finiteness check covers the whole chunk, so
+    the error of a bad clip is raised only once no earlier clip is non-finite:
+    the first bad clip in item order is the one named."""
     data_dir = os.fspath(data_dir)  # a string join per clip costs less than a pathlib join
-    feats = {}
-    for clip_id, rel in items:
+    mats = np.empty((len(items), *shape), np.float32)
+    for i, (clip_id, rel) in enumerate(items):
         path = os.path.join(data_dir, rel)
-        values = read_feature(path)
-        if values.shape != shape:
-            raise ConfigError(f"corpus clips such as {clip_id!r} are {values.shape}, "
-                              f"but (data.f, data.t) is {shape}: {path}")
-        feats[clip_id] = values
-    return feats
+        try:
+            values = read_feature(path, mats[i])
+            if values.shape != shape:
+                raise ConfigError(f"corpus clips such as {clip_id!r} are {values.shape}, "
+                                  f"but (data.f, data.t) is {shape}: {path}")
+        except (OSError, InputError):  # an earlier non-finite clip is the first bad one
+            _check_finite(mats[:i], items, data_dir)
+            raise
+    _check_finite(mats, items, data_dir)
+    return mats
+
+
+def _check_finite(mats, items, data_dir):
+    """Raise FormatError naming the first clip whose row of ``mats`` is not finite."""
+    finite = np.isfinite(mats)
+    if not finite.all():
+        first = int(np.argmin(finite.reshape(len(mats), -1).all(axis=1)))
+        path = os.path.join(data_dir, items[first][1])
+        raise FormatError(f"{path}: non-finite values") from None
+
+
+def load_chunks(items, data_dir, shape):
+    """(clip ids, load_features array) for each EVAL_BATCH chunk of ``items``."""
+    for chunk in _batches(items, EVAL_BATCH):
+        yield [clip_id for clip_id, _ in chunk], load_features(chunk, data_dir, shape)
+
+
+def load_split(items, data_dir, shape):
+    """clip_id -> F x T matrix of every item, read by ``load_chunks``: each matrix is a
+    row of its chunk's array, so no array larger than a chunk is allocated."""
+    return {clip_id: row for ids, mats in load_chunks(items, data_dir, shape)
+            for clip_id, row in zip(ids, mats)}
 
 
 def _check_both_labels(entries, split):
@@ -288,7 +322,7 @@ def pretrain(cfg, clips, data_dir, out_dir):
     spec.validate()
     tau = cfg["train.temperature"]
     model = build_model(cfg, head="proj")
-    feats = load_features(clips, data_dir, model.clip_shape)
+    feats = load_split(clips, data_dir, model.clip_shape)
     ids = [cid for cid, _ in clips]
 
     order = stream(seed, "holdout").permutation(len(ids))
@@ -342,10 +376,14 @@ def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):
         raise ConfigError("fine-tuning requires labeled dev entries")
     _check_both_labels(dev_entries, "dev")
     used = train_entries + dev_entries  # the eval split is never read here
-    feats = load_features([(e.clip_id, e.path) for e in used], data_dir, model.clip_shape)
+    items = [(e.clip_id, e.path) for e in used]
     labels = {e.clip_id: 1 if e.label == "bonafide" else 0 for e in used}
     # a frozen encoder's embedding of a clip never changes: encode each clip once
-    rows = _embedding_rows(model, feats) if cfg["train.freeze_encoders"] else None
+    rows = feats = None
+    if cfg["train.freeze_encoders"]:
+        rows = _embedding_rows(model, load_chunks(items, data_dir, model.clip_shape))
+    else:
+        feats = load_split(items, data_dir, model.clip_shape)
 
     def logits(ids):
         if rows is None:
@@ -375,15 +413,16 @@ def score_entries(entries, logits):
 def evaluate(model, entries, data_dir):
     """Bona-fide probabilities + EER on the eval split.
 
-    Clips are read, shape-checked and scored one EVAL_BATCH chunk at a time, so
-    memory holds one chunk of features whatever the size of the eval split."""
+    Clips are read into one (B, F, T) array, checked and scored one EVAL_BATCH
+    chunk at a time, so memory holds one chunk of features whatever the size of
+    the eval split."""
     rows = [e for e in entries if e.split == "eval"]
     _check_both_labels(rows, "eval")
     paths = {e.clip_id: e.path for e in rows}
 
     def logits(ids):
-        feats = load_features([(c, paths[c]) for c in ids], data_dir, model.clip_shape)
-        return _classify_forward(model, list(feats.values()), ids)
+        mats = load_features([(c, paths[c]) for c in ids], data_dir, model.clip_shape)
+        return _classify_forward(model, mats, ids)
 
     score_set = score_entries(rows, logits)
     return score_set, metrics.compute_eer(score_set)

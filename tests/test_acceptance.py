@@ -213,7 +213,7 @@ class TestCriterion6CollapseDiagnostic:
     def test_similarity_before_and_after_projection(self, desk_corpus, desk_runs):
         root, entries = desk_corpus
         clips = train.strip_labels(entries)[:64]
-        feats = train.load_features(clips, root, (64, 64))  # the desk corpus's F x T
+        feats = train.load_split(clips, root, (64, 64))  # the desk corpus's F x T
         samples = [(cid, feats[cid]) for cid, _ in clips]
         for seed in DESK_SEEDS:
             cfg = config.load(None, overrides=_pre_overrides(seed))

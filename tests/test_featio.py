@@ -1,10 +1,11 @@
 """Feature I/O, manifests, the synthetic corpus, and the limited-label sampler."""
 
-import io
+import itertools
 import json
 import math
 import os
 import re
+import shutil
 import struct
 import tempfile
 from pathlib import Path
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import byte_edits
-from signl import featio
+from signl import featio, train
 
 
 def _fromfile_reader(path):
@@ -68,23 +69,26 @@ def sigf_edits(draw):
     return edit
 
 
-class _ShortReads(io.FileIO):
-    """A raw file whose ``readinto`` returns at most 8 bytes, as a read past ~2 GiB stops short.
+class _ShortReadv:
+    """An ``os.readv`` that fills at most 8 bytes of its first buffer, as a read past
+    ~2 GiB stops short.
 
-    ``payload`` caps the bytes that all ``readinto`` calls return together, as
-    if the file shrank after its size was checked."""
+    ``limit`` caps the bytes that all calls return together, as if the file
+    shrank after its size was checked."""
 
-    def __init__(self, path, mode, payload=None):
-        super().__init__(path, mode)
-        self.payload, self.calls = payload, 0
+    def __init__(self, limit=None):
+        self.limit, self.calls = limit, 0
 
-    def readinto(self, b):
+    def __call__(self, fd, buffers):
         self.calls += 1
-        chunk = self.read(8 if self.payload is None else min(8, self.payload))
-        if self.payload is not None:
-            self.payload -= len(chunk)
-        np.asarray(b).reshape(-1).view(np.uint8)[:len(chunk)] = np.frombuffer(chunk, np.uint8)
-        return len(chunk)
+        want = 8 if self.limit is None else min(8, self.limit)
+        got = _READV(fd, [memoryview(buffers[0]).cast("B")[:want]])
+        if self.limit is not None:
+            self.limit -= got
+        return got
+
+
+_READV = os.readv
 
 
 class TestFeatureIO:
@@ -198,21 +202,15 @@ class TestFeatureIO:
         values = rng.standard_normal((3, 7)).astype(np.float32)
         path = tmp_path / "clip.sigf"
         path.write_bytes(struct.pack("<4sHII", b"SIGF", 1, 3, 7) + values.tobytes())
-        opened = []
-
-        def short_open(p, mode, buffering):
-            opened.append(_ShortReads(p, mode))
-            return opened[-1]
-
-        monkeypatch.setattr(featio, "open", short_open, raising=False)
+        readv = _ShortReadv()
+        monkeypatch.setattr(os, "readv", readv)
         assert featio.read_feature(path).tobytes() == values.tobytes()
-        assert opened[0].calls == 11  # 84 payload bytes, 8 per read
+        assert readv.calls == 13  # 14 header bytes in 2 reads, 84 payload bytes in 11
 
     def test_file_shrinking_after_the_size_check_is_truncation(self, tmp_path, monkeypatch):
         path = tmp_path / "clip.sigf"
         featio.write_feature(np.ones((2, 4)), path)
-        monkeypatch.setattr(featio, "open", lambda p, mode, buffering:
-                            _ShortReads(p, mode, payload=12), raising=False)  # 3 of 8 values
+        monkeypatch.setattr(os, "readv", _ShortReadv(limit=14 + 12))  # 3 of 8 values
         with pytest.raises(featio.FormatError, match="clip.sigf: truncated payload"):
             featio.read_feature(path)
 
@@ -246,6 +244,169 @@ class TestFeatureIO:
         with pytest.raises(featio.FormatError, match="2-D"):
             featio.write_feature(np.zeros(4), path)
         assert not path.exists()
+
+
+def _write_chunk(root, values):
+    """Write each F x T matrix of ``values`` as clip<i>.sigf; the (clip_id, path) items."""
+    items = []
+    for i, matrix in enumerate(values):
+        featio.write_feature(matrix, Path(root) / f"clip{i}.sigf")
+        items.append((f"clip{i}", f"clip{i}.sigf"))
+    return items
+
+
+def _per_clip_loader(items, data_dir, shape):
+    """Per-clip reading as before chunk arrays: each file whole, its finiteness and
+    then its shape checked before the next file is opened; the rows stacked."""
+    rows = []
+    for clip_id, rel in items:
+        path = os.path.join(data_dir, rel)
+        values = _fromfile_reader(path)
+        if values.shape != shape:
+            raise featio.ConfigError(f"corpus clips such as {clip_id!r} are {values.shape}, "
+                                     f"but (data.f, data.t) is {shape}: {path}")
+        rows.append(values)
+    return np.stack(rows)
+
+
+def _outcome(load, items, data_dir, shape):
+    """The loaded bytes, or the class and message of the error raised."""
+    try:
+        mats = load(items, data_dir, shape)
+    except (featio.FormatError, featio.ConfigError, OSError) as exc:
+        return type(exc), str(exc)
+    return mats.dtype.str, mats.shape, mats.tobytes()
+
+
+def _spoil(path, kind):
+    """Make one clip file bad in one way."""
+    f, t = 3, 4
+    if kind == "nan":
+        values = np.ones((f, t), "<f4")
+        values[1, 2] = np.nan
+        path.write_bytes(struct.pack("<4sHII", b"SIGF", 1, f, t) + values.tobytes())
+    elif kind == "truncated":
+        path.write_bytes(path.read_bytes()[:-4])
+    elif kind == "magic":
+        path.write_bytes(b"SIGX" + path.read_bytes()[4:])
+    elif kind == "shape":
+        featio.write_feature(np.zeros((f, t + 1)), path)
+    elif kind == "missing":
+        path.unlink()
+    elif kind == "directory":
+        path.unlink()
+        path.mkdir()
+
+
+class TestChunkReader:
+    """``train.load_features`` reads a chunk of clips into one (B, F, T) array and
+    accepts and rejects exactly what reading the clips one by one did."""
+
+    SHAPE = (3, 4)
+
+    @pytest.fixture
+    def chunk(self, tmp_path, rng):
+        values = rng.standard_normal((5, *self.SHAPE)).astype(np.float32)
+        return tmp_path, _write_chunk(tmp_path, values), values
+
+    @settings(max_examples=300, deadline=None)
+    @given(hnp.arrays(np.float32, st.tuples(st.integers(1, 4), st.integers(0, 4),
+                                            st.integers(0, 4)),
+                      elements=st.floats(width=32, allow_nan=False, allow_infinity=False)),
+           st.integers(0, 3), sigf_edits())
+    def test_one_edited_member_reads_or_fails_as_per_clip_reading(self, values, member, edit):
+        member %= len(values)
+        shape = values.shape[1:]
+        with tempfile.TemporaryDirectory() as tmp:
+            items = _write_chunk(tmp, values)
+            path = os.path.join(tmp, items[member][1])
+            with open(path, "r+b") as fh:
+                edited = edit(fh.read())
+                fh.seek(0)
+                fh.truncate()
+                fh.write(edited)
+            got = _outcome(train.load_features, items, tmp, shape)
+            want = _outcome(_per_clip_loader, items, tmp, shape)
+        assert got == want
+        if len(got) == 2:  # an error, naming the edited member's file
+            assert path in got[1]
+
+    @pytest.mark.parametrize("first, second", itertools.permutations(
+        ["nan", "truncated", "magic", "shape", "missing", "directory"], 2))
+    def test_first_bad_clip_in_item_order_is_named(self, chunk, first, second):
+        root, items, _ = chunk
+        _spoil(root / items[1][1], first)
+        _spoil(root / items[3][1], second)
+        got = _outcome(train.load_features, items, str(root), self.SHAPE)
+        assert got == _outcome(_per_clip_loader, items, str(root), self.SHAPE)
+        assert str(root / items[1][1]) in got[1]
+
+    @pytest.mark.parametrize("bad", [(0,), (2,), (4,), (1, 3), (3, 4)])
+    def test_first_non_finite_clip_is_named(self, chunk, bad):
+        root, items, _ = chunk
+        for i in bad:
+            _spoil(root / items[i][1], "nan")
+        with pytest.raises(featio.FormatError) as info:
+            train.load_features(items, root, self.SHAPE)
+        assert str(info.value) == f"{root / items[bad[0]][1]}: non-finite values"
+
+    @pytest.mark.parametrize("kind, error", [("missing", FileNotFoundError),
+                                             ("directory", IsADirectoryError)])
+    def test_unreadable_file_in_mid_chunk_names_its_path(self, chunk, kind, error):
+        root, items, _ = chunk
+        _spoil(root / items[2][1], kind)
+        with pytest.raises(error) as info:
+            train.load_features(items, root, self.SHAPE)
+        assert info.value.filename == str(root / items[2][1])
+
+    def test_clip_of_another_shape_names_its_clip_id(self, chunk):
+        root, items, _ = chunk
+        _spoil(root / items[4][1], "shape")
+        path = root / items[4][1]
+        with pytest.raises(featio.ConfigError) as info:
+            train.load_features(items, root, self.SHAPE)
+        assert str(info.value) == ("corpus clips such as 'clip4' are (3, 5), "
+                                   f"but (data.f, data.t) is (3, 4): {path}")
+
+    def test_rows_are_the_files_read_once_each(self, chunk, monkeypatch):
+        root, items, values = chunk
+        calls = []
+
+        def counted(path, out=None):
+            calls.append(path)
+            return featio.read_feature(path, out)
+
+        monkeypatch.setattr(train, "read_feature", counted)
+        mats = train.load_features(items, root, self.SHAPE)
+        assert mats.dtype == np.float32 and mats.flags.c_contiguous
+        assert mats.tobytes() == values.tobytes()
+        assert calls == [os.path.join(root, rel) for _, rel in items]
+
+    def test_short_reads_are_resumed(self, chunk, monkeypatch):
+        root, items, values = chunk
+        readv = _ShortReadv()
+        monkeypatch.setattr(os, "readv", readv)
+        assert train.load_features(items, root, self.SHAPE).tobytes() == values.tobytes()
+        assert readv.calls == 5 * 8  # per clip: 14 header bytes in 2 reads, 48 payload in 6
+
+    def test_row_of_the_files_shape_is_filled_and_left_unchecked(self, tmp_path):
+        path = tmp_path / "nan.sigf"
+        _spoil(path, "nan")
+        chunk = np.zeros((2, *self.SHAPE), np.float32)
+        row = chunk[1]
+        assert featio.read_feature(path, row) is row
+        assert np.isnan(chunk[1, 1, 2]) and not chunk[0].any()
+        with pytest.raises(featio.FormatError, match="non-finite values"):
+            featio.read_feature(path)
+
+    def test_file_of_another_shape_is_read_whole(self, tmp_path, rng):
+        values = rng.standard_normal((3, 5)).astype(np.float32)
+        path = tmp_path / "wide.sigf"
+        featio.write_feature(values, path)
+        row = np.zeros(self.SHAPE, np.float32)
+        back = featio.read_feature(path, row)
+        assert back.shape == (3, 5) and back.tobytes() == values.tobytes()
+        assert not np.shares_memory(back, row)
 
 
 class TestManifest:

@@ -3,10 +3,13 @@
 Each ``_ref_*`` function below is the earlier, plainer implementation of a
 shipped kernel, kept verbatim as an oracle: ``neighbor_table`` computed every
 distance twice, temporal ``patchify`` copied a float at a time, ``affine`` was
-matmul + matmul + add, and ``adam_step`` kept per-parameter state.  The
-shipped kernels must give exactly their bits, compared as unsigned-integer
-views, down to whole training runs.
+matmul + matmul + add, ``adam_step`` kept per-parameter state, and
+``load_features`` read each clip into its own array, which every batch
+stacked.  The shipped kernels must give exactly their bits, compared as
+unsigned-integer views, down to whole training runs.
 """
+
+import os
 
 import numpy as np
 import pytest
@@ -15,9 +18,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from signl import config as cfgmod
+from signl import metrics
 from signl import tensorgrad as tg
 from signl import train
 from signl.errors import ConfigError, ContractError, ShapeError
+from signl.featio import read_feature
 from signl.graphbuild import neighbor_table, patchify, split_pair
 
 
@@ -34,6 +39,25 @@ def _ref_neighbor_table(x_batch, k):
     dist[:, idx, idx] = np.inf
     order = np.argsort(dist, axis=2, kind="stable")
     return order[:, :, :k]
+
+
+def _ref_load_features(items, data_dir, shape):
+    data_dir = os.fspath(data_dir)
+    feats = {}
+    for clip_id, rel in items:
+        path = os.path.join(data_dir, rel)
+        values = read_feature(path)
+        if values.shape != shape:
+            raise ConfigError(f"corpus clips such as {clip_id!r} are {values.shape}, "
+                              f"but (data.f, data.t) is {shape}: {path}")
+        feats[clip_id] = values
+    return feats
+
+
+def _ref_load_stacked(items, data_dir, shape):
+    """``_ref_load_features`` in load_features' return form: its clips, stacked."""
+    feats = _ref_load_features(items, data_dir, shape)
+    return np.stack([feats[clip_id] for clip_id, _ in items])
 
 
 def _ref_patchify(values, n, kind):
@@ -305,6 +329,30 @@ class TestAdamOracle:
             tg.adam_step(store, lr=0.1)
 
 
+class TestLoadFeaturesOracle:
+    def test_same_rows(self, tiny_corpus):
+        root, entries = tiny_corpus
+        items = [(e.clip_id, e.path) for e in entries]
+        assert _same_bits(train.load_features(items, root, (32, 32)),
+                          _ref_load_stacked(items, root, (32, 32)))
+
+    def test_evaluate_with_a_short_last_chunk(self, tiny_corpus, tiny_cfg, monkeypatch):
+        root, entries = tiny_corpus
+        model = train.build_model(tiny_cfg, head="cls")
+        monkeypatch.setattr(train, "EVAL_BATCH", 6)  # 20 eval clips: chunks of 6, 6, 6, 2
+        rows = [e for e in entries if e.split == "eval"]
+        feats = _ref_load_features([(e.clip_id, e.path) for e in rows], root, model.clip_shape)
+        expected = train.score_entries(rows, lambda ids: train._classify_forward(
+            model, np.stack([feats[c] for c in ids]), ids))
+        scores, report = train.evaluate(model, entries, root)
+        assert scores.entries == expected.entries
+        assert _same_bits(np.array([s for _, s, _ in scores.entries]),
+                          np.array([s for _, s, _ in expected.entries]))
+        ref = metrics.compute_eer(expected)
+        assert _same_bits(np.array([report.eer, report.threshold]),
+                          np.array([ref.eer, ref.threshold]))
+
+
 # ---------------------------------------------------------------------------
 # whole runs
 
@@ -336,5 +384,7 @@ def test_training_runs_same_bits_as_reference_kernels(tiny_corpus, tmp_path, mon
         mp.setattr(train, "patchify", _ref_patchify)
         mp.setattr(tg, "affine", _ref_affine)
         mp.setattr(tg, "adam_step", _ref_adam_step)
+        mp.setattr(train, "load_split", _ref_load_features)  # pretrain, unfrozen fine-tune
+        mp.setattr(train, "load_features", _ref_load_stacked)  # frozen rows, evaluate
         reference = _tiny_runs(tiny_corpus, tmp_path / "reference")
     assert shipped == reference

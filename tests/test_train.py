@@ -275,10 +275,10 @@ class TestFrozenEmbeddingCache:
         root, entries = tiny_corpus
         model = train.build_model({**tiny_cfg, "train.seed": 3}, head="cls")
         ids = [e.clip_id for e in self._labelled(entries)]
-        feats = train.load_features([(e.clip_id, e.path) for e in self._labelled(entries)],
-                                    root, model.clip_shape)
+        items = [(e.clip_id, e.path) for e in self._labelled(entries)]
+        feats = train.load_split(items, root, model.clip_shape)
         monkeypatch.setattr(train, "EVAL_BATCH", eval_batch)
-        rows = train._embedding_rows(model, feats)
+        rows = train._embedding_rows(model, train.load_chunks(items, root, model.clip_shape))
         assert list(rows) == ids
 
         inputs = []
@@ -529,7 +529,7 @@ class TestEvaluate:
         monkeypatch.setattr(train, "EVAL_BATCH", 6)  # 20 eval clips: chunks of 6, 6, 6, 2
         rows = [e for e in entries if e.split == "eval"]
         # the whole-split algorithm: load every eval clip, then score
-        feats = train.load_features([(e.clip_id, e.path) for e in rows], root, model.clip_shape)
+        feats = train.load_split([(e.clip_id, e.path) for e in rows], root, model.clip_shape)
         expected = train.score_entries(
             rows, lambda ids: train._classify_forward(model, [feats[c] for c in ids], ids))
         loads = []
@@ -665,7 +665,7 @@ class TestLoadModel:
         path, _ = train.pretrain(cfg, train.strip_labels(entries), root, tmp_path)
         model = train.load_model(cfg, path, head="proj")
         clips = train.strip_labels(entries)[:4]
-        feats = train.load_features(clips, root, model.clip_shape)
+        feats = train.load_split(clips, root, model.clip_shape)
         forward = train.collapse_pair_forward(model)
         h1, h2, z1, z2 = forward(next(iter(feats.items())))
         assert h1.shape == h2.shape
