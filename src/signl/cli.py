@@ -27,9 +27,16 @@ from .featio import (SynthConfig, gen_synthetic, read_manifest, sample_limited_l
                      write_manifest)
 
 
+def _require_file(path, what):
+    """``path`` if it names a regular file; a ``UsageError`` otherwise."""
+    if not path or not Path(path).is_file():
+        raise UsageError(f"{what} not found: {path or '(no path given)'}")
+    return path
+
+
 def _load_cfg(args):
-    if args.config is not None and not Path(args.config).is_file():
-        raise UsageError(f"config file not found: {args.config}")
+    if args.config is not None:
+        _require_file(args.config, "config file")
     cfg = config.load(args.config, args.set or ())
     env_seed = os.environ.get("SIGNL_SEED")
     if env_seed is not None:
@@ -62,9 +69,7 @@ def _drop_run_dir(path, made):
 
 def _manifest(cfg):
     path = cfg["data.manifest"] or str(Path(cfg["data.dir"]) / "manifest.jsonl")
-    if not Path(path).exists():
-        raise UsageError(f"manifest not found: {path}")
-    return read_manifest(path)
+    return read_manifest(_require_file(path, "manifest"))
 
 
 def cmd_gen_data(cfg, run):
@@ -100,8 +105,8 @@ def cmd_pretrain(cfg, run):
 def cmd_finetune(cfg, run):
     entries = _manifest(cfg)
     checkpoint = cfg["paths.checkpoint"] or None
-    if checkpoint is not None and not Path(checkpoint).exists():
-        raise UsageError(f"checkpoint not found: {checkpoint}")
+    if checkpoint is not None:
+        _require_file(checkpoint, "checkpoint")
     path, trace, dev_eer = train.finetune(cfg, entries, cfg["data.dir"], run, checkpoint)
     print(f"model: {path} (best dev EER {dev_eer:.4f})")
     return 0
@@ -109,9 +114,7 @@ def cmd_finetune(cfg, run):
 
 def cmd_eval(cfg, run):
     entries = _manifest(cfg)
-    checkpoint = cfg["paths.checkpoint"]
-    if not checkpoint or not Path(checkpoint).exists():
-        raise UsageError(f"checkpoint not found: {checkpoint!r}")
+    checkpoint = _require_file(cfg["paths.checkpoint"], "checkpoint")
     model = train.load_model(cfg, checkpoint, head="cls")
     score_set, report = train.evaluate(model, entries, cfg["data.dir"])
     score_set.to_jsonl(run / "scores.jsonl")
@@ -122,9 +125,7 @@ def cmd_eval(cfg, run):
 
 def cmd_collapse(cfg, run):
     entries = _manifest(cfg)
-    checkpoint = cfg["paths.checkpoint"]
-    if not checkpoint or not Path(checkpoint).exists():
-        raise UsageError(f"checkpoint not found: {checkpoint!r}")
+    checkpoint = _require_file(cfg["paths.checkpoint"], "checkpoint")
     clips = train.strip_labels(entries)[:200]
     if not clips:
         raise ConfigError("the collapse diagnostic requires a non-empty train split")
@@ -158,6 +159,9 @@ def cmd_ablation_grid(cfg, run):
 
 def run_grid(cfg, entries, out_dir):
     """Pretrain + finetune + eval for each of the 8 augmentation combinations."""
+    if cfg["train.skip_pretrain"]:
+        raise ConfigError("ablation-grid pretrains every combination: train.skip_pretrain "
+                          "must be false")
     out_dir = Path(out_dir)
     rows = []
     for name, ed, gn, fm in augment.GRID:

@@ -52,6 +52,8 @@ VIEW_MODES = {"both": ("temporal", "spatial"),
 def _coerce(key, raw):
     typ, _ = SCHEMA[key]
     raw = raw.strip()
+    if typ is str and any(ch in raw for ch in "#\n\r"):  # dump could not write it back
+        raise ConfigError(f"{key}: a value cannot hold '#' or a line break, got {raw!r}")
     if typ is bool:
         if raw.lower() in ("true", "1", "yes"):
             return True
@@ -73,7 +75,13 @@ def defaults() -> dict:
 
 
 def parse_line(line, cfg, where=""):
-    line = line.split("#", 1)[0].strip()
+    """One config-file line: text from "#" on is a comment."""
+    _assign(line.split("#", 1)[0], cfg, where)
+
+
+def _assign(line, cfg, where):
+    """Set one key from ``key = value`` text; blank text sets nothing."""
+    line = line.strip()
     if not line:
         return
     if "=" not in line:
@@ -88,11 +96,11 @@ def load(path=None, overrides=()) -> dict:
     """Config file plus repeatable key=value overrides (overrides win)."""
     cfg = defaults()
     if path is not None:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             for lineno, line in enumerate(fh, 1):
                 parse_line(line, cfg, where=f"{path}:{lineno}")
-    for item in overrides:
-        parse_line(item, cfg, where=f"override {item!r}")
+    for item in overrides:  # an override has no comment: "#" is refused as a value
+        _assign(item, cfg, where=f"override {item!r}")
     validate(cfg)
     return cfg
 
@@ -105,7 +113,7 @@ def validate(cfg):
     if not 0 < cfg["train.label_fraction"] <= 1:
         raise ConfigError("label fraction must be in (0, 1]")
     if cfg["train.view_mode"] not in VIEW_MODES:
-        raise ConfigError(f"view_mode must be one of {tuple(VIEW_MODES)}")
+        raise ConfigError(f"train.view_mode must be one of {tuple(VIEW_MODES)}")
     if cfg["train.temperature"] <= 0:
         raise ConfigError("temperature must be positive")
     if cfg["train.patience"] < 1:
@@ -132,7 +140,7 @@ def patch_dims(cfg):
 
 
 def dump(cfg, path):
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         for key in SCHEMA:
             value = cfg[key]
             if isinstance(value, bool):

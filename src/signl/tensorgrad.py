@@ -5,11 +5,14 @@ Tensors wrap numpy arrays (0-D scalars, 1-D vectors, 2-D matrices); only
 gradient.
 
 One recording rule: every primitive returns its output through ``_op``,
-which, inside an active ``Tape`` and only for an output that needs a
-gradient, appends one (output, backward) pair.  ``Tape.backward`` replays
-the pairs in reverse, hands each output's gradient to its backward rule,
-and skips outputs that got no gradient because they are off the loss's path.
-Each rule accumulates only into inputs that require a gradient.
+with one (input, rule) pair per input, where ``rule(g)`` is that input's
+share of the output gradient ``g``.  ``_op`` alone decides which inputs get
+a gradient: it keeps the pairs whose input requires one, and the output
+requires one if any pair is kept.  Inside an active ``Tape`` it records the
+output with its kept pairs.  ``Tape.backward`` replays the records in
+reverse, skips outputs that got no gradient because they are off the loss's
+path, and accumulates each kept rule's result into its input, in the order
+the primitive gave the pairs.
 
 ``affine`` (x @ w + b) is one primitive with one record.  ``adam_step``
 updates each run of adjacent trainable parameters as one flat array, and
@@ -93,16 +96,19 @@ class Tape:
         if loss.data.size != 1:
             raise ContractError("backward requires a scalar loss")
         loss._accumulate(np.ones_like(loss.data))
-        for out, backward in reversed(self._records):
+        for out, inputs in reversed(self._records):
             if out.grad is not None:  # off the loss's path: nothing to pass back
-                backward(out.grad)
+                for t, rule in inputs:
+                    t._accumulate(rule(out.grad))
 
 
-def _op(data, requires_grad, backward):
-    """Wrap ``data`` as a primitive's output; ``backward(g)`` accumulates each input's share."""
-    out = Tensor._wrap(data, requires_grad)
-    if requires_grad and _TAPE_STACK:
-        _TAPE_STACK[-1]._records.append((out, backward))
+def _op(data, *inputs):
+    """Wrap ``data`` as a primitive's output; ``inputs`` are its (tensor, rule) pairs,
+    of which only those whose tensor requires a gradient are kept and recorded."""
+    kept = [pair for pair in inputs if pair[0].requires_grad]
+    out = Tensor._wrap(data, bool(kept))
+    if kept and _TAPE_STACK:
+        _TAPE_STACK[-1]._records.append((out, kept))
     return out
 
 
@@ -118,14 +124,7 @@ def _check_matmul(a: Tensor, b: Tensor):
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     _check_matmul(a, b)
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return _op(a.data @ b.data, a.requires_grad or b.requires_grad, backward)
+    return _op(a.data @ b.data, (a, lambda g: g @ b.data.T), (b, lambda g: a.data.T @ g))
 
 
 def bmm(s: np.ndarray, h: Tensor) -> Tensor:
@@ -134,17 +133,16 @@ def bmm(s: np.ndarray, h: Tensor) -> Tensor:
             or h.shape[0] != s.shape[0] * s.shape[1]:
         raise ShapeError(f"bmm needs a (B, N, N) stack and (B*N, d) rows: {s.shape} x {h.shape}")
     blocks = (*s.shape[:2], h.shape[1])
-
-    def backward(g):
-        h._accumulate(np.matmul(s.transpose(0, 2, 1), g.reshape(blocks)).reshape(h.shape))
-
-    return _op(np.matmul(s, h.data.reshape(blocks)).reshape(h.shape), h.requires_grad, backward)
+    return _op(np.matmul(s, h.data.reshape(blocks)).reshape(h.shape),
+               (h, lambda g: np.matmul(s.transpose(0, 2, 1), g.reshape(blocks)).reshape(h.shape)))
 
 
 def grouped_matmul(h: Tensor, weights) -> Tensor:
     """Column chunk j of the (M, G*c) ``h`` times weights[j] (c, o), side by side: (M, G*o).
 
-    One ``np.matmul`` over the (G, c, o) stack of the weights serves every group count.
+    One ``np.matmul`` over the (G, c, o) stack of the weights computes the
+    output and ``h``'s gradient; each weight's rule is its own 2-D product
+    ``x[j].T @ g[j]`` of its column chunk and its output chunk.
     """
     shapes = {w.shape for w in weights}
     if h.data.ndim != 2 or len(shapes) != 1 or len(next(iter(shapes))) != 2:
@@ -156,77 +154,60 @@ def grouped_matmul(h: Tensor, weights) -> Tensor:
     w = np.stack([t.data for t in weights])
     x = h.data.reshape(m, g_count, c).transpose(1, 0, 2)  # (G, M, c)
 
-    def backward(g):
-        g = g.reshape(m, g_count, o).transpose(1, 0, 2)
-        if h.requires_grad:
-            h._accumulate(np.matmul(g, w.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(h.shape))
-        if any(t.requires_grad for t in weights):
-            for t, gw in zip(weights, np.matmul(x.transpose(0, 2, 1), g)):
-                if t.requires_grad:
-                    t._accumulate(gw)
+    def groups(g):
+        return g.reshape(m, g_count, o).transpose(1, 0, 2)  # (G, M, o)
+
+    def h_rule(g):
+        return np.matmul(groups(g), w.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(h.shape)
 
     out = np.matmul(x, w).transpose(1, 0, 2).reshape(m, g_count * o)
-    return _op(out, h.requires_grad or any(t.requires_grad for t in weights), backward)
+    return _op(out, (h, h_rule),
+               *((t, lambda g, j=j: x[j].T @ groups(g)[j]) for j, t in enumerate(weights)))
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"add shape mismatch: {a.shape} vs {b.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g)
-        if b.requires_grad:
-            b._accumulate(g)
-
-    return _op(a.data + b.data, a.requires_grad or b.requires_grad, backward)
+    return _op(a.data + b.data, (a, lambda g: g), (b, lambda g: g))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape != b.shape:
         raise ShapeError(f"mul shape mismatch: {a.shape} vs {b.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g * b.data)
-        if b.requires_grad:
-            b._accumulate(g * a.data)
-
-    return _op(a.data * b.data, a.requires_grad or b.requires_grad, backward)
+    return _op(a.data * b.data, (a, lambda g: g * b.data), (b, lambda g: g * a.data))
 
 
 def scale(a: Tensor, s: float) -> Tensor:
     s = float(s)
-    return _op(a.data * s, a.requires_grad, lambda g: a._accumulate(g * s))
+    return _op(a.data * s, (a, lambda g: g * s))
 
 
 def relu(a: Tensor) -> Tensor:
     # gradient at exactly 0 is defined as 0
-    return _op(np.maximum(a.data, 0), a.requires_grad, lambda g: a._accumulate(g * (a.data > 0)))
+    return _op(np.maximum(a.data, 0), (a, lambda g: g * (a.data > 0)))
 
 
 def sqrt(a: Tensor) -> Tensor:
     if np.any(a.data <= 0):
         raise ValueError("sqrt requires strictly positive inputs")
     r = np.sqrt(a.data)
-    return _op(r, a.requires_grad, lambda g: a._accumulate(g * 0.5 / r))
+    return _op(r, (a, lambda g: g * 0.5 / r))
 
 
 def reciprocal(a: Tensor) -> Tensor:
     if np.any(a.data == 0):
         raise ValueError("reciprocal of zero")
     r = 1.0 / a.data
-    return _op(r, a.requires_grad, lambda g: a._accumulate(-g * r * r))
+    return _op(r, (a, lambda g: -g * r * r))
 
 
 def tsum(a: Tensor, axis=None) -> Tensor:
-    return _op(a.data.sum(axis=axis, keepdims=axis is not None), a.requires_grad,
-               lambda g: a._accumulate(np.broadcast_to(g, a.shape)))
+    return _op(a.data.sum(axis=axis, keepdims=axis is not None),
+               (a, lambda g: np.broadcast_to(g, a.shape)))
 
 
 def reshape(a: Tensor, shape) -> Tensor:
-    return _op(a.data.reshape(shape), a.requires_grad,
-               lambda g: a._accumulate(g.reshape(a.shape)))
+    return _op(a.data.reshape(shape), (a, lambda g: g.reshape(a.shape)))
 
 
 def concat(parts, axis=0) -> Tensor:
@@ -239,15 +220,10 @@ def concat(parts, axis=0) -> Tensor:
     if parts[0].data.ndim == 2 and any(p.shape[other] != parts[0].shape[other] for p in parts):
         raise ShapeError("concat non-axis dims disagree")
     offsets = np.cumsum([0] + [p.shape[axis] for p in parts])
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                idx = slice(lo, hi)
-                p._accumulate(g[idx] if axis == 0 else g[:, idx])
-
+    keys = [slice(lo, hi) if axis == 0 else (slice(None), slice(lo, hi))
+            for lo, hi in zip(offsets[:-1], offsets[1:])]
     return _op(np.concatenate([p.data for p in parts], axis=axis),
-               any(p.requires_grad for p in parts), backward)
+               *((p, lambda g, key=key: g[key]) for p, key in zip(parts, keys)))
 
 
 def split(t: Tensor, counts, axis=0):
@@ -259,12 +235,12 @@ def split(t: Tensor, counts, axis=0):
     for lo, hi in zip(offsets[:-1], offsets[1:]):
         key = slice(lo, hi) if axis == 0 else (slice(None), slice(lo, hi))
 
-        def backward(g, key=key):
+        def rule(g, key=key):
             full = np.zeros_like(t.data)
             full[key] = g
-            t._accumulate(full)
+            return full
 
-        outs.append(_op(t.data[key].copy(), t.requires_grad, backward))
+        outs.append(_op(t.data[key].copy(), (t, rule)))
     return outs
 
 
@@ -275,8 +251,7 @@ def log_softmax(a: Tensor) -> Tensor:
     shifted = a.data - a.data.max(axis=1, keepdims=True)
     logp = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
     sm = np.exp(logp)
-    return _op(logp, a.requires_grad,
-               lambda g: a._accumulate(g - sm * g.sum(axis=1, keepdims=True)))
+    return _op(logp, (a, lambda g: g - sm * g.sum(axis=1, keepdims=True)))
 
 
 def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -291,17 +266,9 @@ def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     m = x.shape[0]
     if w.shape[1] != b.shape[1]:
         raise ShapeError(f"add shape mismatch: {(m, w.shape[1])} vs {(m, b.shape[1])}")
-
-    def backward(g):
-        if b.requires_grad:
-            b._accumulate(np.ones((m, 1), dtype=x.dtype).T @ g)
-        if x.requires_grad:
-            x._accumulate(g @ w.data.T)
-        if w.requires_grad:
-            w._accumulate(x.data.T @ g)
-
-    return _op(x.data @ w.data + b.data, x.requires_grad or w.requires_grad or b.requires_grad,
-               backward)
+    return _op(x.data @ w.data + b.data,
+               (b, lambda g: np.ones((m, 1), dtype=x.dtype).T @ g),
+               (x, lambda g: g @ w.data.T), (w, lambda g: x.data.T @ g))
 
 
 # ---------------------------------------------------------------------------

@@ -359,6 +359,9 @@ def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):
     if not cfg["train.skip_pretrain"] and checkpoint_path is None:
         raise ConfigError("fine-tuning needs a pre-trained checkpoint "
                           "(or train.skip_pretrain = true)")
+    if cfg["train.skip_pretrain"] and checkpoint_path is not None:
+        raise ConfigError(f"train.skip_pretrain = true, yet a checkpoint was given: "
+                          f"{checkpoint_path}")
     model = build_model(cfg, head="cls")
     encoder_names = [name for name in model.store.names() if _is_encoder(name)]
     if checkpoint_path is not None:

@@ -206,6 +206,22 @@ class TestErrors:
         assert code == 1
         assert "checkpoint" in err
 
+    @pytest.mark.parametrize("verb, key", [("pretrain", "data.manifest"),
+                                           ("finetune", "paths.checkpoint"),
+                                           ("eval", "paths.checkpoint"),
+                                           ("collapse", "paths.checkpoint")])
+    def test_directory_as_input_file_exits_1_without_run_dir(self, base_cfg, tmp_path, capsys,
+                                                             verb, key):
+        out = tmp_path / "runs"
+        assert run(["gen-data", "--config", str(base_cfg), "--out", str(out)],
+                   capsys)[0] == 0
+        before = tree(out)
+        code, _, err = run([verb, "--config", str(base_cfg), "--set", f"{key}={tmp_path}",
+                            "--out", str(out)], capsys)
+        assert code == 1, err
+        assert f"not found: {tmp_path}" in err
+        assert tree(out) == before
+
     def test_missing_manifest_exits_1(self, base_cfg, tmp_path, capsys):
         code, _, err = run(["pretrain", "--config", str(base_cfg),
                             "--out", str(tmp_path / "runs")], capsys)
@@ -310,6 +326,8 @@ class TestErrors:
         ("eval", _OTHER_SHAPE, ("cls", []), None, _OTHER_SHAPE_ERROR),
         ("collapse", _OTHER_SHAPE, ("proj", []), None, _OTHER_SHAPE_ERROR),
         ("ablation-grid", _OTHER_SHAPE, None, None, _OTHER_SHAPE_ERROR),
+        ("ablation-grid", ["train.skip_pretrain=true"], None, None,
+         "ablation-grid pretrains every combination"),
         ("pretrain", [], None, "truncate", "train_00000.sigf: truncated payload"),
         ("finetune", [], ("proj", ["graph.d=16"]), None,
          "checkpoint incompatible: 'stem.temporal.w' has shape (64, 16), expected (64, 32), "
@@ -322,11 +340,14 @@ class TestErrors:
          "2 x 4 clips cannot hold the artifacts of 3 attack families"),
         ("finetune", ["train.skip_pretrain=true"], None, "dev bonafide only",
          "split 'dev' holds no 'fake' clips"),
+        ("finetune", ["train.skip_pretrain=true"], ("proj", []), None,
+         "train.skip_pretrain = true, yet a checkpoint was given: {checkpoint}"),
         ("eval", [], ("cls", []), "eval bonafide only", "split 'eval' holds no 'fake' clips"),
     ], ids=["pretrain-shape", "finetune-shape", "eval-shape", "collapse-shape",
-            "ablation-grid-shape", "pretrain-truncated-sigf", "finetune-incompatible-checkpoint",
-            "pretrain-nul-path", "sample-labels-nul-path", "gen-data-synth-config",
-            "gen-data-narrow-clips", "finetune-single-label-dev", "eval-single-label-eval"])
+            "ablation-grid-shape", "ablation-grid-skip-pretrain", "pretrain-truncated-sigf",
+            "finetune-incompatible-checkpoint", "pretrain-nul-path", "sample-labels-nul-path", "gen-data-synth-config",
+            "gen-data-narrow-clips", "finetune-single-label-dev",
+            "finetune-skip-pretrain-checkpoint", "eval-single-label-eval"])
     def test_input_error_inside_a_verb_exits_1_leaving_out_as_it_was(
             self, base_cfg, tmp_path, capsys, verb, settings, checkpoint_of, edit, message):
         out = tmp_path / "runs"

@@ -5,7 +5,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from signl import config
@@ -225,3 +225,28 @@ class TestDump:
             back = config.load(path)
         assert back == cfg
         assert all(type(back[k]) is type(v) for k, v in cfg.items())
+
+
+_STR_KEYS = [key for key, (typ, _) in config.SCHEMA.items() if typ is str]
+
+
+class TestOverrideText:
+    @settings(max_examples=300, deadline=None)
+    @given(key=st.sampled_from(_STR_KEYS),
+           text=st.text(st.one_of(st.characters(), st.sampled_from("#\n\r\t =")), max_size=16))
+    @example(key="data.dir", text="corpus#2")
+    @example(key="data.manifest", text="m.jsonl\ndata.dir = elsewhere")
+    def test_refused_or_kept_whole_and_dumped_back(self, key, text):
+        """An override value is refused, naming its key, or kept as given and
+        read back unchanged from the resolved config that dump writes."""
+        try:
+            cfg = config.load(None, overrides=(f"{key} = {text}",))
+        except ConfigError as exc:
+            assert key in str(exc)
+            assert any(ch in text.strip() for ch in "#\n\r") or key == "train.view_mode"
+            return
+        assert cfg[key] == text.strip()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "out.cfg"
+            config.dump(cfg, path)
+            assert config.load(path) == cfg

@@ -3,7 +3,8 @@
 Each ``_ref_*`` function below is the earlier, plainer implementation of a
 shipped kernel, kept verbatim as an oracle: ``neighbor_table`` computed every
 distance twice, temporal ``patchify`` copied a float at a time, ``affine`` was
-matmul + matmul + add, ``adam_step`` kept per-parameter state, and
+matmul + matmul + add, ``grouped_matmul`` took every weight's gradient from one
+batched product, ``adam_step`` kept per-parameter state, and
 ``load_features`` read each clip into its own array, which every batch
 stacked.  The shipped kernels must give exactly their bits, compared as
 unsigned-integer views, down to whole training runs.
@@ -79,6 +80,18 @@ def _ref_affine(x, w, b):
         raise ShapeError(f"bias must be a 1xK row, got {b.shape}")
     ones = tg.Tensor._wrap(np.ones((x.shape[0], 1), dtype=x.dtype), False)
     return tg.add(tg.matmul(x, w), tg.matmul(ones, b))
+
+
+def _ref_grouped_matmul(x, weights, g):
+    """Output, x's gradient and the weights' gradients of ``grouped_matmul`` when a
+    (G, c, o) ``np.matmul`` gave every weight's gradient at once."""
+    (c, o), n, m = weights[0].shape, len(weights), x.shape[0]
+    w = np.stack(weights)
+    xs = x.reshape(m, n, c).transpose(1, 0, 2)
+    gs = g.reshape(m, n, o).transpose(1, 0, 2)
+    out = np.matmul(xs, w).transpose(1, 0, 2).reshape(m, n * o)
+    gx = np.matmul(gs, w.transpose(0, 2, 1)).transpose(1, 0, 2).reshape(x.shape)
+    return out, gx, list(np.matmul(xs.transpose(0, 2, 1), gs))
 
 
 def _ref_adam_step(store, lr):
@@ -247,6 +260,28 @@ class TestAffineOracle:
         with pytest.raises(ShapeError) as ref:
             _ref_affine(x, w, b)
         assert str(new.value) == str(ref.value)
+
+
+# ---------------------------------------------------------------------------
+# grouped_matmul
+
+class TestGroupedMatmulOracle:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("m, heads, c, o", [(1, 1, 3, 2), (7, 4, 8, 4), (768, 4, 8, 4),
+                                                (1536, 4, 4, 2), (96, 2, 16, 16)])
+    def test_forward_and_gradients(self, rng, dtype, m, heads, c, o):
+        x = rng.standard_normal((m, heads * c)).astype(dtype)
+        weights = [rng.standard_normal((c, o)).astype(dtype) for _ in range(heads)]
+        g = rng.standard_normal((m, heads * o)).astype(dtype)
+        h = tg.Tensor(x, requires_grad=True)
+        ws = [tg.Tensor(w, requires_grad=True) for w in weights]
+        with tg.Tape() as tape:
+            out = tg.grouped_matmul(h, ws)
+            tape.backward(tg.tsum(tg.mul(out, tg.Tensor(g))))
+        ref_out, ref_gx, ref_gws = _ref_grouped_matmul(x, weights, g)
+        assert _same_bits(out.data, ref_out)
+        assert _same_bits(h.grad, ref_gx)
+        assert all(_same_bits(t.grad, gw) for t, gw in zip(ws, ref_gws))
 
 
 # ---------------------------------------------------------------------------

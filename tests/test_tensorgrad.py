@@ -1,5 +1,8 @@
 """Unit tests for the reverse-mode autodiff engine."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -37,6 +40,10 @@ def _check_grad(build_loss, params, tol=1e-4):
 
 def _t(arr, grad=True):
     return tg.Tensor(np.asarray(arr, dtype=np.float64), requires_grad=grad)
+
+
+def _first_row(t):
+    return tg.split(t, [1, t.shape[0] - 1])[0]
 
 
 class TestPrimitives:
@@ -287,7 +294,17 @@ class TestTapeContract:
         assert x.grad is None
 
     @pytest.mark.parametrize("op", [
-        tg.matmul, tg.add, tg.mul, lambda a, b: tg.concat([a, b], axis=0)])
+        tg.matmul, tg.add, tg.mul, lambda a, b: tg.concat([a, b], axis=0),
+        pytest.param(lambda a, b: tg.concat([a, b], axis=1), id="concat1"),
+        # const_first: constant patches x; otherwise constant w and b
+        pytest.param(lambda a, b: tg.affine(a, b, _first_row(b)), id="affine-x"),
+        # const_first: a constant w; otherwise constant x and b
+        pytest.param(lambda a, b: tg.affine(b, a, _first_row(b)), id="affine-w"),
+        # const_first: a constant b; otherwise constant x and w
+        pytest.param(lambda a, b: tg.affine(b, b, _first_row(a)), id="affine-b"),
+        # const_first: a constant h; otherwise constant head weights
+        pytest.param(lambda a, b: tg.grouped_matmul(a, tg.split(b, [1, 1])),
+                     id="grouped_matmul")])
     @pytest.mark.parametrize("const_first", [True, False])
     def test_constant_operand_gets_no_grad(self, rng, op, const_first):
         w = _t(rng.standard_normal((2, 2)))
@@ -296,6 +313,21 @@ class TestTapeContract:
             tape.backward(tg.tsum(op(c, w) if const_first else op(w, c)))
         assert w.grad is not None
         assert c.grad is None
+
+    def test_op_on_constants_records_nothing(self, rng):
+        x, w, b = (_t(rng.standard_normal(s), grad=False) for s in ((3, 4), (4, 2), (1, 2)))
+        with tg.Tape() as tape:
+            outs = [tg.affine(x, w, b), tg.grouped_matmul(x, tg.split(w, [2, 2])),
+                    tg.concat([x, x], axis=1), *tg.split(x, [1, 2]), tg.log_softmax(x)]
+        assert tape._records == []
+        assert not any(out.requires_grad for out in outs)
+
+    def test_only_tensor_op_and_adam_step_read_requires_grad(self):
+        """Whether an input gets a gradient is decided by ``_op`` alone, not by each primitive."""
+        tree = ast.parse(Path(tg.__file__).read_text())
+        readers = {getattr(top, "name", None) for top in tree.body for node in ast.walk(top)
+                   if isinstance(node, ast.Attribute) and node.attr == "requires_grad"}
+        assert readers == {"Tensor", "_op", "adam_step"}
 
     def test_output_off_the_loss_path_changes_no_gradient(self, rng):
         x = _t(rng.standard_normal((3, 6)))

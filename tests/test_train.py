@@ -160,6 +160,16 @@ class TestFinetune:
         with pytest.raises(ConfigError, match="checkpoint"):
             train.finetune(cfg, entries, root, tmp_path)
 
+    def test_skip_pretrain_with_checkpoint_rejected_before_any_clip_is_read(
+            self, tiny_corpus, tiny_cfg, tmp_path):
+        _, entries = tiny_corpus
+        ck = tmp_path / "pretrained.sigc"
+        ckpt.save_arrays(train.build_model(tiny_cfg, head="proj").store.state_arrays(), ck)
+        with pytest.raises(ConfigError, match="skip_pretrain = true, yet a checkpoint"):
+            train.finetune(_finetune_cfg(tiny_cfg), entries, tmp_path / "no-corpus", tmp_path,
+                           checkpoint_path=ck)
+        assert not (tmp_path / "finetune_trace.jsonl").exists()
+
     def test_skip_pretrain_smoke(self, tiny_corpus, tiny_cfg, tmp_path):
         root, entries = tiny_corpus
         path, trace, best = train.finetune(_finetune_cfg(tiny_cfg), entries,
