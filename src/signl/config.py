@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 
 from .augment import AugmentSpec
@@ -96,13 +97,26 @@ def load(path=None, overrides=()) -> dict:
     """Config file plus repeatable key=value overrides (overrides win)."""
     cfg = defaults()
     if path is not None:
-        with open(path, encoding="utf-8") as fh:
-            for lineno, line in enumerate(fh, 1):
-                parse_line(line, cfg, where=f"{path}:{lineno}")
+        for lineno, line in enumerate(_read_lines(path), 1):
+            parse_line(line, cfg, where=f"{path}:{lineno}")
     for item in overrides:  # an override has no comment: "#" is refused as a value
         _assign(item, cfg, where=f"override {item!r}")
     validate(cfg)
     return cfg
+
+
+def _read_lines(path):
+    """The lines of a UTF-8 config file, split as text mode splits them; a byte
+    that is not UTF-8 raises ConfigError naming its line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:  # the bad byte is >= 0x80, never a line break
+        lineno = len(raw[:exc.start + 1].splitlines())
+        raise ConfigError(f"{path}:{lineno}: not UTF-8 text "
+                          f"(byte 0x{raw[exc.start]:02x}: {exc.reason})") from None
+    return io.StringIO(text, newline=None)
 
 
 def validate(cfg):

@@ -14,9 +14,12 @@ reverse, skips outputs that got no gradient because they are off the loss's
 path, and accumulates each kept rule's result into its input, in the order
 the primitive gave the pairs.
 
-``affine`` (x @ w + b) is one primitive with one record.  ``adam_step``
-updates each run of adjacent trainable parameters as one flat array, and
-``ParamStore`` keeps Adam's moments as two flat arrays over all parameters.
+``affine`` (x @ w + b) is one primitive with one record.  ``ParamStore``
+holds parameters of one dtype and keeps Adam's moments as two flat arrays
+over all of them.  ``adam_step`` updates each run of adjacent trainable
+parameters in place: the moments in their flat slices, one scratch array
+for the second-moment terms and the denominator, and the run's
+concatenated gradient for the step each parameter subtracts.
 
 Training runs in float32; gradient checking builds float64 tensors and
 uses the exact same code path.
@@ -290,6 +293,10 @@ class ParamStore:
     def add(self, name: str, t: Tensor):
         if name in self._params:
             raise ContractError(f"duplicate parameter name {name!r}")
+        first = next(iter(self._params.values()), t)
+        if t.dtype != first.dtype:  # Adam's flat moments and update have one dtype
+            raise ContractError(f"parameter {name!r} is {t.dtype}, "
+                                f"but this store holds {first.dtype}")
         self._params[name] = t
         if self._m is not None:  # added after a step: its moments start at zero
             zeros = np.zeros(t.data.size, self._m.dtype)
@@ -332,16 +339,16 @@ ADAM_EPS = 1e-8
 def adam_step(store: ParamStore, lr):
     """One Adam update with bias correction; zeroes gradients afterward.
 
-    Each run of adjacent trainable parameters is updated as one flat array
-    with the per-parameter expression, so every element gets the same bits;
-    each slice is written back in its parameter's shape and dtype.
+    Each run of adjacent trainable parameters is updated in place, with the
+    roundings of the per-parameter expression in its order, so every element
+    gets the bits a per-parameter update would give it.
     """
     store.step_count += 1
     t = store.step_count
     params = list(store.items())
     if store._m is None and params:
-        dtype = np.result_type(*(p.data.dtype for _, p in params))
         size = sum(p.data.size for _, p in params)
+        dtype = params[0][1].dtype  # every parameter's: ParamStore.add refuses a second one
         store._m, store._v = np.zeros(size, dtype), np.zeros(size, dtype)
     runs, lo = [], 0  # [start, stop, tensors] of each run of trainable parameters
     for name, p in params:
@@ -355,17 +362,23 @@ def adam_step(store: ParamStore, lr):
                 runs.append([lo, lo + p.data.size, [p]])
         lo += p.data.size
     for lo, hi, tensors in runs:
-        g = np.concatenate([p.grad.ravel() for p in tensors])
         m, v = store._m[lo:hi], store._v[lo:hi]  # views: updated in place
+        step = np.concatenate([p.grad.ravel() for p in tensors], dtype=m.dtype)
+        scratch = (1 - ADAM_BETA1) * step
         m *= ADAM_BETA1
-        m += (1 - ADAM_BETA1) * g
+        m += scratch
+        np.multiply(step, 1 - ADAM_BETA2, out=scratch)
+        scratch *= step
         v *= ADAM_BETA2
-        v += (1 - ADAM_BETA2) * g * g
-        mhat = m / (1 - ADAM_BETA1 ** t)
-        vhat = v / (1 - ADAM_BETA2 ** t)
-        data = np.concatenate([p.data.ravel() for p in tensors])
-        data = data - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+        v += scratch
+        np.divide(v, 1 - ADAM_BETA2 ** t, out=scratch)  # vhat
+        np.sqrt(scratch, out=scratch)
+        scratch += ADAM_EPS
+        np.divide(m, 1 - ADAM_BETA1 ** t, out=step)  # mhat
+        step *= lr
+        step /= scratch
+        at = 0
         for p in tensors:
-            new, data = data[:p.data.size], data[p.data.size:]
-            p.data = new.reshape(p.data.shape).astype(p.data.dtype, copy=False)
+            p.data = p.data - step[at:at + p.data.size].reshape(p.data.shape)
             p.grad = None
+            at += p.data.size

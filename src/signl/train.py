@@ -9,7 +9,8 @@ and every clip through ``load_features``, which reads a chunk of clips into one
 (B, F, T) array, checks each against (data.f, data.t) and the chunk's finiteness once.
 Whole splits load in EVAL_BATCH chunks; each clip's matrix is a row of its chunk.
 A pre-training step encodes both clip halves as one (2B, F, T/2) batch per view.
-A frozen fine-tune encodes each labelled clip once and trains the classifier on those rows.
+A frozen fine-tune encodes each labelled clip once, into one matrix whose rows
+the classifier trains on.
 Evaluation streams its clips: one EVAL_BATCH chunk array is read and scored at a time.
 """
 
@@ -381,17 +382,20 @@ def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):
     used = train_entries + dev_entries  # the eval split is never read here
     items = [(e.clip_id, e.path) for e in used]
     labels = {e.clip_id: 1 if e.label == "bonafide" else 0 for e in used}
-    # a frozen encoder's embedding of a clip never changes: encode each clip once
+    # a frozen encoder's embedding of a clip never changes: encode each clip once,
+    # into one matrix whose rows each batch picks
     rows = feats = None
     if cfg["train.freeze_encoders"]:
-        rows = _embedding_rows(model, load_chunks(items, data_dir, model.clip_shape))
+        embedded = _embedding_rows(model, load_chunks(items, data_dir, model.clip_shape))
+        row_of = {clip_id: i for i, clip_id in enumerate(embedded)}
+        rows = np.stack(list(embedded.values()))
     else:
         feats = load_split(items, data_dir, model.clip_shape)
 
     def logits(ids):
         if rows is None:
             return _classify_forward(model, [feats[c] for c in ids], ids)
-        return enc.run_mlp(tg.Tensor._wrap(np.stack([rows[c] for c in ids]), False),
+        return enc.run_mlp(tg.Tensor._wrap(rows[[row_of[c] for c in ids]], False),
                            model.store, "cls")
 
     def batch_loss(batch, epoch):

@@ -222,6 +222,19 @@ class TestErrors:
         assert f"not found: {tmp_path}" in err
         assert tree(out) == before
 
+    def test_non_utf8_config_exits_1_without_run_dir(self, base_cfg, tmp_path, capsys):
+        out = tmp_path / "runs"
+        assert run(["gen-data", "--config", str(base_cfg), "--out", str(out)],
+                   capsys)[0] == 0
+        before = tree(out)
+        bad = tmp_path / "bad.cfg"
+        lines = base_cfg.read_bytes().splitlines(keepends=True)
+        bad.write_bytes(b"".join(lines) + b"data.manifest = caf\xe9.jsonl\n")
+        code, _, err = run(["gen-data", "--config", str(bad), "--out", str(out)], capsys)
+        assert code == 1
+        assert f"{bad}:{len(lines) + 1}: not UTF-8 text" in err
+        assert tree(out) == before
+
     def test_missing_manifest_exits_1(self, base_cfg, tmp_path, capsys):
         code, _, err = run(["pretrain", "--config", str(base_cfg),
                             "--out", str(tmp_path / "runs")], capsys)

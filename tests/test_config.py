@@ -142,6 +142,20 @@ class TestLoad:
     def test_no_file_gives_defaults(self):
         assert config.load(None) == config.defaults()
 
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_non_utf8_byte_names_file_and_line(self, tmp_path, newline):
+        p = tmp_path / "bad.cfg"
+        p.write_bytes(newline.join([b"train.epochs = 1", b"# comment", b"data.dir = caf\xe9", b""]))
+        with pytest.raises(ConfigError, match=r"bad\.cfg:3: not UTF-8 text \(byte 0xe9"):
+            config.load(p)
+
+    @pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"])
+    def test_utf8_lines_split_as_text_mode(self, tmp_path, newline):
+        p = tmp_path / "a.cfg"
+        p.write_bytes(newline.join(["data.dir = café".encode(), b"train.epochs = 3", b""]))
+        cfg = config.load(p)
+        assert (cfg["data.dir"], cfg["train.epochs"]) == ("café", 3)
+
 
 class TestValidate:
     @pytest.mark.parametrize("line", [

@@ -11,6 +11,7 @@ unsigned-integer views, down to whole training runs.
 """
 
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -330,15 +331,12 @@ class TestAdamOracle:
             _ref_adam_step(ref, lr=0.1)
         assert all(_same_bits(p.data, ref[name].data) for name, p in new.items())
 
-    def test_mixed_dtypes_keep_their_dtype(self):
+    def test_second_dtype_refused(self):
         store = tg.ParamStore()
         store.add("f32", tg.Tensor(np.ones((2, 2), np.float32), requires_grad=True))
-        store.add("f64", tg.Tensor(np.ones((1, 3), np.float64), requires_grad=True))
-        for _ in range(2):
-            for p in (store["f32"], store["f64"]):
-                p.grad = np.ones_like(p.data)
-            tg.adam_step(store, lr=0.1)
-        assert store["f32"].dtype == np.float32 and store["f64"].dtype == np.float64
+        with pytest.raises(ContractError, match="'f64' is float64, but this store holds float32"):
+            store.add("f64", tg.Tensor(np.ones((1, 3), np.float64), requires_grad=True))
+        assert store.names() == ["f32"]
 
     def test_parameter_added_after_a_step(self):
         store = tg.ParamStore()
@@ -362,6 +360,81 @@ class TestAdamOracle:
             store[name].grad = np.ones_like(store[name].data)
         with pytest.raises(ContractError, match="'toggled' has no gradient"):
             tg.adam_step(store, lr=0.1)
+
+
+@st.composite
+def _adam_runs(draw):
+    """A store's parameter shapes and dtype, one per-step trainable mask, the step
+    after which one more parameter is added (or None), the seed of the gradients
+    and the learning rate."""
+    shape = st.lists(st.integers(1, 5), min_size=1, max_size=2).map(tuple)
+    shapes = draw(st.lists(shape, min_size=1, max_size=6))
+    steps = draw(st.integers(1, 8))
+    late = draw(st.none() | st.tuples(st.integers(1, steps), shape))
+    n_params = len(shapes) + (late is not None)
+    masks = draw(st.lists(st.lists(st.booleans(), min_size=n_params, max_size=n_params),
+                          min_size=steps, max_size=steps))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return shapes, dtype, masks, late, draw(st.integers(0, 2**32 - 1)), \
+        draw(st.sampled_from([1e-3, 0.01, 0.1, 1.0]))
+
+
+class TestAdamProperty:
+    @settings(max_examples=200, deadline=None)
+    @given(_adam_runs())
+    def test_parameters_and_moments_same_bits_as_per_parameter_state(self, run):
+        shapes, dtype, masks, late, seed, lr = run
+        values = np.random.default_rng(seed)
+        initial = [values.standard_normal(s).astype(dtype) for s in shapes]
+        new, ref = tg.ParamStore(), tg.ParamStore()
+        for store in (new, ref):
+            for i, arr in enumerate(initial):
+                store.add(f"p{i}", tg.Tensor(arr.copy(), requires_grad=True))
+        for step, mask in enumerate(masks):
+            if late is not None and step == late[0]:
+                arr = values.standard_normal(late[1]).astype(dtype)
+                for store in (new, ref):
+                    store.add("late", tg.Tensor(arr.copy(), requires_grad=True))
+            for (name, p), trained in zip(new.items(), mask):
+                p.requires_grad = ref[name].requires_grad = trained
+                if trained:  # gradients over a spread of magnitudes, zeros included
+                    g = (values.standard_normal(p.shape) * 10.0 ** values.integers(-4, 3)
+                         * (values.random(p.shape) > 0.1)).astype(dtype)
+                    p.grad, ref[name].grad = g, g.copy()
+            tg.adam_step(new, lr)
+            _ref_adam_step(ref, lr)
+            lo = 0
+            for name, p in new.items():
+                hi = lo + p.data.size
+                assert p.grad is None and _same_bits(p.data, ref[name].data), (step, name)
+                for flat, state in ((new._m, ref._ref_m), (new._v, ref._ref_v)):
+                    expected = state.get(name, np.zeros(p.shape, dtype)).ravel()
+                    assert _same_bits(flat[lo:hi], expected), (step, name)
+                lo = hi
+
+
+def test_adam_step_peaks_at_three_run_sized_arrays(make_model):
+    # a frozen fine-tune's step: the default classifier head is the one run
+    model = make_model(head="cls")
+    head = [p for name, p in model.store.items() if not train._is_encoder(name)]
+    for name, p in model.store.items():
+        p.requires_grad = not train._is_encoder(name)
+    run_bytes = sum(p.data.nbytes for p in head)
+    grads = np.random.default_rng(8)
+
+    def set_grads():
+        for p in head:
+            p.grad = grads.standard_normal(p.shape).astype(np.float32)
+    set_grads()
+    tg.adam_step(model.store, lr=1e-3)  # the first step allocates the store's moments
+    set_grads()
+    tracemalloc.start()
+    try:
+        tg.adam_step(model.store, lr=1e-3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * run_bytes + 64 * 1024, peak / run_bytes
 
 
 class TestLoadFeaturesOracle:
