@@ -11,15 +11,21 @@ Whole splits load in EVAL_BATCH chunks; each clip's matrix is a row of its chunk
 A pre-training step encodes both clip halves as one (2B, F, T/2) batch per view.
 A frozen fine-tune encodes each labelled clip once, into one matrix whose rows
 the classifier trains on.
-Evaluation streams its clips: one EVAL_BATCH chunk array is read and scored at a time.
+Evaluation streams its clips: each process reads and scores one EVAL_BATCH chunk array
+at a time.  On a long eval split with a second core free, a forked child scores every
+other chunk, so memory holds one chunk per process; every chunk holds the same clips
+either way.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import math
 import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -41,6 +47,7 @@ PROJ_DIMS = (256, 128, 80)
 CLS_DIMS = (256, 128, 2)
 DEV_HOLDOUT = 0.1  # fraction of train clips monitored during pre-training
 EVAL_BATCH = 96    # clips per forward pass when scoring without gradients
+FORK_MIN_CHUNKS = 64  # fewest EVAL_BATCH chunks that evaluate splits across two processes
 ENCODER_PREFIX = {"temporal": "enc_t", "spatial": "enc_s"}  # a view's graph-conv layers
 
 
@@ -421,8 +428,17 @@ def evaluate(model, entries, data_dir):
     """Bona-fide probabilities + EER on the eval split.
 
     Clips are read into one (B, F, T) array, checked and scored one EVAL_BATCH
-    chunk at a time, so memory holds one chunk of features whatever the size of
-    the eval split."""
+    chunk at a time.  With at least FORK_MIN_CHUNKS chunks and a second core free
+    (see ``_second_core_free``), this process scores chunks 0, 2, 4, ... while a
+    forked child scores chunks 1, 3, 5, ...; otherwise this process scores every
+    chunk.  A fork costs a fixed 20-30 ms in a desk-sized process (page tables,
+    copy-on-write faults on each side's first chunk, the child's exit), and a
+    shared machine may give two processes one core's throughput; below
+    FORK_MIN_CHUNKS 64 x 64 chunks, about 0.25 s of work, that cost can outweigh
+    the gain, so one process scores them.  Memory holds one chunk
+    of features per process whatever the size of the eval split, and every chunk
+    holds the same clips, so the scores keep their bits.  Of the chunks that
+    fail, the first in split order raises its error, as in one process."""
     rows = [e for e in entries if e.split == "eval"]
     _check_both_labels(rows, "eval")
     paths = {e.clip_id: e.path for e in rows}
@@ -431,8 +447,93 @@ def evaluate(model, entries, data_dir):
         mats = load_features([(c, paths[c]) for c in ids], data_dir, model.clip_shape)
         return _classify_forward(model, mats, ids)
 
-    score_set = score_entries(rows, logits)
+    chunks = list(_batches(rows, EVAL_BATCH))
+    stride = 2 if len(chunks) >= FORK_MIN_CHUNKS and _second_core_free() else 1
+    with _forked_share(chunks, logits) if stride == 2 else contextlib.nullcontext() as child:
+        outcomes = [_score_share(chunks, 0, stride, logits)]
+        if child:
+            outcomes.append(child())
+    failures = [failure for _, failure in outcomes if failure]
+    if failures:
+        raise min(failures, key=lambda failure: failure[0])[1]
+    shares = [iter(scores) for scores, _ in outcomes]
+    score_set = metrics.ScoreSet([(e.clip_id, next(shares[i % stride]), e.label)
+                                  for i, chunk in enumerate(chunks) for e in chunk])
     return score_set, metrics.compute_eer(score_set)
+
+
+def _second_core_free():
+    """Whether a forked second scorer may run: this process may use 2+ cores and runs
+    exactly one OS thread.  Forking is safe only from one thread, and numpy's
+    OpenBLAS starts a thread, which uses the second core, unless pinned to one."""
+    try:
+        return len(os.sched_getaffinity(0)) >= 2 and len(os.listdir("/proc/self/task")) == 1
+    except (AttributeError, OSError):  # no affinity call or no /proc: stay in one process
+        return False
+
+
+def _score_share(chunks, first, stride, logits):
+    """Score chunks[first::stride] in order, each by score_entries.  Returns (their
+    bona-fide probabilities, None), or, stopping at the share's first failing
+    chunk, (None, (that chunk's index in ``chunks``, its exception))."""
+    scores = []
+    for i in range(first, len(chunks), stride):
+        try:
+            scores += [score for _, score, _ in score_entries(chunks[i], logits).entries]
+        except Exception as exc:
+            return None, (i, exc)
+    return scores, None
+
+
+@contextlib.contextmanager
+def _forked_share(chunks, logits):
+    """Fork a child that scores chunks 1, 3, 5, ... and pickles its _score_share
+    outcome into a pipe; yield a function that waits for and returns that outcome.
+
+    The child leaves only through os._exit, so it runs none of this process's
+    atexit or finally code.  One that ends without a result (a signal, or an
+    error that does not pickle) makes the function raise RuntimeError naming its
+    exit status.  The child is reaped before the block ends, and killed first
+    when the block is left on an exception, so no process outlives the block."""
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read_fd)
+            payload = pickle.dumps(_score_share(chunks, 1, 2, logits), pickle.HIGHEST_PROTOCOL)
+            with open(write_fd, "wb") as pipe:
+                pipe.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write_fd)
+    reaped = []
+
+    def outcome():
+        with open(read_fd, "rb", closefd=False) as pipe:
+            payload = pipe.read()
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        reaped.append(code)
+        if code:  # the child exits 0 only once its whole outcome is written
+            how = f"exit status {code}" if code > 0 else f"signal {-code}"
+            raise RuntimeError(f"the second eval scorer ended without a result ({how})")
+        return pickle.loads(payload)
+    try:
+        yield outcome
+    except BaseException:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        os.close(read_fd)
+        if not reaped:
+            os.waitpid(pid, 0)
 
 
 def load_model(cfg, checkpoint_path, head="cls"):

@@ -1,5 +1,7 @@
 """Shared fixtures: a tiny synthetic corpus and matching configs."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import strategies as st
@@ -26,6 +28,28 @@ def tiny_cfg(tiny_corpus):
     cfg.update({"data.dir": str(root), "data.f": 32, "data.t": 32,
                 "train.epochs": 2, "train.batch_size": 16, "train.seed": 11})
     return cfg
+
+
+_FORK = os.fork
+
+
+def _no_fork():
+    raise AssertionError("the one-process path forked")
+
+
+@pytest.fixture
+def force_scorers(monkeypatch):
+    """Force ``train.evaluate`` onto 1 or 2 scoring processes through its probe,
+    with 2 chunks enough for a fork.
+
+    Under pytest the probe reads False (the faulthandler watchdog is a thread),
+    so the two-process path runs only when forced.  Forced to 1, ``os.fork``
+    raises, so a fork on that path fails the test."""
+    def force(processes):
+        monkeypatch.setattr(train, "FORK_MIN_CHUNKS", 2)
+        monkeypatch.setattr(train, "_second_core_free", lambda: processes == 2)
+        monkeypatch.setattr(os, "fork", _FORK if processes == 2 else _no_fork)
+    return force
 
 
 @pytest.fixture

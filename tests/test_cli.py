@@ -2,7 +2,10 @@
 
 import json
 import os
+import subprocess
+import sys
 from datetime import datetime, timezone
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,9 @@ from signl import checkpoint, cli, config, featio
 from signl import tensorgrad as tg
 from signl import train
 from signl.errors import ShapeError
+
+
+BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def run(argv, capsys):
@@ -71,6 +77,30 @@ class TestEndToEnd:
         report = json.loads((run_dir / "eer.json").read_text())
         assert 0.0 <= report["eer"] <= 0.5
         assert (run_dir / "scores.jsonl").exists()
+
+    def test_eval_outputs_keep_their_bits_under_one_blas_thread(self, base_cfg, tmp_path,
+                                                                capsys):
+        # unforced: one BLAS thread leaves the process single-threaded, so eval may
+        # fork a second scorer; default BLAS runs its own thread, so it may not
+        out = tmp_path / "runs"
+        n_eval = train.FORK_MIN_CHUNKS * train.EVAL_BATCH + 4  # a short last chunk
+        assert run(["gen-data", "--config", str(base_cfg), "--set", f"data.n_eval={n_eval}",
+                    "--out", str(out)], capsys)[0] == 0
+        model = train.build_model(config.load(base_cfg), head="cls")
+        ck = tmp_path / "model.sigc"
+        checkpoint.save_arrays(model.store.state_arrays(), ck)
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_ENV}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        outputs = []
+        for name, blas in [("pinned", {var: "1" for var in BLAS_ENV}), ("default", {})]:
+            subprocess.run([sys.executable, "-m", "signl.cli", "eval", "--config",
+                            str(base_cfg), "--set", f"paths.checkpoint={ck}",
+                            "--out", str(tmp_path / name)], env={**env, **blas}, check=True,
+                           capture_output=True)
+            run_dir = only_run_dir(tmp_path / name, "eval")
+            outputs.append([(run_dir / f).read_bytes() for f in ("scores.jsonl", "eer.json")])
+        assert outputs[0] == outputs[1]
+        assert len(outputs[0][0].splitlines()) == n_eval
 
     def test_collapse_report(self, base_cfg, tmp_path, capsys):
         out = tmp_path / "runs"
@@ -284,8 +314,10 @@ class TestErrors:
         assert "are (32, 32), but (data.f, data.t) is (64, 64)" in err
         assert not [p for p in out.iterdir() if p.name.startswith("eval-")]
 
+    @pytest.mark.parametrize("processes", [1, 2], ids=["one_process", "two_processes"])
     def test_eval_with_other_shape_in_a_later_chunk_exits_1(self, base_cfg, tmp_path, capsys,
-                                                            monkeypatch):
+                                                            monkeypatch, force_scorers,
+                                                            processes):
         out = tmp_path / "runs"
         assert run(["gen-data", "--config", str(base_cfg), "--out", str(out)],
                    capsys)[0] == 0  # 8 eval clips of 32 x 32
@@ -294,6 +326,7 @@ class TestErrors:
         ck = tmp_path / "model.sigc"
         checkpoint.save_arrays(model.store.state_arrays(), ck)
         monkeypatch.setattr(train, "EVAL_BATCH", 7)  # the last clip is a chunk of its own
+        force_scorers(processes)  # with two, the child scores that chunk
         code, _, err = run(["eval", "--config", str(base_cfg),
                             "--set", f"paths.checkpoint={ck}", "--out", str(out)], capsys)
         assert code == 1

@@ -3,7 +3,14 @@
 import hashlib
 import json
 import math
+import os
 import shutil
+import signal
+import subprocess
+import sys
+import threading
+import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +25,7 @@ from signl import featio
 from signl import metrics
 from signl import tensorgrad as tg
 from signl import train
-from signl.errors import ConfigError
+from signl.errors import ConfigError, InputError
 from signl.graphbuild import GraphView, knn_graph, neighbor_table, split_pair
 from signl.seeding import stream
 
@@ -505,6 +512,21 @@ class TestEarlyStopper:
         assert stopper.update(5.0, store)
 
 
+_SPOILS = ("shape", "nan", "missing", "directory")
+
+
+def _spoil_clip(path, kind):
+    """Make one 32 x 32 clip file bad in one way."""
+    if kind == "shape":
+        featio.write_feature(np.zeros((32, 30)), path)
+    elif kind == "nan":
+        path.write_bytes(path.read_bytes()[:-4] + np.float32(np.nan).tobytes())
+    else:
+        path.unlink()
+        if kind == "directory":
+            path.mkdir()
+
+
 class TestEvaluate:
     def _constant_model(self, tiny_cfg):
         model = train.build_model({**tiny_cfg, "train.seed": 0}, head="cls")
@@ -532,8 +554,10 @@ class TestEvaluate:
         assert len(scores.entries) == 20
         assert all(cid.startswith("eval_") for cid, _, _ in scores.entries)
 
+    @pytest.mark.parametrize("processes", [1, 2], ids=["one_process", "two_processes"])
     def test_streams_one_chunk_at_a_time_with_the_same_bits(self, tiny_corpus, tiny_cfg,
-                                                            monkeypatch):
+                                                            monkeypatch, force_scorers,
+                                                            tmp_path, processes):
         root, entries = tiny_corpus
         model = train.build_model(tiny_cfg, head="cls")
         monkeypatch.setattr(train, "EVAL_BATCH", 6)  # 20 eval clips: chunks of 6, 6, 6, 2
@@ -542,19 +566,174 @@ class TestEvaluate:
         feats = train.load_split([(e.clip_id, e.path) for e in rows], root, model.clip_shape)
         expected = train.score_entries(
             rows, lambda ids: train._classify_forward(model, [feats[c] for c in ids], ids))
-        loads = []
+        # one O_APPEND write per load reaches this file from either process
+        log = os.open(tmp_path / "loads", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
         load = train.load_features
 
         def counted(items, data_dir, shape):
-            loads.append([clip_id for clip_id, _ in items])
+            os.write(log, f"{os.getpid()} {' '.join(c for c, _ in items)}\n".encode())
             return load(items, data_dir, shape)
 
         monkeypatch.setattr(train, "load_features", counted)
-        scores, report = train.evaluate(model, entries, root)
-        assert max(map(len, loads)) <= train.EVAL_BATCH
-        assert sum(loads, []) == [e.clip_id for e in rows]
+        force_scorers(processes)
+        try:
+            scores, report = train.evaluate(model, entries, root)
+        finally:
+            os.close(log)
+        lines = [line.split(" ", 1) for line in (tmp_path / "loads").read_text().splitlines()]
+        loads = [ids.split() for _, ids in lines]
+        chunks = [[e.clip_id for e in chunk] for chunk in train._batches(rows, 6)]
+        if processes == 1:
+            assert loads == chunks
+        else:
+            assert sorted(loads) == sorted(chunks)  # each chunk loaded once, whole
+            assert len({pid for pid, _ in lines}) == 2
         assert scores.entries == expected.entries
         assert report.eer == metrics.compute_eer(expected).eer
+
+    @settings(max_examples=25, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(eval_batch=st.integers(1, 24))
+    def test_two_processes_give_one_process_bits(self, tiny_corpus, tiny_cfg, monkeypatch,
+                                                 force_scorers, eval_batch):
+        root, entries = tiny_corpus
+        model = train.build_model(tiny_cfg, head="cls")
+        monkeypatch.setattr(train, "EVAL_BATCH", eval_batch)
+        runs = []
+        for processes in (2, 1):
+            force_scorers(processes)
+            scores, report = train.evaluate(model, entries, root)
+            runs.append((scores.entries, report.eer.hex(), report.threshold.hex()))
+        assert runs[0] == runs[1]
+
+    @pytest.fixture(scope="class")
+    def eval_copy(self, tiny_corpus, tmp_path_factory):
+        root, entries = tiny_corpus
+        corpus = tmp_path_factory.mktemp("spoiled-eval") / "corpus"
+        shutil.copytree(root, corpus)
+        return corpus, entries
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data(), eval_batch=st.integers(1, 24))
+    def test_two_processes_raise_the_one_process_error(self, eval_copy, tiny_cfg, monkeypatch,
+                                                       force_scorers, data, eval_batch):
+        corpus, entries = eval_copy
+        rows = [e for e in entries if e.split == "eval"]
+        spoiled = data.draw(st.lists(st.sampled_from(rows), min_size=2, max_size=2,
+                                     unique_by=lambda e: e.clip_id))
+        kinds = data.draw(st.lists(st.sampled_from(_SPOILS), min_size=2, max_size=2))
+        model = train.build_model(tiny_cfg, head="cls")
+        monkeypatch.setattr(train, "EVAL_BATCH", eval_batch)
+        originals = {e.path: (corpus / e.path).read_bytes() for e in spoiled}
+        for e, kind in zip(spoiled, kinds):
+            _spoil_clip(corpus / e.path, kind)
+        errors = []
+        try:
+            for processes in (1, 2):
+                force_scorers(processes)
+                with pytest.raises((InputError, OSError)) as info:
+                    train.evaluate(model, entries, corpus)
+                errors.append((type(info.value), str(info.value),
+                               getattr(info.value, "filename", None)))
+                with pytest.raises(ChildProcessError):  # no child is left, zombie or live
+                    os.waitpid(-1, os.WNOHANG)
+        finally:
+            for rel, raw in originals.items():
+                if (corpus / rel).is_dir():
+                    (corpus / rel).rmdir()
+                (corpus / rel).write_bytes(raw)
+        assert errors[0] == errors[1]
+
+    @pytest.mark.parametrize("end, status", [(lambda: os._exit(3), "exit status 3"),
+                                             (lambda: os.kill(os.getpid(), signal.SIGKILL),
+                                              "signal 9")], ids=["exit", "signal"])
+    def test_child_without_a_result_raises_runtime_error(self, tiny_corpus, tiny_cfg,
+                                                         monkeypatch, force_scorers, end,
+                                                         status):
+        root, entries = tiny_corpus
+        parent, load = os.getpid(), train.load_features
+
+        def child_ends(items, data_dir, shape):
+            if os.getpid() != parent:
+                end()
+            return load(items, data_dir, shape)
+
+        monkeypatch.setattr(train, "load_features", child_ends)
+        monkeypatch.setattr(train, "EVAL_BATCH", 6)
+        force_scorers(2)
+        with pytest.raises(RuntimeError, match=f"without a result \\({status}\\)"):
+            train.evaluate(train.build_model(tiny_cfg, head="cls"), entries, root)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_child_error_that_does_not_pickle_raises_runtime_error(self, tiny_corpus, tiny_cfg,
+                                                                   monkeypatch, force_scorers):
+        root, entries = tiny_corpus
+        parent, classify = os.getpid(), train._classify_forward
+
+        class Local(Exception):  # a class local to a function does not pickle
+            pass
+
+        def child_fails(model, mats, ids):
+            if os.getpid() != parent:
+                raise Local("not picklable")
+            return classify(model, mats, ids)
+
+        monkeypatch.setattr(train, "_classify_forward", child_fails)
+        monkeypatch.setattr(train, "EVAL_BATCH", 6)
+        force_scorers(2)
+        with pytest.raises(RuntimeError, match=r"without a result \(exit status 1\)"):
+            train.evaluate(train.build_model(tiny_cfg, head="cls"), entries, root)
+
+    def test_parent_interrupt_kills_and_reaps_the_child(self, tiny_corpus, tiny_cfg,
+                                                        monkeypatch, force_scorers):
+        root, entries = tiny_corpus
+        parent, load = os.getpid(), train.load_features
+
+        def interrupted(items, data_dir, shape):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            time.sleep(60)  # the child outlives the parent's share unless killed
+            return load(items, data_dir, shape)
+
+        monkeypatch.setattr(train, "load_features", interrupted)
+        monkeypatch.setattr(train, "EVAL_BATCH", 6)
+        force_scorers(2)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            train.evaluate(train.build_model(tiny_cfg, head="cls"), entries, root)
+        assert time.monotonic() - start < 30
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_short_split_stays_in_one_process(self, tiny_corpus, tiny_cfg, monkeypatch,
+                                              force_scorers):
+        root, entries = tiny_corpus
+        force_scorers(1)
+        monkeypatch.setattr(train, "_second_core_free", lambda: True)
+        monkeypatch.setattr(train, "EVAL_BATCH", 1)  # 20 chunks, fewer than FORK_MIN_CHUNKS
+        monkeypatch.setattr(train, "FORK_MIN_CHUNKS", 21)
+        scores, _ = train.evaluate(train.build_model(tiny_cfg, head="cls"), entries, root)
+        assert len(scores.entries) == 20
+
+    def test_probe_refuses_a_second_thread(self):
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert not train._second_core_free()
+        finally:
+            stop.set()
+            thread.join()
+
+    def test_probe_passes_in_a_one_thread_process(self):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+               "PYTHONPATH": str(Path(train.__file__).parents[1])}
+        out = subprocess.run([sys.executable, "-c",
+                              "from signl import train; print(train._second_core_free())"],
+                             env=env, capture_output=True, text=True, check=True).stdout
+        assert out.strip() == str(len(os.sched_getaffinity(0)) >= 2)
 
     @pytest.mark.parametrize("eval_batch, error", [(19, ConfigError), (6, ConfigError)])
     def test_other_shape_in_the_last_chunk_rejected(self, tiny_corpus, tiny_cfg, tmp_path,
