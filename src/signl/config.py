@@ -111,7 +111,7 @@ def _read_lines(path):
     with open(path, "rb") as fh:
         raw = fh.read()
     try:
-        text = raw.decode("utf-8")
+        text = raw.decode("utf-8", errors="surrogatepass")
     except UnicodeDecodeError as exc:  # the bad byte is >= 0x80, never a line break
         lineno = len(raw[:exc.start + 1].splitlines())
         raise ConfigError(f"{path}:{lineno}: not UTF-8 text "
@@ -154,7 +154,9 @@ def patch_dims(cfg):
 
 
 def dump(cfg, path):
-    with open(path, "w", encoding="utf-8") as fh:
+    # a command-line value that is not UTF-8 reaches Python as lone surrogates:
+    # surrogatepass writes them, and _read_lines reads them back whole
+    with open(path, "w", encoding="utf-8", errors="surrogatepass") as fh:
         for key in SCHEMA:
             value = cfg[key]
             if isinstance(value, bool):

@@ -14,6 +14,11 @@ reverse, skips outputs that got no gradient because they are off the loss's
 path, and accumulates each kept rule's result into its input, in the order
 the primitive gave the pairs.
 
+``external`` records an output computed beyond the tape, in another
+process say, whose rule hands its gradient to a callback; ``Tape.backward``
+given an output and its gradient replays the tape from there.  Together they
+let one loss span two processes' tapes.
+
 ``affine`` (x @ w + b) is one primitive with one record.  ``ParamStore``
 holds parameters of one dtype and keeps Adam's moments as two flat arrays
 over all of them.  ``adam_step`` updates each run of adjacent trainable
@@ -91,14 +96,18 @@ class Tape:
         assert popped is self
         return False
 
-    def backward(self, loss: Tensor):
-        """Populate gradients of everything reachable from ``loss``.
+    def backward(self, out: Tensor, grad=None):
+        """Populate gradients of everything reachable from ``out``: a scalar loss,
+        whose gradient is 1, or, given ``grad``, any tensor, with ``grad`` as its
+        gradient.
 
         Repeated calls without clearing grads accumulate, per contract.
         """
-        if loss.data.size != 1:
-            raise ContractError("backward requires a scalar loss")
-        loss._accumulate(np.ones_like(loss.data))
+        if grad is None:
+            if out.data.size != 1:
+                raise ContractError("backward requires a scalar loss")
+            grad = np.ones_like(out.data)
+        out._accumulate(grad)
         for out, inputs in reversed(self._records):
             if out.grad is not None:  # off the loss's path: nothing to pass back
                 for t, rule in inputs:
@@ -115,8 +124,23 @@ def _op(data, *inputs):
     return out
 
 
+def recording():
+    """Whether a primitive run now is recorded: a ``Tape`` is active."""
+    return bool(_TAPE_STACK)
+
+
 # ---------------------------------------------------------------------------
 # primitives
+
+def external(data, backward) -> Tensor:
+    """``data``, computed beyond this tape (in another process, say), as an output
+    that requires a gradient: when ``Tape.backward`` reaches it, ``backward(g)``
+    receives its gradient ``g``.  Its one input stands for whatever made ``data``."""
+    def rule(g):
+        backward(g)
+        return 0.0
+    return _op(data, (Tensor._wrap(np.zeros(()), True), rule))
+
 
 def _check_matmul(a: Tensor, b: Tensor):
     if a.data.ndim != 2 or b.data.ndim != 2:

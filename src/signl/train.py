@@ -8,7 +8,12 @@ Every forward reaches the encoder through ``_embed`` (the model's views side by 
 and every clip through ``load_features``, which reads a chunk of clips into one
 (B, F, T) array, checks each against (data.f, data.t) and the chunk's finiteness once.
 Whole splits load in EVAL_BATCH chunks; each clip's matrix is a row of its chunk.
-A pre-training step encodes both clip halves as one (2B, F, T/2) batch per view.
+A pre-training step encodes both clip halves as one (2B, F, T/2) batch per view,
+built in one copy by ``_pair_halves``.  With a second core free, pre-training forks
+one worker that trains the temporal view (its stem and graph-conv layers) while
+this process trains the spatial view, the projection head and the loss; the views
+share no parameter and Adam is elementwise, so every checkpoint byte, trace value
+and dev loss keeps the bits of one process.
 A frozen fine-tune encodes each labelled clip once, into one matrix whose rows
 the classifier trains on.
 Evaluation streams its clips: each process reads and scores one EVAL_BATCH chunk array
@@ -23,6 +28,7 @@ import contextlib
 import hashlib
 import json
 import math
+import multiprocessing
 import os
 import pickle
 import signal
@@ -58,6 +64,7 @@ class Model:
     n_patches: int
     k_neighbors: int
     clip_shape: tuple      # (data.f, data.t) of the clips it takes
+    remote: _ViewWorker | None = None  # a worker embedding one of ``kinds`` in another process
 
 
 def build_model(cfg, head):
@@ -141,14 +148,40 @@ def _view_embed(model, segs, kind, clip_ids=None, spec=None, seed=0, epoch=0, se
 def _embed(model, segs, *aug_key):
     """Every view in ``model.kinds`` of a (S*B, F, T_seg) batch, side by side:
     the (S*B, views*N*d_L) classifier or projection input.  ``aug_key`` is
-    _view_embed's (clip_ids, spec, seed, epoch, seg_ids); without it no view is augmented."""
-    return tg.concat([_view_embed(model, segs, kind, *aug_key) for kind in model.kinds], axis=1)
+    _view_embed's (clip_ids, spec, seed, epoch, seg_ids); without it no view is augmented.
+
+    With a view worker attached (pre-training on two cores), ``segs`` is the
+    ``_pair_halves`` batch of clip_ids.  The worker's view is requested first and
+    the other view computed here; the worker's rows are then recorded as one op
+    after that view's ops, so a backward pass hands the worker its gradient
+    before it runs this process's share."""
+    remote = model.remote
+    if remote is None:
+        return tg.concat([_view_embed(model, segs, kind, *aug_key) for kind in model.kinds],
+                         axis=1)
+    remote.request(aug_key)
+    views = {kind: _view_embed(model, segs, kind, *aug_key)
+             for kind in model.kinds if kind != remote.kind}
+    views[remote.kind] = remote.embedding()
+    return tg.concat([views[kind] for kind in model.kinds], axis=1)
+
+
+def _pair_halves(mats):
+    """The (2B, F, T/2) pair batch of B (F, T) clips: every clip's first half, then
+    every clip's second half, as ``split_pair`` halves them, built in one copy."""
+    f, t = mats[0].shape
+    half = (t + 1) // 2
+    out = np.empty((2, len(mats), f, half), np.result_type(*{m.dtype for m in mats}))
+    np.stack([m[:, :half] for m in mats], out=out[0])
+    np.stack([m[:, half:] for m in mats], out=out[1, ..., :t - half])
+    if t % 2:  # an odd width repeats column 0 at the end of the second half
+        np.stack([m[:, 0] for m in mats], out=out[1, ..., -1])
+    return out.reshape(2 * len(mats), f, half)
 
 
 def _pair_forward(model, mats, clip_ids, spec, seed, epoch):
     """Embeddings and projections (h1, h2, z1, z2) of both halves of a batch of clips."""
-    segs = np.concatenate(split_pair(np.stack(mats)))  # halves 1 then 2: (2B, F, T/2)
-    h = _embed(model, segs, clip_ids, spec, seed, epoch, "12")
+    h = _embed(model, _pair_halves(mats), clip_ids, spec, seed, epoch, "12")
     b = len(mats)
     return (*tg.split(h, [b, b]), *tg.split(enc.run_mlp(h, model.store, "proj"), [b, b]))
 
@@ -238,7 +271,7 @@ def _batches(ids, batch_size):
 
 
 def _abort_diagnostics(model, epoch, batch_idx):
-    norms = {name: float(np.linalg.norm(t.data)) for name, t in model.store.items()}
+    norms = {name: float(np.linalg.norm(a)) for name, a in model.store.state_arrays().items()}
     worst = sorted(norms, key=norms.get, reverse=True)[:5]
     detail = ", ".join(f"{n}={norms[n]:.3g}" for n in worst)
     return f"non-finite loss at epoch {epoch}, batch {batch_idx}; largest param norms: {detail}"
@@ -351,9 +384,183 @@ def pretrain(cfg, clips, data_dir, out_dir):
         return total / len(dev_ids)
 
     # projection-head entries ship under proj.* and are ignored downstream
-    path, trace, _ = _fit(model, cfg, train_ids, batch_loss, dev_loss if dev_ids else None,
-                          out_dir / "pretrained.sigc", out_dir / "pretrain_trace.jsonl")
+    with _view_worker(model, feats, cfg["train.lr"]) if _second_core_free() \
+            else contextlib.nullcontext():
+        path, trace, _ = _fit(model, cfg, train_ids, batch_loss, dev_loss if dev_ids else None,
+                              out_dir / "pretrained.sigc", out_dir / "pretrain_trace.jsonl")
     return path, trace
+
+
+# ---------------------------------------------------------------------------
+# pre-training's temporal view in a second process
+
+@contextlib.contextmanager
+def _view_worker(model, feats, lr):
+    """Fork a worker that trains the temporal view of a pre-training ``model`` on
+    the clip matrices ``feats`` (clip_id -> F x T), and attach it to the model
+    for the block.
+
+    The worker owns the temporal stem and graph-conv layers; this process keeps
+    the spatial view, the projection head and the loss.  Each side's Adam step
+    sees only its own parameters, and both take one per step, so every value
+    keeps the bits of one process.  The worker leaves only through os._exit; an
+    error it raises is sent here and raised by the next call that waits for it,
+    and one that ends without a result makes that call raise RuntimeError
+    naming its exit status.  The worker is reaped before the block ends, and
+    killed first when the block is left on an exception."""
+    kind = "temporal"
+    owned = [name for name in model.store.names()  # its stem and graph-conv layers
+             if name.startswith((f"stem.{kind}.", f"{ENCODER_PREFIX[kind]}."))]
+    here, there = multiprocessing.Pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        here.close()
+        there.close()
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            here.close()
+            for name, t in model.store.items():
+                t.requires_grad = name in owned
+            try:
+                _train_view(model, feats, lr, kind, owned, there)
+                status = 0
+            except Exception as exc:
+                with contextlib.suppress(Exception):  # one that does not pickle ends the pipe
+                    there.send(("error", exc))
+        finally:
+            os._exit(status)
+    there.close()
+    store, worker = model.store, _ViewWorker(kind, here, pid)
+    for name in owned:
+        store[name].requires_grad = False
+    model.store, model.remote = _SplitStore(store, worker), worker
+    try:
+        yield
+    except BaseException:
+        worker.kill()
+        raise
+    finally:
+        model.store, model.remote = store, None
+        for name in owned:
+            store[name].requires_grad = True
+        here.close()
+        worker.reap()
+
+
+def _train_view(model, feats, lr, kind, owned, conn):
+    """The worker's loop, until this process's end of ``conn`` closes.  It embeds
+    view ``kind`` of the ``_pair_halves`` batch of each requested batch of clips,
+    on a tape when the request is recorded; back-propagates a gradient sent for
+    the last embedding and takes an Adam step; and sends its ``owned``
+    parameters' values on request."""
+    tape = rows = None
+    while True:
+        try:
+            op, arg = conn.recv()
+        except EOFError:
+            return
+        if op == "embed":
+            aug_key, recording = arg
+            segs = _pair_halves([feats[c] for c in aug_key[0]])
+            with tg.Tape() if recording else contextlib.nullcontext() as tape:
+                rows = _view_embed(model, segs, kind, *aug_key)
+            conn.send(("rows", rows.data))
+        elif op == "grad":
+            tape.backward(rows, arg)
+            tg.adam_step(model.store, lr)
+        else:  # "params"
+            conn.send(("params", {name: model.store[name].data for name in owned}))
+
+
+class _ViewWorker:
+    """This process's end of a ``_view_worker``: requests, gradients, fetches."""
+
+    def __init__(self, kind, conn, pid):
+        self.kind, self.conn, self.pid = kind, conn, pid
+        self.stepped = False  # a gradient went out since the last fetch
+        self.status = None    # the exit code, once reaped
+
+    def request(self, aug_key):
+        """Ask for the worker's view of a batch, on a tape if this process records."""
+        self._send(("embed", (aug_key, tg.recording())))
+
+    def embedding(self):
+        """The requested rows, as a tensor whose gradient goes to the worker."""
+        return tg.external(self._receive(), self._send_gradient)
+
+    def _send_gradient(self, g):
+        self._send(("grad", g))
+        self.stepped = True
+
+    def fetch(self):
+        """The worker's current parameter values, name -> array, or none if it has
+        not stepped since the last fetch."""
+        if not self.stepped:
+            return {}
+        self._send(("params", None))
+        self.stepped = False
+        return self._receive()
+
+    def _send(self, message):
+        try:
+            self.conn.send(message)
+        except OSError:  # the worker has left: raise its error, or how it ended
+            self._receive()
+            raise
+
+    def _receive(self):
+        try:
+            op, value = self.conn.recv()
+        except (EOFError, OSError):
+            code = self.reap()
+            how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+            raise RuntimeError(f"the {self.kind} view worker ended without a result ({how})") \
+                from None
+        if op == "error":
+            raise value
+        return value
+
+    def kill(self):
+        if self.status is None:
+            os.kill(self.pid, signal.SIGKILL)
+
+    def reap(self):
+        if self.status is None:
+            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.status
+
+
+class _SplitStore(tg.ParamStore):
+    """The parameters of a pre-training model whose view worker trains some of them.
+
+    The worker holds its parameters' current values.  The whole-store reads
+    (``snapshot``, ``state_arrays``) and ``load_arrays`` fetch them first, so
+    each sees every parameter as one process would.  Loaded arrays stay in
+    this process: ``_fit`` loads the best epoch's only after its last step."""
+
+    def __init__(self, store, worker):
+        super().__init__()
+        for name, t in store.items():
+            self.add(name, t)
+        self.worker = worker
+
+    def _fetch(self):
+        super().load_arrays(self.worker.fetch())
+
+    def snapshot(self):
+        self._fetch()
+        return super().snapshot()
+
+    def state_arrays(self):
+        self._fetch()
+        return super().state_arrays()
+
+    def load_arrays(self, arrays):
+        self._fetch()
+        super().load_arrays(arrays)
 
 
 def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):
@@ -463,9 +670,11 @@ def evaluate(model, entries, data_dir):
 
 
 def _second_core_free():
-    """Whether a forked second scorer may run: this process may use 2+ cores and runs
-    exactly one OS thread.  Forking is safe only from one thread, and numpy's
-    OpenBLAS starts a thread, which uses the second core, unless pinned to one."""
+    """Whether a second process may run beside this one: pre-training's temporal-view
+    worker, or evaluate's second scorer.  It holds when this process may use 2+
+    cores and runs exactly one OS thread.  Forking is safe only from one thread,
+    and numpy's OpenBLAS starts a thread, which uses the second core, unless pinned
+    to one (OPENBLAS_NUM_THREADS=1)."""
     try:
         return len(os.sched_getaffinity(0)) >= 2 and len(os.listdir("/proc/self/task")) == 1
     except (AttributeError, OSError):  # no affinity call or no /proc: stay in one process

@@ -38,12 +38,14 @@ def _no_fork():
 
 
 @pytest.fixture
-def force_scorers(monkeypatch):
-    """Force ``train.evaluate`` onto 1 or 2 scoring processes through its probe,
-    with 2 chunks enough for a fork.
+def force_processes(monkeypatch):
+    """Force ``train.pretrain`` and ``train.evaluate`` onto 1 or 2 processes
+    through their one probe, ``train._second_core_free``: with 2, pretrain forks
+    its temporal-view worker and evaluate its second scorer, for which 2 chunks
+    are then enough.
 
     Under pytest the probe reads False (the faulthandler watchdog is a thread),
-    so the two-process path runs only when forced.  Forced to 1, ``os.fork``
+    so the two-process paths run only when forced.  Forced to 1, ``os.fork``
     raises, so a fork on that path fails the test."""
     def force(processes):
         monkeypatch.setattr(train, "FORK_MIN_CHUNKS", 2)

@@ -13,7 +13,7 @@ import pytest
 from signl import checkpoint, cli, config, featio
 from signl import tensorgrad as tg
 from signl import train
-from signl.errors import ShapeError
+from signl.errors import ConfigError, ShapeError
 
 
 BLAS_ENV = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -101,6 +101,30 @@ class TestEndToEnd:
             outputs.append([(run_dir / f).read_bytes() for f in ("scores.jsonl", "eer.json")])
         assert outputs[0] == outputs[1]
         assert len(outputs[0][0].splitlines()) == n_eval
+
+    def test_pretrain_outputs_keep_their_bits_under_one_blas_thread(self, base_cfg, tmp_path,
+                                                                    capsys):
+        # unforced: one BLAS thread leaves the process single-threaded, so pretrain may
+        # fork its temporal-view worker; default BLAS runs its own thread, so it may not
+        out = tmp_path / "runs"
+        assert run(["gen-data", "--config", str(base_cfg), "--out", str(out)],
+                   capsys)[0] == 0
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_ENV}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        outputs = []
+        for name, blas in [("pinned", {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}),
+                           ("default", {})]:
+            subprocess.run([sys.executable, "-m", "signl.cli", "pretrain", "--config",
+                            str(base_cfg), "--set", "train.epochs=2", "--set", "aug.gn=true",
+                            "--out", str(tmp_path / name)], env={**env, **blas}, check=True,
+                           capture_output=True)
+            run_dir = only_run_dir(tmp_path / name, "pretrain")
+            rows = [json.loads(line) for line in
+                    (run_dir / "pretrain_trace.jsonl").read_text().splitlines()]
+            outputs.append(((run_dir / "pretrained.sigc").read_bytes(),
+                            [{k: v for k, v in row.items() if k != "seconds"} for row in rows]))
+        assert outputs[0] == outputs[1]
+        assert [row["epoch"] for row in outputs[0][1]] == [1, 2]
 
     def test_collapse_report(self, base_cfg, tmp_path, capsys):
         out = tmp_path / "runs"
@@ -316,7 +340,7 @@ class TestErrors:
 
     @pytest.mark.parametrize("processes", [1, 2], ids=["one_process", "two_processes"])
     def test_eval_with_other_shape_in_a_later_chunk_exits_1(self, base_cfg, tmp_path, capsys,
-                                                            monkeypatch, force_scorers,
+                                                            monkeypatch, force_processes,
                                                             processes):
         out = tmp_path / "runs"
         assert run(["gen-data", "--config", str(base_cfg), "--out", str(out)],
@@ -326,7 +350,7 @@ class TestErrors:
         ck = tmp_path / "model.sigc"
         checkpoint.save_arrays(model.store.state_arrays(), ck)
         monkeypatch.setattr(train, "EVAL_BATCH", 7)  # the last clip is a chunk of its own
-        force_scorers(processes)  # with two, the child scores that chunk
+        force_processes(processes)  # with two, the child scores that chunk
         code, _, err = run(["eval", "--config", str(base_cfg),
                             "--set", f"paths.checkpoint={ck}", "--out", str(out)], capsys)
         assert code == 1
@@ -455,12 +479,14 @@ class TestErrors:
         assert "gen-data-0-20260102T000000000000Z already exists" in err
         assert tree(out) == before
 
+    @pytest.mark.parametrize("processes", [1, 2], ids=["one_process", "two_processes"])
     @pytest.mark.parametrize("failure", ["ShapeError", "missing SIGF"])
     def test_runtime_failure_inside_a_verb_exits_2_keeping_its_run_dir(
-            self, base_cfg, tmp_path, capsys, monkeypatch, failure):
+            self, base_cfg, tmp_path, capsys, monkeypatch, force_processes, processes, failure):
         out = tmp_path / "runs"
         assert run(["gen-data", "--config", str(base_cfg), "--out", str(out)],
                    capsys)[0] == 0
+        force_processes(processes)
         if failure == "ShapeError":
             def broken(*args):
                 raise ShapeError("matmul inner dims disagree")
@@ -471,6 +497,31 @@ class TestErrors:
         assert code == 2
         assert err.startswith("runtime failure:")
         assert (only_run_dir(out, "pretrain") / "config.resolved.cfg").is_file()
+
+    @pytest.mark.parametrize("error, code", [(ConfigError, 1), (ShapeError, 2)])
+    def test_temporal_view_error_in_the_worker_keeps_its_exit_code(
+            self, base_cfg, tmp_path, capsys, monkeypatch, force_processes, error, code):
+        out = tmp_path / "runs"
+        assert run(["gen-data", "--config", str(base_cfg), "--out", str(out)],
+                   capsys)[0] == 0
+        parent, view_embed = os.getpid(), train._view_embed
+
+        def broken(model, segs, kind, *args):
+            if kind == "temporal":
+                assert os.getpid() != parent  # the worker's view
+                raise error("temporal view broke")
+            return view_embed(model, segs, kind, *args)
+
+        monkeypatch.setattr(train, "_view_embed", broken)
+        force_processes(2)
+        exit_code, _, err = run(["pretrain", "--config", str(base_cfg), "--out", str(out)],
+                                capsys)
+        assert exit_code == code
+        assert "temporal view broke" in err
+        kept = [p for p in out.iterdir() if p.name.startswith("pretrain-")]
+        assert len(kept) == (code == 2)
+        with pytest.raises(ChildProcessError):  # the worker is reaped
+            os.waitpid(-1, os.WNOHANG)
 
     def test_runtime_failure_exits_2(self, base_cfg, tmp_path, capsys):
         code, _, err = run(["gen-data", "--config", str(base_cfg),

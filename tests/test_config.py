@@ -249,6 +249,7 @@ class TestOverrideText:
     @given(key=st.sampled_from(_STR_KEYS),
            text=st.text(st.one_of(st.characters(), st.sampled_from("#\n\r\t =")), max_size=16))
     @example(key="data.dir", text="corpus#2")
+    @example(key="data.dir", text="\ud800")  # a lone surrogate, as a non-UTF-8 argv byte gives
     @example(key="data.manifest", text="m.jsonl\ndata.dir = elsewhere")
     def test_refused_or_kept_whole_and_dumped_back(self, key, text):
         """An override value is refused, naming its key, or kept as given and

@@ -40,6 +40,25 @@ class TestSplitPair:
                 assert np.array_equal(got[i], want)
 
 
+    @pytest.mark.parametrize("b", [1, 3])
+    @pytest.mark.parametrize("t", [8, 9, 2, 1])
+    def test_pair_halves_match_split_pair(self, rng, b, t):
+        """One copy gives the (2B, F, T/2) batch that concatenating split_pair's halves does."""
+        mats = [rng.standard_normal((4, t)).astype(np.float32) for _ in range(b)]
+        halves = train._pair_halves(mats)
+        assert np.array_equal(halves, np.concatenate(gb.split_pair(np.stack(mats))))
+        assert halves.dtype == np.float32 and halves.flags.c_contiguous
+
+    def test_pair_halves_take_rows_of_one_chunk_and_promote_like_stack(self, rng):
+        chunk = rng.standard_normal((3, 4, 9)).astype(np.float32)
+        assert np.array_equal(train._pair_halves(list(chunk)),
+                              np.concatenate(gb.split_pair(chunk)))
+        mixed = [chunk[0], chunk[1].astype(np.float64)]
+        assert np.array_equal(train._pair_halves(mixed),
+                              np.concatenate(gb.split_pair(np.stack(mixed))))
+        assert train._pair_halves(mixed).dtype == np.float64
+
+
 class TestPatchify:
     def test_temporal_tiles(self, rng):
         values = rng.standard_normal((4, 4)).astype(np.float32)

@@ -216,6 +216,42 @@ class TestBackward:
         assert np.array_equal(y.grad, g)
         assert np.array_equal(x.grad, 2 * g)
 
+    def test_given_gradient_seeds_a_non_scalar_output(self, rng):
+        """Split one loss at an inner tensor: its gradient, fed back, gives the same grads."""
+        x, w = _t(rng.standard_normal((3, 4))), _t(rng.standard_normal((4, 2)))
+        with tg.Tape() as tape:
+            loss = tg.tsum(tg.relu(tg.matmul(tg.relu(x), w)))
+            tape.backward(loss)
+        whole = x.grad, w.grad
+        x.grad = w.grad = None
+        with tg.Tape() as inner:
+            h = tg.relu(x)
+        h_in = tg.Tensor._wrap(h.data, True)
+        with tg.Tape() as outer:
+            outer.backward(tg.tsum(tg.relu(tg.matmul(h_in, w))))
+        inner.backward(h, h_in.grad)
+        assert np.array_equal(x.grad, whole[0]) and np.array_equal(w.grad, whole[1])
+
+    def test_external_rows_hand_their_gradient_over_in_reverse_record_order(self, rng):
+        """The later of two external outputs gets its gradient first, as any later op would."""
+        sent = []
+        with tg.Tape() as tape:
+            first, second = (tg.external(rng.standard_normal((2, 3)),
+                                         lambda g, name=name: sent.append((name, g)))
+                             for name in ("first", "second"))
+            assert first.requires_grad and second.requires_grad
+            tape.backward(tg.tsum(tg.mul(tg.concat([first, second], axis=1),
+                                         tg.Tensor(np.full((2, 6), 2.0)))))
+        assert [name for name, _ in sent] == ["second", "first"]
+        assert all(np.array_equal(g, np.full((2, 3), 2.0)) for _, g in sent)
+
+    def test_external_rows_outside_a_tape_are_not_recorded(self, rng):
+        assert not tg.recording()
+        with tg.Tape() as tape:
+            assert tg.recording()
+        out = tg.external(rng.standard_normal((2, 2)), lambda g: pytest.fail("no gradient"))
+        assert out.requires_grad and tape._records == []
+
     def test_deterministic_gradients(self, rng):
         data = rng.standard_normal((4, 4))
         grads = []

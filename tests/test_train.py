@@ -25,7 +25,7 @@ from signl import featio
 from signl import metrics
 from signl import tensorgrad as tg
 from signl import train
-from signl.errors import ConfigError, InputError
+from signl.errors import ConfigError, InputError, ShapeError
 from signl.graphbuild import GraphView, knn_graph, neighbor_table, split_pair
 from signl.seeding import stream
 
@@ -109,10 +109,12 @@ class TestPretrain:
                 (tmp_path / "pretrain_trace.jsonl").read_text().splitlines()]
         assert [r["epoch"] for r in rows] == [1]
 
+    @pytest.mark.parametrize("processes", [1, 2], ids=["one_process", "two_processes"])
     def test_abort_keeps_finished_epochs_in_trace(self, tiny_corpus, tiny_cfg, tmp_path,
-                                                 monkeypatch):
+                                                 monkeypatch, force_processes, processes):
         """A loss that turns non-finite in epoch 2 leaves epoch 1's row on disk."""
         root, entries = tiny_corpus
+        force_processes(processes)
         pair_forward = train._pair_forward
 
         def poisoned(model, mats, clip_ids, spec, seed, epoch):
@@ -135,6 +137,201 @@ class TestPretrain:
         with pytest.raises(ConfigError, match=_SHAPE_MISMATCH):
             train.pretrain(cfg, train.strip_labels(entries), root, tmp_path)
         assert not (tmp_path / "pretrain_trace.jsonl").exists()  # no epoch started
+
+
+def _trace_rows(trace):
+    return [{k: v for k, v in row.items() if k != "seconds"} for row in trace]
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):  # no child is left, zombie or live
+        os.waitpid(-1, os.WNOHANG)
+
+
+class TestPretrainTwoProcesses:
+    """The temporal view trains in a forked worker when the probe allows it."""
+
+    @pytest.fixture(scope="class")
+    def odd_corpus(self, tmp_path_factory):
+        """24 train clips of 32 x 31: pair halves of 16 frames, the second padded."""
+        root = tmp_path_factory.mktemp("odd-corpus")
+        synth = featio.SynthConfig(F=32, T=31, n_per_split={"train": 24, "dev": 2, "eval": 2},
+                                   n_attack_types=2, artifact_strength=1.0, seed=5)
+        return root, featio.gen_synthetic(synth, root)
+
+    @settings(max_examples=12, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(flags=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+           batch_size=st.sampled_from([1, 5, 7, 16]), epochs=st.integers(1, 3),
+           patience=st.integers(1, 2), worse=st.sets(st.integers(1, 3)), odd=st.booleans())
+    def test_two_processes_write_one_process_bits(self, tiny_corpus, odd_corpus, tiny_cfg,
+                                                  tmp_path, monkeypatch, force_processes,
+                                                  flags, batch_size, epochs, patience, worse,
+                                                  odd):
+        """``worse`` epochs' dev loss reads worse (one dev batch an epoch), so patience
+        can stop a run early and its best epoch need not be its last."""
+        root, entries = odd_corpus if odd else tiny_corpus
+        cfg = _pretrain_cfg(tiny_cfg, **{
+            "data.dir": str(root), "data.t": 31 if odd else 32, "train.epochs": epochs,
+            "train.patience": patience, "train.batch_size": batch_size,
+            "aug.ed": flags[0], "aug.gn": flags[1], "aug.fm": flags[2]})
+        pair_forward, dev_passes = train._pair_forward, []
+
+        def dev_spoiled(model, mats, clip_ids, spec, seed, epoch):
+            h1, h2, z1, z2 = pair_forward(model, mats, clip_ids, spec, seed, epoch)
+            if spec is None:  # the dev pass
+                dev_passes.append(epoch)
+                if len(dev_passes) in worse:
+                    z1 = tg.scale(z1, -1.0)
+            return h1, h2, z1, z2
+
+        runs = []
+        with monkeypatch.context() as patch:  # undone before the next example
+            patch.setattr(train, "_pair_forward", dev_spoiled)
+            for processes in (2, 1):
+                force_processes(processes)
+                dev_passes.clear()
+                path, trace = train.pretrain(cfg, train.strip_labels(entries), root,
+                                             tmp_path / str(processes))
+                runs.append((path.read_bytes(), _trace_rows(trace)))
+                _no_child_left()
+        assert runs[0] == runs[1]
+
+    def test_worker_trains_the_temporal_view_in_another_process(self, tiny_corpus, tiny_cfg,
+                                                                tmp_path, monkeypatch,
+                                                                force_processes):
+        root, entries = tiny_corpus
+        view_embed = train._view_embed
+        log = os.open(tmp_path / "views", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def logged(model, segs, kind, *args):
+            os.write(log, f"{os.getpid()} {kind}\n".encode())
+            return view_embed(model, segs, kind, *args)
+
+        monkeypatch.setattr(train, "_view_embed", logged)
+        force_processes(2)
+        try:
+            train.pretrain(_pretrain_cfg(tiny_cfg, **{"train.epochs": 1}),
+                           train.strip_labels(entries), root, tmp_path / "out")
+        finally:
+            os.close(log)
+        calls = [line.split() for line in (tmp_path / "views").read_text().splitlines()]
+        pids = {kind: {pid for pid, k in calls if k == kind} for kind in ("temporal", "spatial")}
+        assert pids["spatial"] == {str(os.getpid())}
+        assert len(pids["temporal"]) == 1 and pids["temporal"] != pids["spatial"]
+        # 3 train batches of 16, 16 and 4 clips, then one dev batch, per view
+        assert sum(k == "temporal" for _, k in calls) == sum(k == "spatial" for _, k in calls) == 4
+        _no_child_left()
+
+    def test_non_finite_loss_names_the_workers_current_norms(self, tiny_corpus, tiny_cfg,
+                                                             tmp_path, monkeypatch,
+                                                             force_processes):
+        """Epoch 2's abort message reads the temporal parameters after epoch 1's steps,
+        which only the worker holds until it sends them."""
+        root, entries = tiny_corpus
+        pair_forward = train._pair_forward
+
+        def poisoned(model, mats, clip_ids, spec, seed, epoch):
+            h1, h2, z1, z2 = pair_forward(model, mats, clip_ids, spec, seed, epoch)
+            return h1, h2, tg.scale(z1, float("nan")) if epoch == 2 else z1, z2
+
+        monkeypatch.setattr(train, "_pair_forward", poisoned)
+        cfg = _pretrain_cfg(tiny_cfg, **{"train.epochs": 3, "train.lr": 1e-2})
+        messages = []
+        for processes in (1, 2):
+            force_processes(processes)
+            with pytest.raises(RuntimeError, match="non-finite loss at epoch 2") as info:
+                train.pretrain(cfg, train.strip_labels(entries), root, tmp_path / str(processes))
+            messages.append(str(info.value))
+            _no_child_left()
+        assert messages[0] == messages[1]
+        initial = np.linalg.norm(train.build_model(cfg, head="proj").store["stem.temporal.w"].data)
+        assert "stem.temporal.w=" in messages[0]
+        assert f"stem.temporal.w={initial:.3g}," not in messages[0]  # epoch 1 moved it
+
+    def test_worker_exit_without_a_result_raises_runtime_error(self, tiny_corpus, tiny_cfg,
+                                                               tmp_path, monkeypatch,
+                                                               force_processes):
+        root, entries = tiny_corpus
+        parent, view_embed, calls = os.getpid(), train._view_embed, []
+
+        def worker_exits(model, segs, kind, *args):
+            calls.append(kind)
+            if os.getpid() != parent and len(calls) == 2:  # mid-epoch, after one step
+                os._exit(3)
+            return view_embed(model, segs, kind, *args)
+
+        monkeypatch.setattr(train, "_view_embed", worker_exits)
+        force_processes(2)
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=r"without a result \(exit status 3\)"):
+            train.pretrain(_pretrain_cfg(tiny_cfg), train.strip_labels(entries), root, tmp_path)
+        assert time.monotonic() - start < 30
+        _no_child_left()
+
+    def test_parent_interrupt_kills_and_reaps_the_worker(self, tiny_corpus, tiny_cfg,
+                                                         tmp_path, monkeypatch,
+                                                         force_processes):
+        root, entries = tiny_corpus
+        parent, view_embed, calls = os.getpid(), train._view_embed, []
+
+        def interrupted(model, segs, kind, *args):
+            calls.append(kind)
+            if len(calls) == 2:  # the second batch: its temporal view is requested
+                if os.getpid() == parent:
+                    raise KeyboardInterrupt
+                time.sleep(60)  # the worker outlives the parent's share unless killed
+            return view_embed(model, segs, kind, *args)
+
+        monkeypatch.setattr(train, "_view_embed", interrupted)
+        force_processes(2)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            train.pretrain(_pretrain_cfg(tiny_cfg), train.strip_labels(entries), root, tmp_path)
+        assert time.monotonic() - start < 30
+        _no_child_left()
+
+    def test_worker_error_reaches_the_parent_with_its_type(self, tiny_corpus, tiny_cfg,
+                                                           tmp_path, monkeypatch,
+                                                           force_processes):
+        root, entries = tiny_corpus
+        parent, backward = os.getpid(), tg.Tape.backward
+
+        def worker_fails(tape, out, grad=None):
+            if os.getpid() != parent:
+                raise ShapeError("matmul inner dims disagree")
+            return backward(tape, out, grad)
+
+        monkeypatch.setattr(tg.Tape, "backward", worker_fails)
+        force_processes(2)
+        with pytest.raises(ShapeError, match="matmul inner dims disagree"):
+            train.pretrain(_pretrain_cfg(tiny_cfg), train.strip_labels(entries), root, tmp_path)
+        _no_child_left()
+
+    def test_probe_fails_and_pretrain_stays_in_one_process_under_default_blas(self,
+                                                                              tiny_corpus,
+                                                                              tmp_path):
+        root, entries = tiny_corpus
+        script = (
+            "import os, sys\n"
+            "from signl import config, featio, train\n"
+            "def no_fork():\n"
+            "    raise AssertionError('pretrain forked')\n"
+            "os.fork = no_fork\n"
+            "cfg = config.defaults()\n"
+            "cfg.update({'data.f': 32, 'data.t': 32, 'train.epochs': 1, 'train.seed': 11})\n"
+            "entries = featio.read_manifest(os.path.join(sys.argv[1], 'manifest.jsonl'))\n"
+            "clips = train.strip_labels(entries)[:8]\n"
+            "train.pretrain(cfg, clips, sys.argv[1], sys.argv[2])\n"
+            "print(train._second_core_free(), len(os.listdir('/proc/self/task')))\n")
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+        env["PYTHONPATH"] = str(Path(train.__file__).parents[1])
+        out = subprocess.run([sys.executable, "-c", script, str(root), str(tmp_path)], env=env,
+                             capture_output=True, text=True, check=True).stdout.split()
+        assert out[0] == "False"
+        assert int(out[1]) >= 2 or len(os.sched_getaffinity(0)) < 2  # BLAS runs a thread
+        assert (tmp_path / "pretrained.sigc").is_file()
 
 
 class TestFinetune:
@@ -556,7 +753,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("processes", [1, 2], ids=["one_process", "two_processes"])
     def test_streams_one_chunk_at_a_time_with_the_same_bits(self, tiny_corpus, tiny_cfg,
-                                                            monkeypatch, force_scorers,
+                                                            monkeypatch, force_processes,
                                                             tmp_path, processes):
         root, entries = tiny_corpus
         model = train.build_model(tiny_cfg, head="cls")
@@ -575,7 +772,7 @@ class TestEvaluate:
             return load(items, data_dir, shape)
 
         monkeypatch.setattr(train, "load_features", counted)
-        force_scorers(processes)
+        force_processes(processes)
         try:
             scores, report = train.evaluate(model, entries, root)
         finally:
@@ -595,13 +792,13 @@ class TestEvaluate:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(eval_batch=st.integers(1, 24))
     def test_two_processes_give_one_process_bits(self, tiny_corpus, tiny_cfg, monkeypatch,
-                                                 force_scorers, eval_batch):
+                                                 force_processes, eval_batch):
         root, entries = tiny_corpus
         model = train.build_model(tiny_cfg, head="cls")
         monkeypatch.setattr(train, "EVAL_BATCH", eval_batch)
         runs = []
         for processes in (2, 1):
-            force_scorers(processes)
+            force_processes(processes)
             scores, report = train.evaluate(model, entries, root)
             runs.append((scores.entries, report.eer.hex(), report.threshold.hex()))
         assert runs[0] == runs[1]
@@ -617,7 +814,7 @@ class TestEvaluate:
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data(), eval_batch=st.integers(1, 24))
     def test_two_processes_raise_the_one_process_error(self, eval_copy, tiny_cfg, monkeypatch,
-                                                       force_scorers, data, eval_batch):
+                                                       force_processes, data, eval_batch):
         corpus, entries = eval_copy
         rows = [e for e in entries if e.split == "eval"]
         spoiled = data.draw(st.lists(st.sampled_from(rows), min_size=2, max_size=2,
@@ -631,7 +828,7 @@ class TestEvaluate:
         errors = []
         try:
             for processes in (1, 2):
-                force_scorers(processes)
+                force_processes(processes)
                 with pytest.raises((InputError, OSError)) as info:
                     train.evaluate(model, entries, corpus)
                 errors.append((type(info.value), str(info.value),
@@ -649,7 +846,7 @@ class TestEvaluate:
                                              (lambda: os.kill(os.getpid(), signal.SIGKILL),
                                               "signal 9")], ids=["exit", "signal"])
     def test_child_without_a_result_raises_runtime_error(self, tiny_corpus, tiny_cfg,
-                                                         monkeypatch, force_scorers, end,
+                                                         monkeypatch, force_processes, end,
                                                          status):
         root, entries = tiny_corpus
         parent, load = os.getpid(), train.load_features
@@ -661,14 +858,14 @@ class TestEvaluate:
 
         monkeypatch.setattr(train, "load_features", child_ends)
         monkeypatch.setattr(train, "EVAL_BATCH", 6)
-        force_scorers(2)
+        force_processes(2)
         with pytest.raises(RuntimeError, match=f"without a result \\({status}\\)"):
             train.evaluate(train.build_model(tiny_cfg, head="cls"), entries, root)
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
     def test_child_error_that_does_not_pickle_raises_runtime_error(self, tiny_corpus, tiny_cfg,
-                                                                   monkeypatch, force_scorers):
+                                                                   monkeypatch, force_processes):
         root, entries = tiny_corpus
         parent, classify = os.getpid(), train._classify_forward
 
@@ -682,12 +879,12 @@ class TestEvaluate:
 
         monkeypatch.setattr(train, "_classify_forward", child_fails)
         monkeypatch.setattr(train, "EVAL_BATCH", 6)
-        force_scorers(2)
+        force_processes(2)
         with pytest.raises(RuntimeError, match=r"without a result \(exit status 1\)"):
             train.evaluate(train.build_model(tiny_cfg, head="cls"), entries, root)
 
     def test_parent_interrupt_kills_and_reaps_the_child(self, tiny_corpus, tiny_cfg,
-                                                        monkeypatch, force_scorers):
+                                                        monkeypatch, force_processes):
         root, entries = tiny_corpus
         parent, load = os.getpid(), train.load_features
 
@@ -699,7 +896,7 @@ class TestEvaluate:
 
         monkeypatch.setattr(train, "load_features", interrupted)
         monkeypatch.setattr(train, "EVAL_BATCH", 6)
-        force_scorers(2)
+        force_processes(2)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             train.evaluate(train.build_model(tiny_cfg, head="cls"), entries, root)
@@ -708,9 +905,9 @@ class TestEvaluate:
             os.waitpid(-1, os.WNOHANG)
 
     def test_short_split_stays_in_one_process(self, tiny_corpus, tiny_cfg, monkeypatch,
-                                              force_scorers):
+                                              force_processes):
         root, entries = tiny_corpus
-        force_scorers(1)
+        force_processes(1)
         monkeypatch.setattr(train, "_second_core_free", lambda: True)
         monkeypatch.setattr(train, "EVAL_BATCH", 1)  # 20 chunks, fewer than FORK_MIN_CHUNKS
         monkeypatch.setattr(train, "FORK_MIN_CHUNKS", 21)
