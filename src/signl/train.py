@@ -19,7 +19,7 @@ the classifier trains on.
 Evaluation streams its clips: each process reads and scores one EVAL_BATCH chunk array
 at a time.  On a long eval split with a second core free, a forked child scores every
 other chunk, so memory holds one chunk per process; every chunk holds the same clips
-either way.
+either way.  Both forks go through one helper, ``_Child``, with one message format.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import json
 import math
 import multiprocessing
 import os
-import pickle
 import signal
 import time
 from dataclasses import dataclass
@@ -392,7 +391,76 @@ def pretrain(cfg, clips, data_dir, out_dir):
 
 
 # ---------------------------------------------------------------------------
-# pre-training's temporal view in a second process
+# second processes: a forked child, and pre-training's temporal view in one
+
+class _Child:
+    """A forked child process running ``work(conn)`` on one end of a pipe, seen
+    from this process, which holds the other end as ``conn``.
+
+    The child's last (op, value) message is ("result", what ``work`` returned)
+    or ("error", the exception it raised).  It leaves only through os._exit, so
+    it runs none of this process's atexit or finally code, and exits 0 only once
+    that message is sent.  ``recv`` raises a received error, and RuntimeError
+    naming the exit status or signal of a child that ended without a result (a
+    signal, or a value or error that does not pickle).  As a context manager the
+    child is killed when the block is left on an exception, and reaped before
+    the block ends either way, so no process outlives the block."""
+
+    def __init__(self, name, work):
+        self.name, self.status = name, None  # the exit code, once reaped
+        self.conn, there = multiprocessing.Pipe()
+        try:
+            self.pid = os.fork()
+        except BaseException:
+            self.conn.close()
+            there.close()
+            raise
+        if self.pid == 0:
+            status = 1
+            try:
+                self.conn.close()
+                try:
+                    message = ("result", work(there))
+                except Exception as exc:
+                    message = ("error", exc)
+                there.send(message)  # one that does not pickle ends the pipe: exit 1
+                status = 0
+            finally:
+                os._exit(status)
+        there.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, exc_type, *_):
+        if exc_type is not None and self.status is None:
+            os.kill(self.pid, signal.SIGKILL)
+        self.conn.close()
+        self._reap()
+
+    def send(self, message):
+        try:
+            self.conn.send(message)
+        except OSError:  # the child has left: raise its error, or how it ended
+            self.recv()
+            raise
+
+    def recv(self):
+        try:
+            op, value = self.conn.recv()
+        except (EOFError, OSError):
+            code = self._reap()
+            how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+            raise RuntimeError(f"the {self.name} ended without a result ({how})") from None
+        if op == "error":
+            raise value
+        return value
+
+    def _reap(self):
+        if self.status is None:
+            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
+        return self.status
+
 
 @contextlib.contextmanager
 def _view_worker(model, feats, lr):
@@ -403,51 +471,29 @@ def _view_worker(model, feats, lr):
     The worker owns the temporal stem and graph-conv layers; this process keeps
     the spatial view, the projection head and the loss.  Each side's Adam step
     sees only its own parameters, and both take one per step, so every value
-    keeps the bits of one process.  The worker leaves only through os._exit; an
-    error it raises is sent here and raised by the next call that waits for it,
-    and one that ends without a result makes that call raise RuntimeError
-    naming its exit status.  The worker is reaped before the block ends, and
-    killed first when the block is left on an exception."""
+    keeps the bits of one process.  Its lifecycle is ``_Child``'s: an error it
+    raises is raised by the next call that waits for it, and it is reaped
+    before the block ends."""
     kind = "temporal"
     owned = [name for name in model.store.names()  # its stem and graph-conv layers
              if name.startswith((f"stem.{kind}.", f"{ENCODER_PREFIX[kind]}."))]
-    here, there = multiprocessing.Pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        here.close()
-        there.close()
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            here.close()
-            for name, t in model.store.items():
-                t.requires_grad = name in owned
-            try:
-                _train_view(model, feats, lr, kind, owned, there)
-                status = 0
-            except Exception as exc:
-                with contextlib.suppress(Exception):  # one that does not pickle ends the pipe
-                    there.send(("error", exc))
-        finally:
-            os._exit(status)
-    there.close()
-    store, worker = model.store, _ViewWorker(kind, here, pid)
-    for name in owned:
-        store[name].requires_grad = False
-    model.store, model.remote = _SplitStore(store, worker), worker
-    try:
-        yield
-    except BaseException:
-        worker.kill()
-        raise
-    finally:
-        model.store, model.remote = store, None
+
+    def work(conn):
+        for name, t in model.store.items():
+            t.requires_grad = name in owned
+        _train_view(model, feats, lr, kind, owned, conn)
+
+    store = model.store
+    with _ViewWorker(kind, work) as worker:
         for name in owned:
-            store[name].requires_grad = True
-        here.close()
-        worker.reap()
+            store[name].requires_grad = False
+        model.store, model.remote = _SplitStore(store, worker), worker
+        try:
+            yield
+        finally:
+            model.store, model.remote = store, None
+            for name in owned:
+                store[name].requires_grad = True
 
 
 def _train_view(model, feats, lr, kind, owned, conn):
@@ -475,24 +521,23 @@ def _train_view(model, feats, lr, kind, owned, conn):
             conn.send(("params", {name: model.store[name].data for name in owned}))
 
 
-class _ViewWorker:
+class _ViewWorker(_Child):
     """This process's end of a ``_view_worker``: requests, gradients, fetches."""
 
-    def __init__(self, kind, conn, pid):
-        self.kind, self.conn, self.pid = kind, conn, pid
-        self.stepped = False  # a gradient went out since the last fetch
-        self.status = None    # the exit code, once reaped
+    def __init__(self, kind, work):
+        super().__init__(f"{kind} view worker", work)
+        self.kind, self.stepped = kind, False  # stepped: a gradient went out, not fetched
 
     def request(self, aug_key):
         """Ask for the worker's view of a batch, on a tape if this process records."""
-        self._send(("embed", (aug_key, tg.recording())))
+        self.send(("embed", (aug_key, tg.recording())))
 
     def embedding(self):
         """The requested rows, as a tensor whose gradient goes to the worker."""
-        return tg.external(self._receive(), self._send_gradient)
+        return tg.external(self.recv(), self._send_gradient)
 
     def _send_gradient(self, g):
-        self._send(("grad", g))
+        self.send(("grad", g))
         self.stepped = True
 
     def fetch(self):
@@ -500,37 +545,9 @@ class _ViewWorker:
         not stepped since the last fetch."""
         if not self.stepped:
             return {}
-        self._send(("params", None))
+        self.send(("params", None))
         self.stepped = False
-        return self._receive()
-
-    def _send(self, message):
-        try:
-            self.conn.send(message)
-        except OSError:  # the worker has left: raise its error, or how it ended
-            self._receive()
-            raise
-
-    def _receive(self):
-        try:
-            op, value = self.conn.recv()
-        except (EOFError, OSError):
-            code = self.reap()
-            how = f"exit status {code}" if code >= 0 else f"signal {-code}"
-            raise RuntimeError(f"the {self.kind} view worker ended without a result ({how})") \
-                from None
-        if op == "error":
-            raise value
-        return value
-
-    def kill(self):
-        if self.status is None:
-            os.kill(self.pid, signal.SIGKILL)
-
-    def reap(self):
-        if self.status is None:
-            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        return self.status
+        return self.recv()
 
 
 class _SplitStore(tg.ParamStore):
@@ -656,10 +673,11 @@ def evaluate(model, entries, data_dir):
 
     chunks = list(_batches(rows, EVAL_BATCH))
     stride = 2 if len(chunks) >= FORK_MIN_CHUNKS and _second_core_free() else 1
-    with _forked_share(chunks, logits) if stride == 2 else contextlib.nullcontext() as child:
+    with _Child("second eval scorer", lambda conn: _score_share(chunks, 1, 2, logits)) \
+            if stride == 2 else contextlib.nullcontext() as child:
         outcomes = [_score_share(chunks, 0, stride, logits)]
         if child:
-            outcomes.append(child())
+            outcomes.append(child.recv())
     failures = [failure for _, failure in outcomes if failure]
     if failures:
         raise min(failures, key=lambda failure: failure[0])[1]
@@ -692,57 +710,6 @@ def _score_share(chunks, first, stride, logits):
         except Exception as exc:
             return None, (i, exc)
     return scores, None
-
-
-@contextlib.contextmanager
-def _forked_share(chunks, logits):
-    """Fork a child that scores chunks 1, 3, 5, ... and pickles its _score_share
-    outcome into a pipe; yield a function that waits for and returns that outcome.
-
-    The child leaves only through os._exit, so it runs none of this process's
-    atexit or finally code.  One that ends without a result (a signal, or an
-    error that does not pickle) makes the function raise RuntimeError naming its
-    exit status.  The child is reaped before the block ends, and killed first
-    when the block is left on an exception, so no process outlives the block."""
-    read_fd, write_fd = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_fd)
-        os.close(write_fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(read_fd)
-            payload = pickle.dumps(_score_share(chunks, 1, 2, logits), pickle.HIGHEST_PROTOCOL)
-            with open(write_fd, "wb") as pipe:
-                pipe.write(payload)
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(write_fd)
-    reaped = []
-
-    def outcome():
-        with open(read_fd, "rb", closefd=False) as pipe:
-            payload = pipe.read()
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        reaped.append(code)
-        if code:  # the child exits 0 only once its whole outcome is written
-            how = f"exit status {code}" if code > 0 else f"signal {-code}"
-            raise RuntimeError(f"the second eval scorer ended without a result ({how})")
-        return pickle.loads(payload)
-    try:
-        yield outcome
-    except BaseException:
-        if not reaped:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        os.close(read_fd)
-        if not reaped:
-            os.waitpid(pid, 0)
 
 
 def load_model(cfg, checkpoint_path, head="cls"):

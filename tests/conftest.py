@@ -46,12 +46,15 @@ def force_processes(monkeypatch):
 
     Under pytest the probe reads False (the faulthandler watchdog is a thread),
     so the two-process paths run only when forced.  Forced to 1, ``os.fork``
-    raises, so a fork on that path fails the test."""
+    raises, so a fork on that path fails the test.  After the test no child
+    process may be left, zombie or live."""
     def force(processes):
         monkeypatch.setattr(train, "FORK_MIN_CHUNKS", 2)
         monkeypatch.setattr(train, "_second_core_free", lambda: processes == 2)
         monkeypatch.setattr(os, "fork", _FORK if processes == 2 else _no_fork)
-    return force
+    yield force
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture

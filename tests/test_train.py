@@ -1,5 +1,7 @@
 """Training loops: pre-training, fine-tuning, early stopping, evaluation."""
 
+import ast
+import errno
 import hashlib
 import json
 import math
@@ -305,6 +307,27 @@ class TestPretrainTwoProcesses:
         monkeypatch.setattr(tg.Tape, "backward", worker_fails)
         force_processes(2)
         with pytest.raises(ShapeError, match="matmul inner dims disagree"):
+            train.pretrain(_pretrain_cfg(tiny_cfg), train.strip_labels(entries), root, tmp_path)
+        _no_child_left()
+
+    def test_worker_error_that_does_not_pickle_raises_runtime_error(self, tiny_corpus, tiny_cfg,
+                                                                    tmp_path, monkeypatch,
+                                                                    force_processes):
+        root, entries = tiny_corpus
+        parent, backward = os.getpid(), tg.Tape.backward
+
+        class Local(Exception):  # a class local to a function does not pickle
+            pass
+
+        def worker_fails(tape, out, grad=None):
+            if os.getpid() != parent:
+                raise Local("not picklable")
+            return backward(tape, out, grad)
+
+        monkeypatch.setattr(tg.Tape, "backward", worker_fails)
+        force_processes(2)
+        with pytest.raises(RuntimeError, match=r"^the temporal view worker ended without a "
+                                               r"result \(exit status 1\)$"):
             train.pretrain(_pretrain_cfg(tiny_cfg), train.strip_labels(entries), root, tmp_path)
         _no_child_left()
 
@@ -953,6 +976,46 @@ class TestEvaluate:
         model = train.build_model(tiny_cfg, head="cls")
         with pytest.raises(ConfigError, match="split 'eval' holds no 'fake' clips"):
             train.evaluate(model, no_fakes, tmp_path / "no-corpus")
+
+
+class TestChild:
+    """Both second processes, pre-training's view worker and evaluate's second
+    scorer, come from one fork helper."""
+
+    @pytest.mark.parametrize("stage", ["evaluate", "pretrain"])
+    def test_fork_failure_raises_and_leaves_no_child_or_pipe(self, tiny_corpus, tiny_cfg,
+                                                              tmp_path, monkeypatch,
+                                                              force_processes, stage):
+        root, entries = tiny_corpus
+
+        def no_process_ids():
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(train, "EVAL_BATCH", 6)  # 4 eval chunks: enough to fork
+        force_processes(2)
+        monkeypatch.setattr(os, "fork", no_process_ids)
+        open_fds = len(os.listdir("/proc/self/fd"))
+        with pytest.raises(BlockingIOError, match="Resource temporarily unavailable") as info:
+            if stage == "evaluate":
+                train.evaluate(train.build_model(tiny_cfg, head="cls"), entries, root)
+            else:
+                train.pretrain(_pretrain_cfg(tiny_cfg), train.strip_labels(entries), root,
+                               tmp_path)
+        # ``info`` keeps the traceback, so the failed fork's frames and the pipe ends
+        # they hold stay alive: only an explicit close frees their descriptors by now
+        assert len(os.listdir("/proc/self/fd")) == open_fds
+        _no_child_left()
+
+    def test_train_forks_and_exits_only_in_the_helper(self):
+        tree = ast.parse(Path(train.__file__).read_text())
+        calls = [(top.name, node.func.attr) for top in tree.body for node in ast.walk(top)
+                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                 and isinstance(node.func.value, ast.Name) and node.func.value.id == "os"
+                 and node.func.attr in ("fork", "_exit")]
+        assert sorted(calls) == [("_Child", "_exit"), ("_Child", "fork")]
+        imported = {alias.name for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+        assert "pickle" not in imported
 
 
 class TestClipShape:
