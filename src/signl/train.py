@@ -17,9 +17,9 @@ and dev loss keeps the bits of one process.
 A frozen fine-tune encodes each labelled clip once, into one matrix whose rows
 the classifier trains on.
 Evaluation streams its clips: each process reads and scores one EVAL_BATCH chunk array
-at a time.  On a long eval split with a second core free, a forked child scores every
-other chunk, so memory holds one chunk per process; every chunk holds the same clips
-either way.  Both forks go through one helper, ``_Child``, with one message format.
+at a time.  On a long eval split with a second core free, a forked child scores the
+second half of the chunks, so memory holds one chunk per process; every chunk holds the
+same clips either way.  Both forks go through one helper, ``_Child``, with one format.
 """
 
 from __future__ import annotations
@@ -195,12 +195,10 @@ def _classify_forward(model, mats, clip_ids):
 
 
 def _embedding_rows(model, chunks):
-    """clip_id -> its float32 classifier input (views*N*d_L), one forward per
-    (clip ids, (B, F, T) array) chunk, as ``load_chunks`` yields them."""
-    rows = {}
-    for ids, mats in chunks:
-        rows.update(zip(ids, _embed(model, split_pair(mats)[0]).data))
-    return rows
+    """The (n, views*N*d_L) float32 classifier inputs of the clips of ``chunks``, in
+    order: one forward per (clip ids, (B, F, T) array) chunk, as ``load_chunks``
+    yields them."""
+    return np.concatenate([_embed(model, split_pair(mats)[0]).data for _, mats in chunks])
 
 
 # ---------------------------------------------------------------------------
@@ -617,9 +615,8 @@ def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):
     # into one matrix whose rows each batch picks
     rows = feats = None
     if cfg["train.freeze_encoders"]:
-        embedded = _embedding_rows(model, load_chunks(items, data_dir, model.clip_shape))
-        row_of = {clip_id: i for i, clip_id in enumerate(embedded)}
-        rows = np.stack(list(embedded.values()))
+        rows = _embedding_rows(model, load_chunks(items, data_dir, model.clip_shape))
+        row_of = {clip_id: i for i, (clip_id, _) in enumerate(items)}
     else:
         feats = load_split(items, data_dir, model.clip_shape)
 
@@ -653,16 +650,17 @@ def evaluate(model, entries, data_dir):
 
     Clips are read into one (B, F, T) array, checked and scored one EVAL_BATCH
     chunk at a time.  With at least FORK_MIN_CHUNKS chunks and a second core free
-    (see ``_second_core_free``), this process scores chunks 0, 2, 4, ... while a
-    forked child scores chunks 1, 3, 5, ...; otherwise this process scores every
-    chunk.  A fork costs a fixed 20-30 ms in a desk-sized process (page tables,
-    copy-on-write faults on each side's first chunk, the child's exit), and a
-    shared machine may give two processes one core's throughput; below
-    FORK_MIN_CHUNKS 64 x 64 chunks, about 0.25 s of work, that cost can outweigh
-    the gain, so one process scores them.  Memory holds one chunk
-    of features per process whatever the size of the eval split, and every chunk
-    holds the same clips, so the scores keep their bits.  Of the chunks that
-    fail, the first in split order raises its error, as in one process."""
+    (see ``_second_core_free``), this process scores the first n_chunks // 2
+    chunks while a forked child scores the second half of the chunks; otherwise
+    this process scores every chunk.  A fork costs a fixed 20-30 ms in a
+    desk-sized process (page tables, copy-on-write faults on each side's first
+    chunk, the child's exit), and a shared machine may give two processes one
+    core's throughput; below FORK_MIN_CHUNKS 64 x 64 chunks, about 0.25 s of work,
+    that cost can outweigh the gain, so one process scores them.  Memory holds one
+    chunk of features per process whatever the size of the eval split, and every
+    chunk holds the same clips, so the scores keep their bits.  The first failing
+    chunk in split order raises its error, as in one process: an error in this
+    process's half raises at once and kills the child."""
     rows = [e for e in entries if e.split == "eval"]
     _check_both_labels(rows, "eval")
     paths = {e.clip_id: e.path for e in rows}
@@ -671,19 +669,18 @@ def evaluate(model, entries, data_dir):
         mats = load_features([(c, paths[c]) for c in ids], data_dir, model.clip_shape)
         return _classify_forward(model, mats, ids)
 
-    chunks = list(_batches(rows, EVAL_BATCH))
-    stride = 2 if len(chunks) >= FORK_MIN_CHUNKS and _second_core_free() else 1
-    with _Child("second eval scorer", lambda conn: _score_share(chunks, 1, 2, logits)) \
-            if stride == 2 else contextlib.nullcontext() as child:
-        outcomes = [_score_share(chunks, 0, stride, logits)]
+    n_chunks = math.ceil(len(rows) / EVAL_BATCH)
+    cut = len(rows)  # this process scores rows[:cut], the second scorer the rest
+    if n_chunks >= FORK_MIN_CHUNKS and _second_core_free():
+        cut = n_chunks // 2 * EVAL_BATCH
+    back = rows[cut:]
+    with _Child("second eval scorer",
+                lambda conn: [p for _, p, _ in score_entries(back, logits).entries]) \
+            if back else contextlib.nullcontext() as child:
+        scores = score_entries(rows[:cut], logits).entries
         if child:
-            outcomes.append(child.recv())
-    failures = [failure for _, failure in outcomes if failure]
-    if failures:
-        raise min(failures, key=lambda failure: failure[0])[1]
-    shares = [iter(scores) for scores, _ in outcomes]
-    score_set = metrics.ScoreSet([(e.clip_id, next(shares[i % stride]), e.label)
-                                  for i, chunk in enumerate(chunks) for e in chunk])
+            scores += [(e.clip_id, p, e.label) for e, p in zip(back, child.recv())]
+    score_set = metrics.ScoreSet(scores)
     return score_set, metrics.compute_eer(score_set)
 
 
@@ -697,19 +694,6 @@ def _second_core_free():
         return len(os.sched_getaffinity(0)) >= 2 and len(os.listdir("/proc/self/task")) == 1
     except (AttributeError, OSError):  # no affinity call or no /proc: stay in one process
         return False
-
-
-def _score_share(chunks, first, stride, logits):
-    """Score chunks[first::stride] in order, each by score_entries.  Returns (their
-    bona-fide probabilities, None), or, stopping at the share's first failing
-    chunk, (None, (that chunk's index in ``chunks``, its exception))."""
-    scores = []
-    for i in range(first, len(chunks), stride):
-        try:
-            scores += [score for _, score, _ in score_entries(chunks[i], logits).entries]
-        except Exception as exc:
-            return None, (i, exc)
-    return scores, None
 
 
 def load_model(cfg, checkpoint_path, head="cls"):

@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import signal
 import subprocess
@@ -515,8 +516,7 @@ class TestFrozenEmbeddingCache:
         items = [(e.clip_id, e.path) for e in self._labelled(entries)]
         feats = train.load_split(items, root, model.clip_shape)
         monkeypatch.setattr(train, "EVAL_BATCH", eval_batch)
-        rows = train._embedding_rows(model, train.load_chunks(items, root, model.clip_shape))
-        assert list(rows) == ids
+        cached = train._embedding_rows(model, train.load_chunks(items, root, model.clip_shape))
 
         inputs = []
         run_mlp = enc.run_mlp
@@ -528,7 +528,6 @@ class TestFrozenEmbeddingCache:
         for batch in train._batches(ids, live_batch):
             train._classify_forward(model, [feats[c] for c in batch], batch)
         live = np.concatenate(inputs)
-        cached = np.stack([rows[c] for c in ids])
         assert cached.dtype == np.float32
         assert cached.shape == live.shape == (len(ids), model.store["cls.l0.w"].shape[0])
         if exact:
@@ -747,6 +746,26 @@ def _spoil_clip(path, kind):
             path.mkdir()
 
 
+@pytest.fixture
+def logged_loads(tmp_path, monkeypatch):
+    """``logged_loads()`` logs each later ``train.load_features`` call, from either
+    process, and returns a reader of the (pid, clip ids) of every call, in order."""
+    path = tmp_path / "loads"
+    log, load = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_APPEND), train.load_features
+
+    def logged(items, data_dir, shape):
+        # one O_APPEND write per load reaches the file from either process
+        os.write(log, f"{os.getpid()} {' '.join(c for c, _ in items)}\n".encode())
+        return load(items, data_dir, shape)
+
+    def log_loads():
+        monkeypatch.setattr(train, "load_features", logged)
+        return lambda: [(int(pid), ids.split()) for pid, ids in
+                        (line.split(" ", 1) for line in path.read_text().splitlines())]
+    yield log_loads
+    os.close(log)
+
+
 class TestEvaluate:
     def _constant_model(self, tiny_cfg):
         model = train.build_model({**tiny_cfg, "train.seed": 0}, head="cls")
@@ -777,7 +796,7 @@ class TestEvaluate:
     @pytest.mark.parametrize("processes", [1, 2], ids=["one_process", "two_processes"])
     def test_streams_one_chunk_at_a_time_with_the_same_bits(self, tiny_corpus, tiny_cfg,
                                                             monkeypatch, force_processes,
-                                                            tmp_path, processes):
+                                                            logged_loads, processes):
         root, entries = tiny_corpus
         model = train.build_model(tiny_cfg, head="cls")
         monkeypatch.setattr(train, "EVAL_BATCH", 6)  # 20 eval clips: chunks of 6, 6, 6, 2
@@ -786,28 +805,17 @@ class TestEvaluate:
         feats = train.load_split([(e.clip_id, e.path) for e in rows], root, model.clip_shape)
         expected = train.score_entries(
             rows, lambda ids: train._classify_forward(model, [feats[c] for c in ids], ids))
-        # one O_APPEND write per load reaches this file from either process
-        log = os.open(tmp_path / "loads", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
-        load = train.load_features
-
-        def counted(items, data_dir, shape):
-            os.write(log, f"{os.getpid()} {' '.join(c for c, _ in items)}\n".encode())
-            return load(items, data_dir, shape)
-
-        monkeypatch.setattr(train, "load_features", counted)
+        loads = logged_loads()
         force_processes(processes)
-        try:
-            scores, report = train.evaluate(model, entries, root)
-        finally:
-            os.close(log)
-        lines = [line.split(" ", 1) for line in (tmp_path / "loads").read_text().splitlines()]
-        loads = [ids.split() for _, ids in lines]
+        scores, report = train.evaluate(model, entries, root)
         chunks = [[e.clip_id for e in chunk] for chunk in train._batches(rows, 6)]
         if processes == 1:
-            assert loads == chunks
-        else:
-            assert sorted(loads) == sorted(chunks)  # each chunk loaded once, whole
-            assert len({pid for pid, _ in lines}) == 2
+            assert [ids for _, ids in loads()] == chunks
+        else:  # this process loads the first half of the chunks, the child the rest
+            half = len(chunks) // 2
+            assert [ids for pid, ids in loads() if pid == os.getpid()] == chunks[:half]
+            assert [ids for pid, ids in loads() if pid != os.getpid()] == chunks[half:]
+            assert len({pid for pid, _ in loads()}) == 2
         assert scores.entries == expected.entries
         assert report.eer == metrics.compute_eer(expected).eer
 
@@ -927,15 +935,51 @@ class TestEvaluate:
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
-    def test_short_split_stays_in_one_process(self, tiny_corpus, tiny_cfg, monkeypatch,
-                                              force_processes):
+    @pytest.mark.parametrize("fork_min_chunks, pids", [(20, 2), (21, 1)],
+                             ids=["at_minimum", "below_minimum"])
+    def test_fork_min_chunks_is_the_fork_boundary(self, tiny_corpus, tiny_cfg, monkeypatch,
+                                                   force_processes, logged_loads,
+                                                   fork_min_chunks, pids):
         root, entries = tiny_corpus
+        model = train.build_model(tiny_cfg, head="cls")
+        monkeypatch.setattr(train, "EVAL_BATCH", 1)  # 20 one-clip chunks
         force_processes(1)
+        expected, _ = train.evaluate(model, entries, root)
+        force_processes(pids)  # with 1, os.fork raises
         monkeypatch.setattr(train, "_second_core_free", lambda: True)
-        monkeypatch.setattr(train, "EVAL_BATCH", 1)  # 20 chunks, fewer than FORK_MIN_CHUNKS
-        monkeypatch.setattr(train, "FORK_MIN_CHUNKS", 21)
-        scores, _ = train.evaluate(train.build_model(tiny_cfg, head="cls"), entries, root)
-        assert len(scores.entries) == 20
+        monkeypatch.setattr(train, "FORK_MIN_CHUNKS", fork_min_chunks)
+        loads = logged_loads()
+        scores, _ = train.evaluate(model, entries, root)
+        assert len({pid for pid, _ in loads()}) == pids
+        assert scores.entries == expected.entries
+
+    def test_error_here_does_not_wait_for_the_child(self, tiny_corpus, tiny_cfg, tmp_path,
+                                                     monkeypatch, force_processes):
+        root, entries = tiny_corpus
+        corpus = tmp_path / "corpus"
+        shutil.copytree(root, corpus)
+        odd = [e for e in entries if e.split == "eval"][0]
+        featio.write_feature(np.zeros((32, 30)), corpus / odd.path)
+        model = train.build_model(tiny_cfg, head="cls")
+        monkeypatch.setattr(train, "EVAL_BATCH", 6)  # 4 chunks: this process scores 2
+        force_processes(1)
+        with pytest.raises(ConfigError, match=odd.clip_id) as alone:
+            train.evaluate(model, entries, corpus)
+        parent, load = os.getpid(), train.load_features
+
+        def child_sleeps(items, data_dir, shape):
+            if os.getpid() != parent:
+                time.sleep(20)
+            return load(items, data_dir, shape)
+
+        monkeypatch.setattr(train, "load_features", child_sleeps)
+        force_processes(2)
+        start = time.monotonic()
+        with pytest.raises(ConfigError) as forked:
+            train.evaluate(model, entries, corpus)
+        assert time.monotonic() - start < 10
+        assert str(forked.value) == str(alone.value)
+        _no_child_left()
 
     def test_probe_refuses_a_second_thread(self):
         stop = threading.Event()
@@ -976,6 +1020,17 @@ class TestEvaluate:
         model = train.build_model(tiny_cfg, head="cls")
         with pytest.raises(ConfigError, match="split 'eval' holds no 'fake' clips"):
             train.evaluate(model, no_fakes, tmp_path / "no-corpus")
+
+
+def test_readme_states_the_eval_chunk_sizes():
+    # README step 6 spells out EVAL_BATCH, FORK_MIN_CHUNKS and their product
+    readme = " ".join((Path(train.__file__).parents[2] / "README.md").read_text().split())
+    batch = re.search(r"`train\.EVAL_BATCH` chunk \(([\d,]+) clips\)", readme)
+    fork = re.search(r"`train\.FORK_MIN_CHUNKS` chunks \((\d+), i\.e\. ([\d,]+) clips\)",
+                     readme)
+    stated = [int(n.replace(",", "")) for n in (*batch.groups(), *fork.groups())]
+    assert stated == [train.EVAL_BATCH, train.FORK_MIN_CHUNKS,
+                      train.EVAL_BATCH * train.FORK_MIN_CHUNKS]
 
 
 class TestChild:
