@@ -9,9 +9,10 @@ and every clip through ``load_features``, which reads a chunk of clips into one
 (B, F, T) array, checks each against (data.f, data.t) and the chunk's finiteness once.
 Whole splits load in EVAL_BATCH chunks; each clip's matrix is a row of its chunk.
 A pre-training step encodes both clip halves as one (2B, F, T/2) batch per view,
-built in one copy by ``_pair_halves``.  With a second core free, pre-training forks
-one worker that trains the temporal view (its stem and graph-conv layers) while
-this process trains the spatial view, the projection head and the loss; the views
+built in one copy by ``_pair_halves``.  With dev clips and a second core free,
+pre-training forks one worker that trains the temporal view (its stem and graph-conv
+layers) while this process trains the spatial view, the projection head and the loss;
+the worker's parameter values come back with each embedding of its view.  The views
 share no parameter and Adam is elementwise, so every checkpoint byte, trace value
 and dev loss keeps the bits of one process.
 A frozen fine-tune encodes each labelled clip once, into one matrix whose rows
@@ -267,11 +268,11 @@ def _batches(ids, batch_size):
         yield ids[i:i + batch_size]
 
 
-def _abort_diagnostics(model, epoch, batch_idx):
+def _abort_diagnostics(model, what):
     norms = {name: float(np.linalg.norm(a)) for name, a in model.store.state_arrays().items()}
     worst = sorted(norms, key=norms.get, reverse=True)[:5]
     detail = ", ".join(f"{n}={norms[n]:.3g}" for n in worst)
-    return f"non-finite loss at epoch {epoch}, batch {batch_idx}; largest param norms: {detail}"
+    return f"non-finite {what}; largest param norms: {detail}"
 
 
 class _EarlyStopper:
@@ -328,12 +329,15 @@ def _fit(model, cfg, train_ids, batch_loss, dev_metric, ckpt_path, trace_path):
             with tg.Tape() as tape:
                 loss = batch_loss(batch, epoch)
                 if not np.isfinite(loss.data):
-                    raise RuntimeError(_abort_diagnostics(model, epoch, batch_idx))
+                    raise RuntimeError(
+                        _abort_diagnostics(model, f"loss at epoch {epoch}, batch {batch_idx}"))
                 tape.backward(loss)
             tg.adam_step(model.store, cfg["train.lr"])
             losses.append(float(loss.data))
         train_loss = float(np.mean(losses))
         metric = train_loss if dev_metric is None else dev_metric()
+        if not math.isfinite(metric):  # diverged: NaN would pass as a stale epoch
+            raise RuntimeError(_abort_diagnostics(model, f"dev metric at epoch {epoch}"))
         trace.append({"epoch": epoch, "train_loss": train_loss, "dev_metric": metric,
                       "seconds": round(time.monotonic() - t0, 3)})
         with open(trace_path, "a") as fh:
@@ -381,7 +385,7 @@ def pretrain(cfg, clips, data_dir, out_dir):
         return total / len(dev_ids)
 
     # projection-head entries ship under proj.* and are ignored downstream
-    with _view_worker(model, feats, cfg["train.lr"]) if _second_core_free() \
+    with _ViewWorker(model, feats, cfg["train.lr"]) if dev_ids and _second_core_free() \
             else contextlib.nullcontext():
         path, trace, _ = _fit(model, cfg, train_ids, batch_loss, dev_loss if dev_ids else None,
                               out_dir / "pretrained.sigc", out_dir / "pretrain_trace.jsonl")
@@ -460,46 +464,12 @@ class _Child:
         return self.status
 
 
-@contextlib.contextmanager
-def _view_worker(model, feats, lr):
-    """Fork a worker that trains the temporal view of a pre-training ``model`` on
-    the clip matrices ``feats`` (clip_id -> F x T), and attach it to the model
-    for the block.
-
-    The worker owns the temporal stem and graph-conv layers; this process keeps
-    the spatial view, the projection head and the loss.  Each side's Adam step
-    sees only its own parameters, and both take one per step, so every value
-    keeps the bits of one process.  Its lifecycle is ``_Child``'s: an error it
-    raises is raised by the next call that waits for it, and it is reaped
-    before the block ends."""
-    kind = "temporal"
-    owned = [name for name in model.store.names()  # its stem and graph-conv layers
-             if name.startswith((f"stem.{kind}.", f"{ENCODER_PREFIX[kind]}."))]
-
-    def work(conn):
-        for name, t in model.store.items():
-            t.requires_grad = name in owned
-        _train_view(model, feats, lr, kind, owned, conn)
-
-    store = model.store
-    with _ViewWorker(kind, work) as worker:
-        for name in owned:
-            store[name].requires_grad = False
-        model.store, model.remote = _SplitStore(store, worker), worker
-        try:
-            yield
-        finally:
-            model.store, model.remote = store, None
-            for name in owned:
-                store[name].requires_grad = True
-
-
 def _train_view(model, feats, lr, kind, owned, conn):
     """The worker's loop, until this process's end of ``conn`` closes.  It embeds
     view ``kind`` of the ``_pair_halves`` batch of each requested batch of clips,
-    on a tape when the request is recorded; back-propagates a gradient sent for
-    the last embedding and takes an Adam step; and sends its ``owned``
-    parameters' values on request."""
+    on a tape when the request is recorded, and sends the rows with its ``owned``
+    parameters' values; a gradient sent for the last embedding is back-propagated
+    and followed by an Adam step."""
     tape = rows = None
     while True:
         try:
@@ -511,71 +481,61 @@ def _train_view(model, feats, lr, kind, owned, conn):
             segs = _pair_halves([feats[c] for c in aug_key[0]])
             with tg.Tape() if recording else contextlib.nullcontext() as tape:
                 rows = _view_embed(model, segs, kind, *aug_key)
-            conn.send(("rows", rows.data))
-        elif op == "grad":
+            conn.send(("rows", (rows.data, {name: model.store[name].data for name in owned})))
+        else:  # "grad"
             tape.backward(rows, arg)
             tg.adam_step(model.store, lr)
-        else:  # "params"
-            conn.send(("params", {name: model.store[name].data for name in owned}))
 
 
 class _ViewWorker(_Child):
-    """This process's end of a ``_view_worker``: requests, gradients, fetches."""
+    """A forked worker that trains the temporal view of a pre-training ``model`` on
+    the clip matrices ``feats`` (clip_id -> F x T), attached to the model until
+    the block ends.
 
-    def __init__(self, kind, work):
+    The worker owns the temporal stem and graph-conv layers; this process keeps
+    the spatial view, the projection head and the loss.  Each side's Adam step
+    sees only its own parameters, and both take one per step, so every value
+    keeps the bits of one process.  Each embedding brings the worker's values
+    with its rows, so once a batch is embedded this process holds every
+    parameter as of the worker's last step.  ``_fit`` reads the whole store only
+    at such points: the abort message after a batch's forward pass, and the
+    snapshot, restore and save after a dev pass, which follows every epoch's last
+    step once ``pretrain`` forks only with dev clips.  Its lifecycle is
+    ``_Child``'s: an error it raises is raised by the next call that waits for
+    it, and it is reaped before the block ends."""
+
+    def __init__(self, model, feats, lr):
+        kind = "temporal"
+        owned = [name for name in model.store.names()  # its stem and graph-conv layers
+                 if name.startswith((f"stem.{kind}.", f"{ENCODER_PREFIX[kind]}."))]
+
+        def work(conn):
+            for name, t in model.store.items():
+                t.requires_grad = name in owned
+            _train_view(model, feats, lr, kind, owned, conn)
+
         super().__init__(f"{kind} view worker", work)
-        self.kind, self.stepped = kind, False  # stepped: a gradient went out, not fetched
+        self.model, self.kind, self.owned = model, kind, owned
+        for name in owned:
+            model.store[name].requires_grad = False
+        model.remote = self
+
+    def __exit__(self, *exc):
+        self.model.remote = None
+        for name in self.owned:
+            self.model.store[name].requires_grad = True
+        super().__exit__(*exc)
 
     def request(self, aug_key):
         """Ask for the worker's view of a batch, on a tape if this process records."""
         self.send(("embed", (aug_key, tg.recording())))
 
     def embedding(self):
-        """The requested rows, as a tensor whose gradient goes to the worker."""
-        return tg.external(self.recv(), self._send_gradient)
-
-    def _send_gradient(self, g):
-        self.send(("grad", g))
-        self.stepped = True
-
-    def fetch(self):
-        """The worker's current parameter values, name -> array, or none if it has
-        not stepped since the last fetch."""
-        if not self.stepped:
-            return {}
-        self.send(("params", None))
-        self.stepped = False
-        return self.recv()
-
-
-class _SplitStore(tg.ParamStore):
-    """The parameters of a pre-training model whose view worker trains some of them.
-
-    The worker holds its parameters' current values.  The whole-store reads
-    (``snapshot``, ``state_arrays``) and ``load_arrays`` fetch them first, so
-    each sees every parameter as one process would.  Loaded arrays stay in
-    this process: ``_fit`` loads the best epoch's only after its last step."""
-
-    def __init__(self, store, worker):
-        super().__init__()
-        for name, t in store.items():
-            self.add(name, t)
-        self.worker = worker
-
-    def _fetch(self):
-        super().load_arrays(self.worker.fetch())
-
-    def snapshot(self):
-        self._fetch()
-        return super().snapshot()
-
-    def state_arrays(self):
-        self._fetch()
-        return super().state_arrays()
-
-    def load_arrays(self, arrays):
-        self._fetch()
-        super().load_arrays(arrays)
+        """The requested rows, as a tensor whose gradient goes to the worker; the
+        worker's parameter values that came with them are loaded first."""
+        rows, params = self.recv()
+        self.model.store.load_arrays(params)
+        return tg.external(rows, lambda g: self.send(("grad", g)))
 
 
 def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):

@@ -370,6 +370,23 @@ class TestErrors:
         assert "non-finite loss at epoch 1" in err
         assert (only_run_dir(out, "finetune") / "config.resolved.cfg").is_file()
 
+    def test_diverged_pretrain_exits_2_keeping_its_run_dir(self, tiny_corpus, tmp_path,
+                                                           capsys):
+        """At lr 1e39 epoch 1's one step makes the parameters infinite: a runtime
+        failure, not a checkpoint error about the values it would save."""
+        root, _ = tiny_corpus  # 40/10/20 clips of 32 x 32
+        out = tmp_path / "runs"
+        code, _, err = run(["pretrain", "--set", f"data.dir={root}", "--set", "data.f=32",
+                            "--set", "data.t=32", "--set", "train.epochs=1",
+                            "--set", "train.batch_size=96", "--set", "train.lr=1e39",
+                            "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("runtime failure: non-finite dev metric at epoch 1; "
+                              "largest param norms: ")
+        run_dir = only_run_dir(out, "pretrain")
+        assert (run_dir / "config.resolved.cfg").is_file()
+        assert (run_dir / "pretrain_trace.jsonl").read_text() == ""
+
     def test_collapse_without_train_clips_exits_1_without_run_dir(self, base_cfg, tmp_path,
                                                                   capsys):
         out = tmp_path / "runs"

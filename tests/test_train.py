@@ -229,28 +229,78 @@ class TestPretrainTwoProcesses:
     def test_non_finite_loss_names_the_workers_current_norms(self, tiny_corpus, tiny_cfg,
                                                              tmp_path, monkeypatch,
                                                              force_processes):
-        """Epoch 2's abort message reads the temporal parameters after epoch 1's steps,
-        which only the worker holds until it sends them."""
+        """An abort message, at epoch 2's first batch or mid-epoch at epoch 1's third
+        (batches of 16, 16 and 4 clips), reads the temporal parameters after the steps
+        before it, which the worker sends with the aborted batch's rows."""
         root, entries = tiny_corpus
-        pair_forward = train._pair_forward
+        pair_forward, poison, train_passes = train._pair_forward, None, []
 
         def poisoned(model, mats, clip_ids, spec, seed, epoch):
             h1, h2, z1, z2 = pair_forward(model, mats, clip_ids, spec, seed, epoch)
-            return h1, h2, tg.scale(z1, float("nan")) if epoch == 2 else z1, z2
+            if spec is not None:  # a train batch, not the dev pass
+                train_passes.append(epoch)
+                if (epoch, train_passes.count(epoch) - 1) == poison:
+                    z1 = tg.scale(z1, float("nan"))
+            return h1, h2, z1, z2
 
         monkeypatch.setattr(train, "_pair_forward", poisoned)
         cfg = _pretrain_cfg(tiny_cfg, **{"train.epochs": 3, "train.lr": 1e-2})
+        initial = np.linalg.norm(train.build_model(cfg, head="proj").store["stem.temporal.w"].data)
+        for poison in ((2, 0), (1, 2)):
+            messages = []
+            for processes in (1, 2):
+                force_processes(processes)
+                train_passes.clear()
+                with pytest.raises(RuntimeError, match=f"non-finite loss at epoch {poison[0]}, "
+                                                       f"batch {poison[1]};") as info:
+                    train.pretrain(cfg, train.strip_labels(entries), root,
+                                   tmp_path / f"{poison}-{processes}")
+                messages.append(str(info.value))
+                _no_child_left()
+            assert messages[0] == messages[1]
+            assert "stem.temporal.w=" in messages[0]
+            assert f"stem.temporal.w={initial:.3g}," not in messages[0]  # the steps moved it
+
+    def test_diverged_run_stops_before_its_trace_row(self, tiny_corpus, tiny_cfg, tmp_path,
+                                                     force_processes):
+        """At lr 1e39 epoch 1's one step makes the parameters infinite and its dev loss
+        NaN: the run stops there with one message on either path, and saves nothing."""
+        root, entries = tiny_corpus
+        cfg = _pretrain_cfg(tiny_cfg, **{"train.epochs": 1, "train.batch_size": 96,
+                                         "train.lr": 1e39})
         messages = []
         for processes in (1, 2):
             force_processes(processes)
-            with pytest.raises(RuntimeError, match="non-finite loss at epoch 2") as info:
-                train.pretrain(cfg, train.strip_labels(entries), root, tmp_path / str(processes))
+            out = tmp_path / str(processes)
+            with pytest.raises(RuntimeError, match=r"^non-finite dev metric at epoch 1; "
+                                                   r"largest param norms: ") as info:
+                train.pretrain(cfg, train.strip_labels(entries), root, out)
             messages.append(str(info.value))
+            assert (out / "pretrain_trace.jsonl").read_text() == ""
+            assert not (out / "pretrained.sigc").exists()
             _no_child_left()
         assert messages[0] == messages[1]
-        initial = np.linalg.norm(train.build_model(cfg, head="proj").store["stem.temporal.w"].data)
-        assert "stem.temporal.w=" in messages[0]
-        assert f"stem.temporal.w={initial:.3g}," not in messages[0]  # epoch 1 moved it
+
+    def test_one_clip_has_no_dev_pass_and_forks_no_worker(self, tiny_corpus, tiny_cfg,
+                                                          tmp_path, monkeypatch,
+                                                          force_processes):
+        """With one clip the train loss stands in for the dev metric, so no embedding
+        follows an epoch's last step to bring the worker's values back: pretrain keeps
+        one process even when the probe allows two."""
+        root, entries = tiny_corpus
+        clips = train.strip_labels(entries)[:1]
+
+        def no_fork():
+            raise AssertionError("a one-clip pretrain forked")
+
+        runs = []
+        for processes in (1, 2):
+            force_processes(processes)
+            monkeypatch.setattr(os, "fork", no_fork)
+            path, trace = train.pretrain(_pretrain_cfg(tiny_cfg), clips, root,
+                                         tmp_path / str(processes))
+            runs.append((path.read_bytes(), _trace_rows(trace)))
+        assert runs[0] == runs[1]
 
     def test_worker_exit_without_a_result_raises_runtime_error(self, tiny_corpus, tiny_cfg,
                                                                tmp_path, monkeypatch,
@@ -1071,6 +1121,14 @@ class TestChild:
         imported = {alias.name for node in ast.walk(tree)
                     if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
         assert "pickle" not in imported
+
+    def test_no_class_in_train_derives_from_the_param_store(self):
+        """This process's store stays a plain ``ParamStore``: the view worker's values
+        reach it through ``load_arrays``, with the rows of each embedding."""
+        tree = ast.parse(Path(train.__file__).read_text())
+        bases = [(node.name, ast.unparse(base)) for node in ast.walk(tree)
+                 if isinstance(node, ast.ClassDef) for base in node.bases]
+        assert [(name, base) for name, base in bases if base.endswith("ParamStore")] == []
 
 
 class TestClipShape:
