@@ -5,7 +5,11 @@ u32 F, u32 T, then F*T float32 values row-major with frequency as rows.
 ``read_feature`` is the one SIGF parser.  It reads a file into a new float32
 array, checked to be finite, or, with one ``os.readv`` of header and payload,
 into a row of a caller's (B, F, T) chunk, whose finiteness the caller checks
-once for the whole chunk.  Clip ids live in the manifest.
+once for the whole chunk.  ``write_feature`` is the one writer: one ``os.open``
+and one ``os.writev`` of header and payload per file.  Clip ids live in the
+manifest.  ``gen_synthetic`` computes each split GEN_BLOCK clips at a time and
+creates one block's files on one writer thread while it computes the next;
+every file has the bytes of computing and writing the clips one at a time.
 Manifests are JSON lines with fields path/label/attack_id/split.
 Malformed files and lines raise ``errors.FormatError``, which names the file
 (and line), so ``signl`` exits 1 on them.
@@ -19,6 +23,9 @@ import math
 import os
 import stat
 import struct
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -68,22 +75,35 @@ def write_feature(values, path):
         raise FormatError("feature matrix must be 2-D")
     if not np.all(np.isfinite(values)):
         raise FormatError("feature matrix contains non-finite values")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(SIGF_MAGIC, SIGF_VERSION, *values.shape))
-        fh.write(values.astype("<f4").tobytes())
+    _write_sigf(np.ascontiguousarray(values, "<f4"), path)
 
 
-def _fill(fd, buffers, size):
-    """Read ``fd`` into ``buffers``, which hold ``size`` bytes, in order, resuming
-    short reads: the bytes read, fewer than ``size`` only at the end of the file."""
-    got = os.readv(fd, buffers)
+def _write_sigf(values, path):
+    """Create ``path`` holding the SIGF header and the bytes of ``values``, a checked
+    C-contiguous little-endian float32 F x T matrix: one ``os.writev``, short writes
+    resumed."""
+    header = _HEADER.pack(SIGF_MAGIC, SIGF_VERSION, *values.shape)
+    size = len(header) + values.nbytes
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
+    try:
+        if _transfer(os.writev, fd, [header, values], size) < size:
+            raise OSError(errno.EIO, "short write", os.fspath(path))
+    finally:
+        os.close(fd)
+
+
+def _transfer(io, fd, buffers, size):
+    """Move ``size`` bytes between ``fd`` and ``buffers``, in order, with ``io``
+    (``os.readv`` or ``os.writev``), resuming short transfers: the bytes moved, fewer
+    than ``size`` only when a call moves none (a read at the end of the file)."""
+    got = io(fd, buffers)
     while 0 < got < size:
         rest, skip = [], got
         for view in map(memoryview, buffers):
             if skip < view.nbytes:
                 rest.append(view.cast("B")[skip:])
             skip = max(0, skip - view.nbytes)
-        n = os.readv(fd, rest)
+        n = io(fd, rest)
         if not n:
             break
         got += n
@@ -108,9 +128,9 @@ def read_feature(path, out=None) -> np.ndarray:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
         header = bytearray(_HEADER.size)
         if out is None:
-            got = _fill(fd, [header], _HEADER.size)
+            got = _transfer(os.readv, fd, [header], _HEADER.size)
         else:
-            got = _fill(fd, [header, out], _HEADER.size + out.nbytes)
+            got = _transfer(os.readv, fd, [header, out], _HEADER.size + out.nbytes)
         if got < _HEADER.size:
             raise FormatError(f"{path}: truncated header")
         magic, version, f, t = _HEADER.unpack(header)
@@ -128,7 +148,7 @@ def read_feature(path, out=None) -> np.ndarray:
         if fresh:
             out = np.empty((f, t), "<f4")
             os.lseek(fd, _HEADER.size, os.SEEK_SET)
-            got = _HEADER.size + _fill(fd, [out], out.nbytes)
+            got = _HEADER.size + _transfer(os.readv, fd, [out], out.nbytes)
         if got < _HEADER.size + out.nbytes:  # the file shrank after fstat
             raise FormatError(f"{path}: truncated payload")
     finally:
@@ -175,6 +195,9 @@ def read_manifest(path):
 # ---------------------------------------------------------------------------
 # synthetic corpus
 
+GEN_BLOCK = 32  # clips computed together; a few MB of float64 temporaries at 64 x 64
+
+
 @dataclass
 class SynthConfig:
     F: int = 64
@@ -203,20 +226,29 @@ class SynthConfig:
                               f"{families} attack families: they need F >= 2 and T >= {need_t}")
 
 
-def _bona_fide_field(rng, f, t):
-    """Smooth band-limited random field: low-rank sinusoidal bands + noise."""
+def _bona_fide_fields(rngs, f, t):
+    """Smooth band-limited random fields, one (F, T) float64 row per clip stream in
+    ``rngs``: four sinusoidal bands over frequency-Gaussian envelopes, then noise.
+
+    Each stream draws its 20 band parameters (amplitude, centre, width, period and
+    phase of each band) in one call, then its F*T noise values.  The bands are
+    added to the whole block with a clip's own elementwise operations in its own
+    order, so every row has the bits of computing its clip alone."""
+    low = np.tile([0.4, 0, f / 8, t / 4, 0], 4)
+    high = np.tile([1.0, f, f / 3, t, 2 * np.pi], 4)
+    params = np.empty((len(rngs), 4, 5))
+    noise = np.empty((len(rngs), f, t))
+    for j, rng in enumerate(rngs):
+        params[j] = rng.uniform(low, high).reshape(4, 5)
+        rng.standard_normal(out=noise[j])
     rows = np.arange(f)[:, None]
-    cols = np.arange(t)[None, :]
-    x = np.zeros((f, t))
-    for _ in range(4):
-        amp = rng.uniform(0.4, 1.0)
-        centre = rng.uniform(0, f)
-        width = rng.uniform(f / 8, f / 3)
-        period = rng.uniform(t / 4, t)
-        phase = rng.uniform(0, 2 * np.pi)
+    turns = 2 * np.pi * np.arange(t)[None, :]
+    x = np.zeros_like(noise)
+    # each band's parameters as (B, 1, 1) columns, broadcast over a clip's rows and frames
+    for amp, centre, width, period, phase in params.transpose(1, 2, 0)[..., None, None]:
         env = np.exp(-0.5 * ((rows - centre) / width) ** 2)
-        x += amp * env * np.sin(2 * np.pi * cols / period + phase)
-    x += 0.05 * rng.standard_normal((f, t))
+        x += amp * env * np.sin(turns / period + phase)
+    x += 0.05 * noise
     return x
 
 
@@ -255,32 +287,70 @@ def _plant_artifact(x, family, strength, rng):
                 x[:, col] += ripple if col in (src, dst) else -ripple
 
 
-def gen_synthetic(cfg: SynthConfig, out_dir):
-    """Write a labelled SIGF corpus plus manifest; pure function of cfg."""
-    cfg.validate()
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
+def _blocks(cfg):
+    """Every split's manifest entries with their clips, GEN_BLOCK clips of a split at
+    a time: (entries, (B, F, T) float32 fields), each clip from its own stream."""
     for split in SPLITS:
         n = cfg.n_per_split[split]
         n_bona = n // 2
-        for i in range(n):
-            bona = i < n_bona
-            if bona:
-                attack = "-"
-                label = "bonafide"
-            else:
-                family = (i - n_bona) % cfg.n_attack_types
-                attack = f"A{family:02d}"
-                label = "fake"
-            clip_id = f"{split}_{i:05d}"
-            rng = stream(cfg.seed, clip_id, sep=":")
-            x = _bona_fide_field(rng, cfg.F, cfg.T)
-            if not bona:
-                _plant_artifact(x, family, cfg.artifact_strength, rng)
-            rel = f"{clip_id}.sigf"
-            write_feature(x, out_dir / rel)
-            entries.append(ManifestEntry(path=rel, label=label, attack_id=attack, split=split))
+        families = [None] * n_bona + [i % cfg.n_attack_types for i in range(n - n_bona)]
+        for lo in range(0, n, GEN_BLOCK):
+            families_here = families[lo:lo + GEN_BLOCK]
+            block = [ManifestEntry(path=f"{split}_{i:05d}.sigf", split=split,
+                                   label="bonafide" if family is None else "fake",
+                                   attack_id="-" if family is None else f"A{family:02d}")
+                     for i, family in enumerate(families_here, lo)]
+            rngs = [stream(cfg.seed, e.clip_id, sep=":") for e in block]
+            x = _bona_fide_fields(rngs, cfg.F, cfg.T)
+            for row, rng, family in zip(x, rngs, families_here):
+                if family is not None:
+                    _plant_artifact(row, family, cfg.artifact_strength, rng)
+            yield block, x.astype("<f4")
+
+
+def _write_block(values, paths):
+    for row, path in zip(values, paths):
+        _write_sigf(row, path)
+
+
+def _await_exit(native_ids):
+    """Wait, up to a second, for joined threads to leave /proc/self/task, where
+    ``train._second_core_free`` counts them: ``Thread.join`` returns before the OS
+    thread has ended, on a busy machine milliseconds before."""
+    deadline = time.monotonic() + 1.0
+    for tid in native_ids:
+        while os.path.exists(f"/proc/self/task/{tid}") and time.monotonic() < deadline:
+            time.sleep(1e-4)
+
+
+def gen_synthetic(cfg: SynthConfig, out_dir):
+    """Write a labelled SIGF corpus plus manifest; pure function of cfg.
+
+    One writer thread creates a block's files while the next block is computed,
+    with at most one block in flight.  A write error is raised here, and the
+    thread has ended before this returns or raises, so a later fork (see
+    ``train._second_core_free``) still sees one thread."""
+    cfg.validate()
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    entries, started = [], []  # started: the writer thread's OS id
+    writer = ThreadPoolExecutor(1, initializer=lambda: started.append(threading.get_native_id()))
+    try:
+        with writer:
+            written = None  # the block being written
+            for block, x in _blocks(cfg):
+                entries += block
+                paths = [os.path.join(out_dir, e.path) for e in block]
+                if written is not None:
+                    written.result()
+                if not np.isfinite(x).all():
+                    for row, path in zip(x, paths):  # raises at the first bad clip
+                        write_feature(row, path)
+                written = writer.submit(_write_block, x, paths)
+            if written is not None:
+                written.result()
+    finally:
+        _await_exit(started)
     write_manifest(entries, out_dir / "manifest.jsonl")
     return entries
 

@@ -590,7 +590,10 @@ def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):
         return metrics.cross_entropy(logits(batch), [labels[c] for c in batch])
 
     def dev_eer():
-        return metrics.compute_eer(score_entries(dev_entries, logits)).eer
+        scores = score_entries(dev_entries, logits)
+        if not all(math.isfinite(score) for _, score, _ in scores.entries):
+            return math.nan  # diverged: _fit names the largest parameter norms
+        return metrics.compute_eer(scores).eer
 
     return _fit(model, cfg, [e.clip_id for e in train_entries], batch_loss,
                 dev_eer, out_dir / "model.sigc", out_dir / "finetune_trace.jsonl")

@@ -387,6 +387,24 @@ class TestErrors:
         assert (run_dir / "config.resolved.cfg").is_file()
         assert (run_dir / "pretrain_trace.jsonl").read_text() == ""
 
+    def test_diverged_finetune_exits_2_keeping_its_run_dir(self, tiny_corpus, tmp_path,
+                                                           capsys):
+        """At lr 1e39 epoch 1's one step makes the dev scores NaN: the parameter norms,
+        not an EER contract error."""
+        root, _ = tiny_corpus  # 40/10/20 clips of 32 x 32
+        out = tmp_path / "runs"
+        code, _, err = run(["finetune", "--set", f"data.dir={root}", "--set", "data.f=32",
+                            "--set", "data.t=32", "--set", "train.skip_pretrain=true",
+                            "--set", "train.label_fraction=1.0",
+                            "--set", "train.batch_size=96", "--set", "train.lr=1e39",
+                            "--out", str(out)], capsys)
+        assert code == 2
+        assert err.startswith("runtime failure: non-finite dev metric at epoch 1; "
+                              "largest param norms: ")
+        run_dir = only_run_dir(out, "finetune")
+        assert (run_dir / "config.resolved.cfg").is_file()
+        assert (run_dir / "finetune_trace.jsonl").read_text() == ""
+
     def test_collapse_without_train_clips_exits_1_without_run_dir(self, base_cfg, tmp_path,
                                                                   capsys):
         out = tmp_path / "runs"

@@ -1,5 +1,6 @@
 """Feature I/O, manifests, the synthetic corpus, and the limited-label sampler."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -8,6 +9,7 @@ import re
 import shutil
 import struct
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -89,6 +91,20 @@ class _ShortReadv:
 
 
 _READV = os.readv
+
+
+class _ShortWritev:
+    """An ``os.writev`` that writes at most ``most`` bytes of its first buffer."""
+
+    def __init__(self, most=8):
+        self.most, self.calls = most, 0
+
+    def __call__(self, fd, buffers):
+        self.calls += 1
+        return _WRITEV(fd, [memoryview(buffers[0]).cast("B")[:self.most]])
+
+
+_WRITEV = os.writev
 
 
 class TestFeatureIO:
@@ -206,6 +222,41 @@ class TestFeatureIO:
         monkeypatch.setattr(os, "readv", readv)
         assert featio.read_feature(path).tobytes() == values.tobytes()
         assert readv.calls == 13  # 14 header bytes in 2 reads, 84 payload bytes in 11
+
+    @pytest.mark.parametrize("layout", ["float64", "big-endian", "transposed"])
+    def test_written_bytes_are_the_header_and_little_endian_float32(self, tmp_path, rng,
+                                                                   layout):
+        values = rng.standard_normal((5, 3))
+        if layout == "big-endian":
+            values = values.astype(">f4")
+        elif layout == "transposed":
+            values = values.astype(np.float32).T
+        path = tmp_path / "clip.sigf"
+        featio.write_feature(values, path)
+        rows, cols = values.shape
+        assert path.read_bytes() == (struct.pack("<4sHII", b"SIGF", 1, rows, cols)
+                                     + np.asarray(values, "<f4").tobytes())
+
+    def test_written_file_has_the_mode_of_open(self, tmp_path):
+        featio.write_feature(np.ones((2, 2)), tmp_path / "clip.sigf")
+        with open(tmp_path / "opened", "wb"):
+            pass
+        assert (tmp_path / "clip.sigf").stat().st_mode == (tmp_path / "opened").stat().st_mode
+
+    def test_short_writes_are_resumed(self, tmp_path, rng, monkeypatch):
+        values = rng.standard_normal((3, 7)).astype(np.float32)
+        path = tmp_path / "clip.sigf"
+        writev = _ShortWritev()
+        monkeypatch.setattr(os, "writev", writev)
+        featio.write_feature(values, path)
+        assert path.read_bytes() == struct.pack("<4sHII", b"SIGF", 1, 3, 7) + values.tobytes()
+        assert writev.calls == 13  # 14 header bytes in 2 writes, 84 payload bytes in 11
+
+    def test_write_that_stops_raises(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(os, "writev", _ShortWritev(most=0))
+        with pytest.raises(OSError, match="short write") as info:
+            featio.write_feature(np.ones((2, 4)), tmp_path / "clip.sigf")
+        assert info.value.filename == str(tmp_path / "clip.sigf")
 
     def test_file_shrinking_after_the_size_check_is_truncation(self, tmp_path, monkeypatch):
         path = tmp_path / "clip.sigf"
@@ -523,6 +574,20 @@ class TestSynthCorpus:
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
 
+    def test_corpus_bytes_pinned(self, tmp_path):
+        """The name and bytes of every file, manifest included, hash as they did when
+        each clip was computed and written on its own; 31 frames make rows odd."""
+        cfg = featio.SynthConfig(F=32, T=31, n_per_split={"train": 40, "dev": 10, "eval": 33},
+                                 n_attack_types=4, artifact_strength=1.5, seed=3)
+        featio.gen_synthetic(cfg, tmp_path)
+        digest = hashlib.sha256()
+        for path in sorted(tmp_path.iterdir()):
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+        assert len(list(tmp_path.iterdir())) == 84
+        assert digest.hexdigest() == \
+            "635a9bbb657f06237bdd3fffed8d3a7c702855b1c5e4d738d06d95ee09f8550f"
+
     def test_zero_strength_degenerates_to_bona_fide(self, tmp_path):
         cfg = featio.SynthConfig(F=32, T=32,
                                  n_per_split={"train": 60, "dev": 0, "eval": 0},
@@ -596,6 +661,70 @@ class TestSynthCorpus:
                                                           n_attack_types=attack_types),
                                        tmp_path)
         assert {e.attack_id for e in entries} == {"-", *(f"A{i:02d}" for i in range(attack_types))}
+
+
+class TestWriterThread:
+    """``gen_synthetic`` creates files on one writer thread, which has ended by the
+    time it returns or raises: the fork probe counts OS threads."""
+
+    CFG = featio.SynthConfig(F=8, T=8, n_per_split={"train": 70, "dev": 0, "eval": 0}, seed=4)
+
+    @pytest.fixture
+    def writers(self, monkeypatch):
+        """The OS ids of the threads that wrote a block of clips."""
+        ids, write_block = set(), featio._write_block
+
+        def record(values, paths):
+            ids.add(threading.get_native_id())
+            write_block(values, paths)
+        monkeypatch.setattr(featio, "_write_block", record)
+        return ids
+
+    @staticmethod
+    def _threads():
+        return threading.active_count(), sorted(os.listdir("/proc/self/task"))
+
+    def test_no_thread_left_after_return(self, tmp_path, writers):
+        before = self._threads()
+        featio.gen_synthetic(self.CFG, tmp_path)
+        assert self._threads() == before
+        assert len(writers) == 1 and threading.get_native_id() not in writers
+
+    def test_directory_at_a_later_clip_raises_with_no_thread_left(self, tmp_path, writers):
+        (tmp_path / "train_00040.sigf").mkdir()  # in the second block of 32
+        before = self._threads()
+        with pytest.raises(IsADirectoryError, match="train_00040.sigf"):
+            featio.gen_synthetic(self.CFG, tmp_path)
+        assert self._threads() == before
+        assert len(writers) == 1
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            [f"train_{i:05d}.sigf" for i in range(41)]  # 40 clips and the directory
+
+    def test_interrupt_while_computing_leaves_no_thread(self, tmp_path, monkeypatch, writers):
+        plant, planted = featio._plant_artifact, []
+
+        def interrupted(*args):
+            planted.append(args[1])
+            if len(planted) == 20:  # clip 54, in the second block
+                raise KeyboardInterrupt
+            plant(*args)
+        monkeypatch.setattr(featio, "_plant_artifact", interrupted)
+        before = self._threads()
+        with pytest.raises(KeyboardInterrupt):
+            featio.gen_synthetic(self.CFG, tmp_path)
+        assert self._threads() == before
+        assert len(writers) == 1  # the first block was being written
+        assert not (tmp_path / "manifest.jsonl").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
+    def test_non_finite_clip_raises_as_write_feature_after_the_clips_before_it(self,
+                                                                              tmp_path):
+        cfg = featio.SynthConfig(F=8, T=8, n_per_split={"train": 6, "dev": 0, "eval": 0},
+                                 artifact_strength=1e39)  # float32 overflow in every fake
+        with pytest.raises(featio.FormatError, match="non-finite values"):
+            featio.gen_synthetic(cfg, tmp_path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            ["train_00000.sigf", "train_00001.sigf", "train_00002.sigf"]
 
 
 class TestLimitedLabels:

@@ -6,26 +6,31 @@ distance twice, temporal ``patchify`` copied a float at a time, ``affine`` was
 matmul + matmul + add, ``grouped_matmul`` took every weight's gradient from one
 batched product, ``adam_step`` kept per-parameter state, and
 ``load_features`` read each clip into its own array, which every batch
-stacked.  The shipped kernels must give exactly their bits, compared as
-unsigned-integer views, down to whole training runs.
+stacked, and ``gen_synthetic`` computed and wrote one clip at a time.  The
+shipped kernels must give exactly their bits, compared as unsigned-integer
+views, down to whole training runs and the synthetic corpus's files.
 """
 
 import os
+import tempfile
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from signl import config as cfgmod
+from signl import featio
 from signl import metrics
 from signl import tensorgrad as tg
 from signl import train
 from signl.errors import ConfigError, ContractError, ShapeError
 from signl.featio import read_feature
 from signl.graphbuild import neighbor_table, patchify, split_pair
+from signl.seeding import stream
 
 
 # ---------------------------------------------------------------------------
@@ -60,6 +65,53 @@ def _ref_load_stacked(items, data_dir, shape):
     """``_ref_load_features`` in load_features' return form: its clips, stacked."""
     feats = _ref_load_features(items, data_dir, shape)
     return np.stack([feats[clip_id] for clip_id, _ in items])
+
+
+def _ref_bona_fide_field(rng, f, t):
+    """Smooth band-limited random field: low-rank sinusoidal bands + noise."""
+    rows = np.arange(f)[:, None]
+    cols = np.arange(t)[None, :]
+    x = np.zeros((f, t))
+    for _ in range(4):
+        amp = rng.uniform(0.4, 1.0)
+        centre = rng.uniform(0, f)
+        width = rng.uniform(f / 8, f / 3)
+        period = rng.uniform(t / 4, t)
+        phase = rng.uniform(0, 2 * np.pi)
+        env = np.exp(-0.5 * ((rows - centre) / width) ** 2)
+        x += amp * env * np.sin(2 * np.pi * cols / period + phase)
+    x += 0.05 * rng.standard_normal((f, t))
+    return x
+
+
+def _ref_gen_synthetic(cfg, out_dir):
+    cfg.validate()
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for split in featio.SPLITS:
+        n = cfg.n_per_split[split]
+        n_bona = n // 2
+        for i in range(n):
+            bona = i < n_bona
+            if bona:
+                attack = "-"
+                label = "bonafide"
+            else:
+                family = (i - n_bona) % cfg.n_attack_types
+                attack = f"A{family:02d}"
+                label = "fake"
+            clip_id = f"{split}_{i:05d}"
+            rng = stream(cfg.seed, clip_id, sep=":")
+            x = _ref_bona_fide_field(rng, cfg.F, cfg.T)
+            if not bona:
+                featio._plant_artifact(x, family, cfg.artifact_strength, rng)
+            rel = f"{clip_id}.sigf"
+            featio.write_feature(x, out_dir / rel)
+            entries.append(featio.ManifestEntry(path=rel, label=label, attack_id=attack,
+                                                split=split))
+    featio.write_manifest(entries, out_dir / "manifest.jsonl")
+    return entries
 
 
 def _ref_patchify(values, n, kind):
@@ -459,6 +511,49 @@ class TestLoadFeaturesOracle:
         ref = metrics.compute_eer(expected)
         assert _same_bits(np.array([report.eer, report.threshold]),
                           np.array([ref.eer, ref.threshold]))
+
+
+# ---------------------------------------------------------------------------
+# synthetic corpus
+
+def _files(root):
+    return {path.name: path.read_bytes() for path in sorted(Path(root).iterdir())}
+
+
+class TestGenSyntheticOracle:
+    """Blocks of clips computed together, and written on a second thread, give the
+    files of computing and writing each clip alone, manifest included."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(f=st.integers(2, 16), t=st.integers(4, 17),
+           sizes=st.lists(st.integers(0, 70), min_size=3, max_size=3),
+           attack_types=st.integers(1, 6), strength=st.floats(0, 3),
+           seed=st.integers(0, 2**64))
+    def test_same_files_as_one_clip_at_a_time(self, f, t, sizes, attack_types, strength,
+                                              seed):
+        cfg = featio.SynthConfig(F=f, T=t, n_per_split=dict(zip(featio.SPLITS, sizes)),
+                                 n_attack_types=attack_types, artifact_strength=strength,
+                                 seed=seed)
+        try:
+            cfg.validate()
+        except ConfigError:
+            assume(False)
+        with tempfile.TemporaryDirectory() as scratch:
+            shipped, reference = Path(scratch) / "shipped", Path(scratch) / "reference"
+            assert featio.gen_synthetic(cfg, shipped) == _ref_gen_synthetic(cfg, reference)
+            assert _files(shipped) == _files(reference)
+
+    @settings(max_examples=100, deadline=None)
+    @given(f=st.integers(1, 16), t=st.integers(1, 17), n=st.integers(1, 40),
+           seed=st.integers(0, 2**64))
+    @example(f=64, t=64, n=33, seed=5)
+    def test_fields_same_bits_as_one_clip_at_a_time(self, f, t, n, seed):
+        """Before their float32 rounding, which can hide a reordered operation."""
+        ids = [f"eval_{i:05d}" for i in range(n)]
+        block = featio._bona_fide_fields([stream(seed, c, sep=":") for c in ids], f, t)
+        reference = np.stack([_ref_bona_fide_field(stream(seed, c, sep=":"), f, t)
+                              for c in ids])
+        assert _same_bits(block, reference)
 
 
 # ---------------------------------------------------------------------------

@@ -409,6 +409,18 @@ class TestPretrainTwoProcesses:
 
 
 class TestFinetune:
+    def test_diverged_run_names_the_param_norms(self, tiny_corpus, tiny_cfg, tmp_path):
+        """At lr 1e39 epoch 1's one step makes the parameters infinite and the dev
+        scores NaN: the run stops with the norms, not an EER error, and saves nothing."""
+        root, entries = tiny_corpus
+        cfg = _finetune_cfg(tiny_cfg, **{"train.label_fraction": 1.0, "train.batch_size": 96,
+                                         "train.lr": 1e39})
+        with pytest.raises(RuntimeError, match=r"^non-finite dev metric at epoch 1; "
+                                               r"largest param norms: "):
+            train.finetune(cfg, entries, root, tmp_path)
+        assert (tmp_path / "finetune_trace.jsonl").read_text() == ""
+        assert not (tmp_path / "model.sigc").exists()
+
     def test_corpus_shape_other_than_config_rejected(self, tiny_corpus, tiny_cfg, tmp_path):
         root, entries = tiny_corpus  # 32 x 32 clips
         cfg = _finetune_cfg(tiny_cfg, **{"data.f": 64, "data.t": 64})
@@ -1121,6 +1133,28 @@ class TestChild:
         imported = {alias.name for node in ast.walk(tree)
                     if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
         assert "pickle" not in imported
+
+    def test_only_gen_synthetic_starts_a_thread(self):
+        """Both forks wait for ``_second_core_free``'s one-thread probe, which a thread
+        started elsewhere would turn off, or outlive into a child.  Only featio imports
+        threading or concurrent.futures, and only ``gen_synthetic``, which has ended its
+        writer thread before it returns, starts one."""
+        imports, starts = set(), set()
+        for path in sorted(Path(train.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            for node in ast.walk(tree):
+                names = ([alias.name for alias in node.names] if isinstance(node, ast.Import)
+                         else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
+                imports |= {(path.name, name) for name in names
+                            if name.split(".")[0] in ("threading", "_thread", "concurrent")}
+            for top in tree.body:
+                for node in ast.walk(top):
+                    if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in (
+                            "Thread", "Timer", "ThreadPoolExecutor", "ThreadPool", "Pool",
+                            "Queue", "start_new_thread"):
+                        starts.add((path.name, getattr(top, "name", None)))
+        assert imports == {("featio.py", "threading"), ("featio.py", "concurrent.futures")}
+        assert starts == {("featio.py", "gen_synthetic")}
 
     def test_no_class_in_train_derives_from_the_param_store(self):
         """This process's store stays a plain ``ParamStore``: the view worker's values
