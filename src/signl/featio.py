@@ -5,11 +5,10 @@ u32 F, u32 T, then F*T float32 values row-major with frequency as rows.
 ``read_feature`` is the one SIGF parser.  It reads a file into a new float32
 array, checked to be finite, or, with one ``os.readv`` of header and payload,
 into a row of a caller's (B, F, T) chunk, whose finiteness the caller checks
-once for the whole chunk.  ``write_feature`` is the one writer: one ``os.open``
-and one ``os.writev`` of header and payload per file.  Clip ids live in the
-manifest.  ``gen_synthetic`` computes each split GEN_BLOCK clips at a time and
-creates one block's files on one writer thread while it computes the next;
-every file has the bytes of computing and writing the clips one at a time.
+once for the whole chunk.  ``write_feature`` is the one writer.  Clip ids live
+in the manifest.  ``gen_synthetic`` computes each split GEN_BLOCK clips at a
+time and creates one block's files on one writer thread while it computes the
+next; every file has the bytes of computing and writing the clips one at a time.
 Manifests are JSON lines with fields path/label/attack_id/split.
 Malformed files and lines raise ``errors.FormatError``, which names the file
 (and line), so ``signl`` exits 1 on them.
@@ -75,35 +74,22 @@ def write_feature(values, path):
         raise FormatError("feature matrix must be 2-D")
     if not np.all(np.isfinite(values)):
         raise FormatError("feature matrix contains non-finite values")
-    _write_sigf(np.ascontiguousarray(values, "<f4"), path)
+    with open(path, "wb") as fh:
+        fh.write(_HEADER.pack(SIGF_MAGIC, SIGF_VERSION, *values.shape))
+        fh.write(values.astype("<f4").tobytes())
 
 
-def _write_sigf(values, path):
-    """Create ``path`` holding the SIGF header and the bytes of ``values``, a checked
-    C-contiguous little-endian float32 F x T matrix: one ``os.writev``, short writes
-    resumed."""
-    header = _HEADER.pack(SIGF_MAGIC, SIGF_VERSION, *values.shape)
-    size = len(header) + values.nbytes
-    fd = os.open(path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o666)
-    try:
-        if _transfer(os.writev, fd, [header, values], size) < size:
-            raise OSError(errno.EIO, "short write", os.fspath(path))
-    finally:
-        os.close(fd)
-
-
-def _transfer(io, fd, buffers, size):
-    """Move ``size`` bytes between ``fd`` and ``buffers``, in order, with ``io``
-    (``os.readv`` or ``os.writev``), resuming short transfers: the bytes moved, fewer
-    than ``size`` only when a call moves none (a read at the end of the file)."""
-    got = io(fd, buffers)
+def _fill(fd, buffers, size):
+    """Read ``fd`` into ``buffers``, which hold ``size`` bytes, in order, resuming
+    short reads: the bytes read, fewer than ``size`` only at the end of the file."""
+    got = os.readv(fd, buffers)
     while 0 < got < size:
         rest, skip = [], got
         for view in map(memoryview, buffers):
             if skip < view.nbytes:
                 rest.append(view.cast("B")[skip:])
             skip = max(0, skip - view.nbytes)
-        n = io(fd, rest)
+        n = os.readv(fd, rest)
         if not n:
             break
         got += n
@@ -128,9 +114,9 @@ def read_feature(path, out=None) -> np.ndarray:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
         header = bytearray(_HEADER.size)
         if out is None:
-            got = _transfer(os.readv, fd, [header], _HEADER.size)
+            got = _fill(fd, [header], _HEADER.size)
         else:
-            got = _transfer(os.readv, fd, [header, out], _HEADER.size + out.nbytes)
+            got = _fill(fd, [header, out], _HEADER.size + out.nbytes)
         if got < _HEADER.size:
             raise FormatError(f"{path}: truncated header")
         magic, version, f, t = _HEADER.unpack(header)
@@ -148,7 +134,7 @@ def read_feature(path, out=None) -> np.ndarray:
         if fresh:
             out = np.empty((f, t), "<f4")
             os.lseek(fd, _HEADER.size, os.SEEK_SET)
-            got = _HEADER.size + _transfer(os.readv, fd, [out], out.nbytes)
+            got = _HEADER.size + _fill(fd, [out], out.nbytes)
         if got < _HEADER.size + out.nbytes:  # the file shrank after fstat
             raise FormatError(f"{path}: truncated payload")
     finally:
@@ -310,26 +296,27 @@ def _blocks(cfg):
 
 def _write_block(values, paths):
     for row, path in zip(values, paths):
-        _write_sigf(row, path)
+        write_feature(row, path)
 
 
 def _await_exit(native_ids):
-    """Wait, up to a second, for joined threads to leave /proc/self/task, where
+    """Wait for joined threads to leave /proc/self/task, where
     ``train._second_core_free`` counts them: ``Thread.join`` returns before the OS
-    thread has ended, on a busy machine milliseconds before."""
-    deadline = time.monotonic() + 1.0
+    thread has ended, on a busy machine milliseconds before.  A joined thread has
+    run its last Python code, so it leaves."""
     for tid in native_ids:
-        while os.path.exists(f"/proc/self/task/{tid}") and time.monotonic() < deadline:
+        while os.path.exists(f"/proc/self/task/{tid}"):
             time.sleep(1e-4)
 
 
 def gen_synthetic(cfg: SynthConfig, out_dir):
     """Write a labelled SIGF corpus plus manifest; pure function of cfg.
 
-    One writer thread creates a block's files while the next block is computed,
-    with at most one block in flight.  A write error is raised here, and the
-    thread has ended before this returns or raises, so a later fork (see
-    ``train._second_core_free``) still sees one thread."""
+    One writer thread creates a block's files with ``write_feature`` while the next
+    block is computed, with at most one block in flight.  A write error, a
+    non-finite clip's included, is raised here after the clips before it are
+    written, and the thread has ended before this returns or raises, so a later
+    fork (see ``train._second_core_free``) still sees one thread."""
     cfg.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -340,13 +327,10 @@ def gen_synthetic(cfg: SynthConfig, out_dir):
             written = None  # the block being written
             for block, x in _blocks(cfg):
                 entries += block
-                paths = [os.path.join(out_dir, e.path) for e in block]
                 if written is not None:
                     written.result()
-                if not np.isfinite(x).all():
-                    for row, path in zip(x, paths):  # raises at the first bad clip
-                        write_feature(row, path)
-                written = writer.submit(_write_block, x, paths)
+                written = writer.submit(_write_block, x,
+                                        [os.path.join(out_dir, e.path) for e in block])
             if written is not None:
                 written.result()
     finally:

@@ -93,20 +93,6 @@ class _ShortReadv:
 _READV = os.readv
 
 
-class _ShortWritev:
-    """An ``os.writev`` that writes at most ``most`` bytes of its first buffer."""
-
-    def __init__(self, most=8):
-        self.most, self.calls = most, 0
-
-    def __call__(self, fd, buffers):
-        self.calls += 1
-        return _WRITEV(fd, [memoryview(buffers[0]).cast("B")[:self.most]])
-
-
-_WRITEV = os.writev
-
-
 class TestFeatureIO:
     def test_roundtrip_bit_exact(self, tmp_path, rng):
         values = rng.standard_normal((4, 4)).astype(np.float32)
@@ -222,41 +208,6 @@ class TestFeatureIO:
         monkeypatch.setattr(os, "readv", readv)
         assert featio.read_feature(path).tobytes() == values.tobytes()
         assert readv.calls == 13  # 14 header bytes in 2 reads, 84 payload bytes in 11
-
-    @pytest.mark.parametrize("layout", ["float64", "big-endian", "transposed"])
-    def test_written_bytes_are_the_header_and_little_endian_float32(self, tmp_path, rng,
-                                                                   layout):
-        values = rng.standard_normal((5, 3))
-        if layout == "big-endian":
-            values = values.astype(">f4")
-        elif layout == "transposed":
-            values = values.astype(np.float32).T
-        path = tmp_path / "clip.sigf"
-        featio.write_feature(values, path)
-        rows, cols = values.shape
-        assert path.read_bytes() == (struct.pack("<4sHII", b"SIGF", 1, rows, cols)
-                                     + np.asarray(values, "<f4").tobytes())
-
-    def test_written_file_has_the_mode_of_open(self, tmp_path):
-        featio.write_feature(np.ones((2, 2)), tmp_path / "clip.sigf")
-        with open(tmp_path / "opened", "wb"):
-            pass
-        assert (tmp_path / "clip.sigf").stat().st_mode == (tmp_path / "opened").stat().st_mode
-
-    def test_short_writes_are_resumed(self, tmp_path, rng, monkeypatch):
-        values = rng.standard_normal((3, 7)).astype(np.float32)
-        path = tmp_path / "clip.sigf"
-        writev = _ShortWritev()
-        monkeypatch.setattr(os, "writev", writev)
-        featio.write_feature(values, path)
-        assert path.read_bytes() == struct.pack("<4sHII", b"SIGF", 1, 3, 7) + values.tobytes()
-        assert writev.calls == 13  # 14 header bytes in 2 writes, 84 payload bytes in 11
-
-    def test_write_that_stops_raises(self, tmp_path, monkeypatch):
-        monkeypatch.setattr(os, "writev", _ShortWritev(most=0))
-        with pytest.raises(OSError, match="short write") as info:
-            featio.write_feature(np.ones((2, 4)), tmp_path / "clip.sigf")
-        assert info.value.filename == str(tmp_path / "clip.sigf")
 
     def test_file_shrinking_after_the_size_check_is_truncation(self, tmp_path, monkeypatch):
         path = tmp_path / "clip.sigf"

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from signl import augment, config, featio, train
 from signl.seeding import stream
-from test_kernel_oracles import _ref_bona_fide_field
 
 
 def _expected(key):
@@ -32,7 +31,7 @@ def test_corpus_streams_join_seed_and_clip_with_colon(tmp_path):
     cfg = featio.SynthConfig(F=4, T=4, n_per_split={"train": 2, "dev": 0, "eval": 0},
                              seed=9)
     featio.gen_synthetic(cfg, tmp_path)  # train_00000 is bona fide: no artifact draws
-    field = _ref_bona_fide_field(stream(9, "train_00000", sep=":"), 4, 4)
+    field = featio._bona_fide_fields([stream(9, "train_00000", sep=":")], 4, 4)[0]
     got = featio.read_feature(tmp_path / "train_00000.sigf")
     assert np.array_equal(got, field.astype(np.float32))
 
