@@ -98,7 +98,8 @@ def cmd_sample_labels(cfg, run):
 def cmd_pretrain(cfg, run):
     entries = _manifest(cfg)
     path, trace = train.pretrain(cfg, train.strip_labels(entries), cfg["data.dir"], run)
-    print(f"checkpoint: {path} (final dev metric {trace[-1]['dev_metric']:.4f})")
+    best = min(row["dev_metric"] for row in trace)  # the epoch the checkpoint holds
+    print(f"checkpoint: {path} (best dev metric {best:.4f})")
     return 0
 
 
@@ -158,24 +159,19 @@ def cmd_ablation_grid(cfg, run):
 
 
 def run_grid(cfg, entries, out_dir):
-    """Pretrain + finetune + eval for each of the 8 augmentation combinations."""
+    """``train.run_pipeline`` for each of the 8 augmentation combinations, into
+    ``out_dir / name``; one grid.tsv row each."""
     if cfg["train.skip_pretrain"]:
         raise ConfigError("ablation-grid pretrains every combination: train.skip_pretrain "
                           "must be false")
-    out_dir = Path(out_dir)
     rows = []
     for name, ed, gn, fm in augment.GRID:
         sub = dict(cfg)
         sub["aug.ed"], sub["aug.gn"], sub["aug.fm"] = ed, gn, fm
-        combo_dir = out_dir / name
-        ck, pre_trace = train.pretrain(sub, train.strip_labels(entries),
-                                       sub["data.dir"], combo_dir)
-        _, _, dev_eer = train.finetune(sub, entries, sub["data.dir"], combo_dir, ck)
-        model = train.load_model(sub, combo_dir / "model.sigc", head="cls")
-        _, report = train.evaluate(model, entries, sub["data.dir"])
+        result = train.run_pipeline(sub, sub, entries, sub["data.dir"], Path(out_dir) / name)
         rows.append({"name": name, "ed": "Y" if ed else "-", "gn": "Y" if gn else "-",
-                     "fm": "Y" if fm else "-", "dev_metric": dev_eer,
-                     "eval_eer": report.eer})
+                     "fm": "Y" if fm else "-", "dev_metric": result.dev_eer,
+                     "eval_eer": result.eval_eer})
     return rows
 
 

@@ -21,6 +21,8 @@ Evaluation streams its clips: each process reads and scores one EVAL_BATCH chunk
 at a time.  On a long eval split with a second core free, a forked child scores the
 second half of the chunks, so memory holds one chunk per process; every chunk holds the
 same clips either way.  Both forks go through one helper, ``_Child``, with one format.
+A whole run, pretrain -> fine-tune -> reload -> evaluate, is composed in one place,
+``run_pipeline``; the CLI's ablation grid and the acceptance runs call it.
 """
 
 from __future__ import annotations
@@ -664,6 +666,29 @@ def load_model(cfg, checkpoint_path, head="cls"):
     model = build_model(cfg, head=head)
     _restore(model, checkpoint_path, model.store.names())
     return model
+
+
+@dataclass
+class PipelineRun:
+    """What one ``run_pipeline`` call made; the pretrain fields are None without one."""
+    pre_path: Path | None
+    pre_trace: list | None
+    model_path: Path
+    ft_trace: list
+    dev_eer: float
+    eval_eer: float
+
+
+def run_pipeline(pre_cfg, ft_cfg, entries, data_dir, out_dir):
+    """One whole run: pretrain on the label-stripped train split (unless ``pre_cfg``
+    is None, the ``train.skip_pretrain`` arm), fine-tune from that checkpoint, reload
+    the classifier and evaluate it.  Every stage writes its files to ``out_dir``."""
+    pre_path = pre_trace = None
+    if pre_cfg is not None:
+        pre_path, pre_trace = pretrain(pre_cfg, strip_labels(entries), data_dir, out_dir)
+    model_path, ft_trace, dev_eer = finetune(ft_cfg, entries, data_dir, out_dir, pre_path)
+    _, report = evaluate(load_model(ft_cfg, model_path, head="cls"), entries, data_dir)
+    return PipelineRun(pre_path, pre_trace, model_path, ft_trace, dev_eer, report.eer)
 
 
 def collapse_pair_forward(model):

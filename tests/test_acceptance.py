@@ -44,33 +44,21 @@ def desk_corpus(tmp_path_factory):
 
 @pytest.fixture(scope="module")
 def desk_runs(desk_corpus, tmp_path_factory):
-    """Both arms over three seeds: pretrain + finetune + eval artifacts."""
+    """Both arms over three seeds: one ``train.run_pipeline`` each."""
     root, entries = desk_corpus
     out = tmp_path_factory.mktemp("desk-runs")
-    clips = train.strip_labels(entries)
     runs = {"signl_seconds": 0.0, "base_seconds": 0.0, "seeds": {}}
     for seed in DESK_SEEDS:
-        rec = {}
         t0 = time.monotonic()
-        pre_cfg = config.load(None, overrides=_pre_overrides(seed))
-        rec["pre_path"], rec["pre_trace"] = train.pretrain(
-            pre_cfg, clips, root, out / f"pre{seed}")
-        ft_cfg = config.load(None, overrides=_ft_overrides(seed, False))
-        rec["signl_path"], rec["signl_trace"], _ = train.finetune(
-            ft_cfg, entries, root, out / f"signl{seed}",
-            checkpoint_path=rec["pre_path"])
-        model = train.load_model(ft_cfg, rec["signl_path"], head="cls")
-        rec["signl_eer"] = train.evaluate(model, entries, root)[1].eer
+        signl = train.run_pipeline(config.load(None, overrides=_pre_overrides(seed)),
+                                   config.load(None, overrides=_ft_overrides(seed, False)),
+                                   entries, root, out / f"signl{seed}")
         runs["signl_seconds"] += time.monotonic() - t0
-
         t0 = time.monotonic()
-        base_cfg = config.load(None, overrides=_ft_overrides(seed, True))
-        rec["base_path"], rec["base_trace"], _ = train.finetune(
-            base_cfg, entries, root, out / f"base{seed}")
-        model = train.load_model(base_cfg, rec["base_path"], head="cls")
-        rec["base_eer"] = train.evaluate(model, entries, root)[1].eer
+        base = train.run_pipeline(None, config.load(None, overrides=_ft_overrides(seed, True)),
+                                  entries, root, out / f"base{seed}")
         runs["base_seconds"] += time.monotonic() - t0
-        runs["seeds"][seed] = rec
+        runs["seeds"][seed] = {"signl": signl, "base": base}
     return runs
 
 
@@ -196,8 +184,8 @@ class TestCriterion4AugmentStats:
 
 class TestCriterion5DeskComparison:
     def test_pretraining_not_worse(self, desk_runs):
-        signl = [desk_runs["seeds"][s]["signl_eer"] for s in DESK_SEEDS]
-        base = [desk_runs["seeds"][s]["base_eer"] for s in DESK_SEEDS]
+        signl = [desk_runs["seeds"][s]["signl"].eval_eer for s in DESK_SEEDS]
+        base = [desk_runs["seeds"][s]["base"].eval_eer for s in DESK_SEEDS]
         mean_signl, mean_base = np.mean(signl), np.mean(base)
         print(f"criterion 5: signl {mean_signl:.4f} (per seed {signl}) vs "
               f"baseline {mean_base:.4f} (per seed {base}); "
@@ -217,7 +205,7 @@ class TestCriterion6CollapseDiagnostic:
         samples = [(cid, feats[cid]) for cid, _ in clips]
         for seed in DESK_SEEDS:
             cfg = config.load(None, overrides=_pre_overrides(seed))
-            model = train.load_model(cfg, desk_runs["seeds"][seed]["pre_path"],
+            model = train.load_model(cfg, desk_runs["seeds"][seed]["signl"].pre_path,
                                      head="proj")
             rep = metrics.collapse_report(train.collapse_pair_forward(model),
                                           samples)
@@ -250,18 +238,16 @@ class TestCriterion8Determinism:
     def test_rerun_bit_identical(self, desk_corpus, desk_runs, tmp_path):
         root, entries = desk_corpus
         seed = DESK_SEEDS[0]
-        rec = desk_runs["seeds"][seed]
-        pre_cfg = config.load(None, overrides=_pre_overrides(seed))
-        pre2, pre_trace2 = train.pretrain(pre_cfg, train.strip_labels(entries),
-                                          root, tmp_path / "pre")
-        assert pre2.read_bytes() == rec["pre_path"].read_bytes()
-        assert self._strip(pre_trace2) == self._strip(rec["pre_trace"])
-        ft_cfg = config.load(None, overrides=_ft_overrides(seed, False))
-        ft2, ft_trace2, _ = train.finetune(ft_cfg, entries, root,
-                                           tmp_path / "ft", checkpoint_path=pre2)
-        assert ft2.read_bytes() == rec["signl_path"].read_bytes()
-        assert self._strip(ft_trace2) == self._strip(rec["signl_trace"])
-        print("criterion 8: rerun produced bit-identical checkpoints and traces")
+        first = desk_runs["seeds"][seed]["signl"]
+        rerun = train.run_pipeline(config.load(None, overrides=_pre_overrides(seed)),
+                                   config.load(None, overrides=_ft_overrides(seed, False)),
+                                   entries, root, tmp_path)
+        assert rerun.pre_path.read_bytes() == first.pre_path.read_bytes()
+        assert self._strip(rerun.pre_trace) == self._strip(first.pre_trace)
+        assert rerun.model_path.read_bytes() == first.model_path.read_bytes()
+        assert self._strip(rerun.ft_trace) == self._strip(first.ft_trace)
+        assert rerun.eval_eer == first.eval_eer
+        print("criterion 8: rerun produced bit-identical checkpoints, traces and eval EER")
 
 
 class TestCriterion9LimitedLabelSampler:

@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from signl import checkpoint, cli, config, featio
+from signl import augment, checkpoint, cli, config, featio
 from signl import tensorgrad as tg
 from signl import train
 from signl.errors import ConfigError, ShapeError
@@ -140,6 +140,42 @@ class TestEndToEnd:
         report = json.loads(
             (only_run_dir(out, "collapse") / "collapse.json").read_text())
         assert set(report) == {"before", "after", "n_pairs"}
+
+    def test_pretrain_prints_the_checkpoint_metric(self, tiny_corpus, tmp_path, capsys,
+                                                   monkeypatch):
+        """The checkpoint holds the best epoch, and early stopping ends a run on
+        worse ones: the printed metric is the best row's, not the last row's."""
+        root, _ = tiny_corpus
+        trace = [{"epoch": epoch, "train_loss": -1.0, "dev_metric": metric, "seconds": 0.0}
+                 for epoch, metric in enumerate([-1.5, -1.75, -1.625], 1)]
+        monkeypatch.setattr(train, "pretrain", lambda cfg, clips, data_dir, out_dir: (
+            Path(out_dir) / "pretrained.sigc", trace))
+        code, out_text, err = run(["pretrain", "--set", f"data.dir={root}",
+                                   "--out", str(tmp_path / "runs")], capsys)
+        assert code == 0, err
+        assert out_text.endswith(" (best dev metric -1.7500)\n")
+
+    def test_ablation_grid_runs_every_combination(self, tiny_corpus, tmp_path, capsys):
+        root, _ = tiny_corpus  # 40/10/20 clips of 32 x 32
+        out = tmp_path / "runs"
+        code, out_text, err = run(["ablation-grid", "--set", f"data.dir={root}",
+                                   "--set", "data.f=32", "--set", "data.t=32",
+                                   "--set", "train.epochs=1", "--set", "train.batch_size=16",
+                                   "--out", str(out)], capsys)
+        assert code == 0, err
+        run_dir = only_run_dir(out, "ablation-grid")
+        table = (run_dir / "grid.tsv").read_text()
+        assert out_text == table
+        header, *lines = table.splitlines()
+        assert header == "name\ted\tgn\tfm\tdev_metric\teval_eer"
+        rows = [line.split("\t") for line in lines]
+        assert [row[:4] for row in rows] == [[name, *("Y" if on else "-" for on in flags)]
+                                             for name, *flags in augment.GRID]
+        assert all(0.0 <= float(value) <= 1.0 for row in rows for value in row[4:])
+        for name, *_ in augment.GRID:
+            assert sorted(p.name for p in (run_dir / name).iterdir()) == [
+                "finetune_trace.jsonl", "model.sigc", "pretrain_trace.jsonl",
+                "pretrained.sigc"]
 
 
 class TestRunDirs:

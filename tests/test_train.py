@@ -22,6 +22,7 @@ from hypothesis import strategies as st
 
 from signl import augment as aug
 from signl import checkpoint as ckpt
+from signl import cli
 from signl import config as cfgmod
 from signl import encoder as enc
 from signl import featio
@@ -1164,6 +1165,20 @@ class TestChild:
                  if isinstance(node, ast.ClassDef) for base in node.bases]
         assert [(name, base) for name, base in bases if base.endswith("ParamStore")] == []
 
+    def test_no_cli_function_composes_two_stages(self):
+        """The chain pretrain -> fine-tune -> evaluate is composed once, in
+        ``train.run_pipeline``: no function of the CLI calls two of its stages."""
+        stages = {"pretrain", "finetune", "evaluate"}
+        tree = ast.parse(Path(cli.__file__).read_text())
+        composing = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                called = stages & {ast.unparse(call.func).split(".")[-1]
+                                   for call in ast.walk(node) if isinstance(call, ast.Call)}
+                if len(called) > 1:
+                    composing[node.name] = sorted(called)
+        assert composing == {}
+
 
 class TestClipShape:
     """Every entry point refuses clips of a shape other than the model's (F, T)."""
@@ -1266,3 +1281,59 @@ class TestLoadModel:
         h1, h2, z1, z2 = forward(next(iter(feats.items())))
         assert h1.shape == h2.shape
         assert z1.shape == z2.shape == (80,)
+
+
+class TestRunPipeline:
+    """``run_pipeline`` gives the bits of its stages called one by one."""
+
+    @staticmethod
+    def _by_hand(pre_cfg, ft_cfg, entries, root, out):
+        pre_path = pre_trace = None
+        if pre_cfg is not None:
+            pre_path, pre_trace = train.pretrain(pre_cfg, train.strip_labels(entries), root,
+                                                 out / "pre")
+        model_path, ft_trace, dev_eer = train.finetune(ft_cfg, entries, root, out / "ft",
+                                                       pre_path)
+        model = train.load_model(ft_cfg, model_path, head="cls")
+        return pre_path, pre_trace, model_path, ft_trace, dev_eer, \
+            train.evaluate(model, entries, root)[1].eer
+
+    @pytest.mark.parametrize("processes", [1, 2], ids=["one_process", "two_processes"])
+    @pytest.mark.parametrize("pretrained", [True, False], ids=["pretrained", "skip_pretrain"])
+    def test_same_bits_as_the_stages_by_hand(self, tiny_corpus, tiny_cfg, tmp_path,
+                                             monkeypatch, force_processes, processes,
+                                             pretrained):
+        root, entries = tiny_corpus
+        # 20 eval clips in chunks of 6: with two processes evaluate forks its scorer too
+        monkeypatch.setattr(train, "EVAL_BATCH", 6)
+        force_processes(processes)
+        pre_cfg = _pretrain_cfg(tiny_cfg) if pretrained else None
+        ft_cfg = _finetune_cfg(tiny_cfg, **{"train.skip_pretrain": not pretrained})
+        pre_path, pre_trace, model_path, ft_trace, dev_eer, eval_eer = self._by_hand(
+            pre_cfg, ft_cfg, entries, root, tmp_path / "by-hand")
+        run = train.run_pipeline(pre_cfg, ft_cfg, entries, root, tmp_path / "pipeline")
+        if pretrained:
+            assert run.pre_path.read_bytes() == pre_path.read_bytes()
+            assert _trace_rows(run.pre_trace) == _trace_rows(pre_trace)
+        else:
+            assert run.pre_path is run.pre_trace is None
+        assert run.model_path.read_bytes() == model_path.read_bytes()
+        assert _trace_rows(run.ft_trace) == _trace_rows(ft_trace)
+        assert (run.dev_eer.hex(), run.eval_eer.hex()) == (dev_eer.hex(), eval_eer.hex())
+        files = {"model.sigc", "finetune_trace.jsonl"}
+        if pretrained:
+            files |= {"pretrained.sigc", "pretrain_trace.jsonl"}
+        assert {p.name for p in (tmp_path / "pipeline").iterdir()} == files
+
+    @pytest.mark.parametrize("pretrained, skip_pretrain, message", [
+        (False, False, "fine-tuning needs a pre-trained checkpoint"),
+        (True, True, "train.skip_pretrain = true, yet a checkpoint was given"),
+    ], ids=["no_pretrain_without_skip", "pretrain_with_skip"])
+    def test_arm_and_skip_pretrain_must_agree(self, tiny_corpus, tiny_cfg, tmp_path,
+                                              pretrained, skip_pretrain, message):
+        root, entries = tiny_corpus
+        pre_cfg = _pretrain_cfg(tiny_cfg, **{"train.epochs": 1}) if pretrained else None
+        ft_cfg = _finetune_cfg(tiny_cfg, **{"train.skip_pretrain": skip_pretrain})
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            train.run_pipeline(pre_cfg, ft_cfg, entries, root, tmp_path)
+        assert not (tmp_path / "model.sigc").exists()
