@@ -160,7 +160,7 @@ def cmd_ablation_grid(cfg, run):
 
 def run_grid(cfg, entries, out_dir):
     """``train.run_pipeline`` for each of the 8 augmentation combinations, into
-    ``out_dir / name``; one grid.tsv row each."""
+    ``out_dir / name`` beside that combination's resolved config; one grid.tsv row each."""
     if cfg["train.skip_pretrain"]:
         raise ConfigError("ablation-grid pretrains every combination: train.skip_pretrain "
                           "must be false")
@@ -168,7 +168,10 @@ def run_grid(cfg, entries, out_dir):
     for name, ed, gn, fm in augment.GRID:
         sub = dict(cfg)
         sub["aug.ed"], sub["aug.gn"], sub["aug.fm"] = ed, gn, fm
-        result = train.run_pipeline(sub, sub, entries, sub["data.dir"], Path(out_dir) / name)
+        sub_dir = Path(out_dir) / name
+        sub_dir.mkdir(parents=True, exist_ok=True)
+        config.dump(sub, sub_dir / "config.resolved.cfg")
+        result = train.run_pipeline(sub, sub, entries, sub["data.dir"], sub_dir)
         rows.append({"name": name, "ed": "Y" if ed else "-", "gn": "Y" if gn else "-",
                      "fm": "Y" if fm else "-", "dev_metric": result.dev_eer,
                      "eval_eer": result.eval_eer})

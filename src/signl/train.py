@@ -12,7 +12,9 @@ A pre-training step encodes both clip halves as one (2B, F, T/2) batch per view,
 built in one copy by ``_pair_halves``.  With dev clips and a second core free,
 pre-training forks one worker that trains the temporal view (its stem and graph-conv
 layers) while this process trains the spatial view, the projection head and the loss;
-the worker's parameter values come back with each embedding of its view.  The views
+the worker's parameter values come back with each embedding of its view.  While it
+waits for an embedding's gradient, the worker builds the pair batch and augmentation
+draws of the batch ``_fit`` asks for next, in ``_epoch_batches`` order.  The views
 share no parameter and Adam is elementwise, so every checkpoint byte, trace value
 and dev loss keeps the bits of one process.
 A frozen fine-tune encodes each labelled clip once, into one matrix whose rows
@@ -120,27 +122,40 @@ def _block_adjacency(neighbors, keep=None):
     return enc._normalize_adjacency(a).astype(np.float32)
 
 
-def _view_embed(model, segs, kind, clip_ids=None, spec=None, seed=0, epoch=0, seg_ids="1"):
+def _view_draws(spec, clip_ids, seed, epoch, view, rows, n, k, d):
+    """The augmentation draws of one view of a batch, ``rows`` graphs of n nodes with
+    k in-edges each and d features, from the one stream keyed by (seed, the batch's
+    clip ids, epoch, view:segments); None when ``spec`` is None or enables nothing."""
+    if spec is None or not (spec.ed_enabled or spec.gn_enabled or spec.fm_enabled):
+        return None
+    batch_key = hashlib.sha256("\0".join(clip_ids).encode()).hexdigest()
+    rng = aug.derive_rng(seed, batch_key, epoch, view)
+    return aug.sample_draws(spec, rng, rows, n * k, (n, d))
+
+
+def _view_embed(model, segs, kind, clip_ids=None, spec=None, seed=0, epoch=0, seg_ids="1",
+                draws=None):
     """Embed one view of a (S*B, F, T_seg) batch: (S*B, N*d_L) tensor.
 
     Row s*B + i is segment seg_ids[s] of clip_ids[i].  With a spec, all rows draw
-    from one stream keyed by (seed, the batch's clip ids, epoch, view:segments)."""
+    from one stream keyed by (seed, the batch's clip ids, epoch, view:segments),
+    unless ``draws``, that stream's ``_view_draws`` made beforehand, are given."""
     n, k = model.n_patches, model.k_neighbors
     patches = patchify(segs, n, kind)
     b = patches.shape[0]
     p = tg.Tensor._wrap(patches.reshape(b * n, -1).astype(np.float32, copy=False), False)
     x = tg.affine(p, model.store[f"stem.{kind}.w"], model.store[f"stem.{kind}.b"])
     neighbors = neighbor_table(x.data.reshape(b, n, -1), k)
+    if draws is None:
+        draws = _view_draws(spec, clip_ids, seed, epoch, f"{kind}:{seg_ids}", b, n, k,
+                            x.shape[1])
     keep = None
-    if spec is not None and (spec.ed_enabled or spec.gn_enabled or spec.fm_enabled):
-        batch_key = hashlib.sha256("\0".join(clip_ids).encode()).hexdigest()
-        rng = aug.derive_rng(seed, batch_key, epoch, f"{kind}:{seg_ids}")
-        draws = aug.sample_draws(spec, rng, b, n * k, (n, x.shape[1]))
-        if spec.ed_enabled:
+    if draws is not None:
+        if draws.edge_keep is not None:
             keep = draws.edge_keep.reshape(b, n, k)
-        if spec.gn_enabled:
+        if draws.noise is not None:
             x = tg.add(x, tg.Tensor._wrap(draws.noise.reshape(x.shape), False))
-        if spec.fm_enabled:
+        if draws.mask is not None:
             x = tg.mul(x, tg.Tensor._wrap(draws.mask.reshape(x.shape), False))
     h = enc.run_layers(x, _block_adjacency(neighbors, keep), model.store,
                        ENCODER_PREFIX[kind])
@@ -270,6 +285,13 @@ def _batches(ids, batch_size):
         yield ids[i:i + batch_size]
 
 
+def _epoch_batches(cfg, ids, epoch):
+    """The batches ``_fit`` steps through in ``epoch``: ``ids`` in that epoch's seeded
+    order, cut into train.batch_size runs."""
+    perm = stream(cfg["train.seed"], "order", epoch).permutation(len(ids))
+    return list(_batches([ids[i] for i in perm], cfg["train.batch_size"]))
+
+
 def _abort_diagnostics(model, what):
     norms = {name: float(np.linalg.norm(a)) for name, a in model.store.state_arrays().items()}
     worst = sorted(norms, key=norms.get, reverse=True)[:5]
@@ -308,6 +330,7 @@ class _EarlyStopper:
 # ---------------------------------------------------------------------------
 # phases
 
+@np.errstate(over="ignore", invalid="ignore")  # a non-finite loss or dev metric stops the run
 def _fit(model, cfg, train_ids, batch_loss, dev_metric, ckpt_path, trace_path):
     """The epoch loop of both phases: shuffle, Adam steps, early stop, save.
 
@@ -318,16 +341,13 @@ def _fit(model, cfg, train_ids, batch_loss, dev_metric, ckpt_path, trace_path):
     run keeps the epochs it finished.  The best epoch's parameters are saved to
     ``ckpt_path``.  Returns (ckpt_path, trace, best dev metric).
     """
-    seed = cfg["train.seed"]
     stopper = _EarlyStopper(cfg["train.patience"])
     trace = []
     trace_path.write_text("")
     for epoch in range(1, cfg["train.epochs"] + 1):
         t0 = time.monotonic()
-        perm = stream(seed, "order", epoch).permutation(len(train_ids))
         losses = []
-        batches = _batches([train_ids[i] for i in perm], cfg["train.batch_size"])
-        for batch_idx, batch in enumerate(batches):
+        for batch_idx, batch in enumerate(_epoch_batches(cfg, train_ids, epoch)):
             with tg.Tape() as tape:
                 loss = batch_loss(batch, epoch)
                 if not np.isfinite(loss.data):
@@ -387,8 +407,9 @@ def pretrain(cfg, clips, data_dir, out_dir):
         return total / len(dev_ids)
 
     # projection-head entries ship under proj.* and are ignored downstream
-    with _ViewWorker(model, feats, cfg["train.lr"]) if dev_ids and _second_core_free() \
-            else contextlib.nullcontext():
+    with _ViewWorker(model, feats, cfg["train.lr"],
+                     lambda epoch: _epoch_batches(cfg, train_ids, epoch)) \
+            if dev_ids and _second_core_free() else contextlib.nullcontext():
         path, trace, _ = _fit(model, cfg, train_ids, batch_loss, dev_loss if dev_ids else None,
                               out_dir / "pretrained.sigc", out_dir / "pretrain_trace.jsonl")
     return path, trace
@@ -466,13 +487,42 @@ class _Child:
         return self.status
 
 
-def _train_view(model, feats, lr, kind, owned, conn):
+def _next_key(aug_key, epoch_batches):
+    """The ``_embed`` key of the training batch after ``aug_key``'s: the next batch of
+    its epoch, or the next epoch's first after the epoch's last."""
+    clip_ids, spec, seed, epoch, seg_ids = aug_key
+    batches = epoch_batches(epoch)
+    i = batches.index(clip_ids) + 1
+    if i == len(batches):
+        batches, epoch, i = epoch_batches(epoch + 1), epoch + 1, 0
+    return batches[i], spec, seed, epoch, seg_ids
+
+
+def _prepare(feats, aug_key, kind, n, k, d):
+    """The part of an embedding of view ``kind`` of the batch ``aug_key`` that reads
+    no parameter: the ``_pair_halves`` batch and the ``_view_draws``."""
+    clip_ids, spec, seed, epoch, seg_ids = aug_key
+    segs = _pair_halves([feats[c] for c in clip_ids])
+    return segs, _view_draws(spec, clip_ids, seed, epoch, f"{kind}:{seg_ids}", len(segs),
+                             n, k, d)
+
+
+@np.errstate(over="ignore", invalid="ignore")  # _fit stops a run whose loss is not finite
+def _train_view(model, feats, lr, kind, owned, epoch_batches, conn):
     """The worker's loop, until this process's end of ``conn`` closes.  It embeds
     view ``kind`` of the ``_pair_halves`` batch of each requested batch of clips,
     on a tape when the request is recorded, and sends the rows with its ``owned``
     parameters' values; a gradient sent for the last embedding is back-propagated
-    and followed by an Adam step."""
+    and followed by an Adam step.
+
+    After a recorded request's rows are sent, while this process waits for their
+    gradient, it prepares the training batch that ``epoch_batches(epoch)``, ``_fit``'s
+    order, puts next.  A request with that batch's whole key takes the prepared one;
+    any other request, such as a dev batch, computes its own and keeps it.  A guess
+    that goes unasked (an early stop, the run's last batch) changes no bit."""
+    n, k, d = model.n_patches, model.k_neighbors, model.store[f"stem.{kind}.w"].shape[1]
     tape = rows = None
+    prepared = (None, None, None)  # (key, segs, draws) of the batch expected next
     while True:
         try:
             op, arg = conn.recv()
@@ -480,10 +530,16 @@ def _train_view(model, feats, lr, kind, owned, conn):
             return
         if op == "embed":
             aug_key, recording = arg
-            segs = _pair_halves([feats[c] for c in aug_key[0]])
+            if prepared[0] == aug_key:
+                _, segs, draws = prepared
+            else:
+                segs, draws = _pair_halves([feats[c] for c in aug_key[0]]), None
             with tg.Tape() if recording else contextlib.nullcontext() as tape:
-                rows = _view_embed(model, segs, kind, *aug_key)
+                rows = _view_embed(model, segs, kind, *aug_key, draws)
             conn.send(("rows", (rows.data, {name: model.store[name].data for name in owned})))
+            if recording:
+                key = _next_key(aug_key, epoch_batches)
+                prepared = (key, *_prepare(feats, key, kind, n, k, d))
         else:  # "grad"
             tape.backward(rows, arg)
             tg.adam_step(model.store, lr)
@@ -502,11 +558,14 @@ class _ViewWorker(_Child):
     parameter as of the worker's last step.  ``_fit`` reads the whole store only
     at such points: the abort message after a batch's forward pass, and the
     snapshot, restore and save after a dev pass, which follows every epoch's last
-    step once ``pretrain`` forks only with dev clips.  Its lifecycle is
-    ``_Child``'s: an error it raises is raised by the next call that waits for
-    it, and it is reaped before the block ends."""
+    step once ``pretrain`` forks only with dev clips.  ``epoch_batches(epoch)`` is
+    ``_fit``'s batch order: from it the worker prepares the next training batch
+    while this process computes the projection head and the loss (see
+    ``_train_view``).  Its lifecycle is ``_Child``'s: an error it raises is
+    raised by the next call that waits for it, and it is reaped before the block
+    ends."""
 
-    def __init__(self, model, feats, lr):
+    def __init__(self, model, feats, lr, epoch_batches):
         kind = "temporal"
         owned = [name for name in model.store.names()  # its stem and graph-conv layers
                  if name.startswith((f"stem.{kind}.", f"{ENCODER_PREFIX[kind]}."))]
@@ -514,7 +573,7 @@ class _ViewWorker(_Child):
         def work(conn):
             for name, t in model.store.items():
                 t.requires_grad = name in owned
-            _train_view(model, feats, lr, kind, owned, conn)
+            _train_view(model, feats, lr, kind, owned, epoch_batches, conn)
 
         super().__init__(f"{kind} view worker", work)
         self.model, self.kind, self.owned = model, kind, owned

@@ -174,8 +174,27 @@ class TestEndToEnd:
         assert all(0.0 <= float(value) <= 1.0 for row in rows for value in row[4:])
         for name, *_ in augment.GRID:
             assert sorted(p.name for p in (run_dir / name).iterdir()) == [
-                "finetune_trace.jsonl", "model.sigc", "pretrain_trace.jsonl",
-                "pretrained.sigc"]
+                "config.resolved.cfg", "finetune_trace.jsonl", "model.sigc",
+                "pretrain_trace.jsonl", "pretrained.sigc"]
+
+    def test_ablation_grid_records_each_combinations_config(self, tiny_corpus, tmp_path,
+                                                            capsys):
+        """``SIGNL-k/config.resolved.cfg`` holds the run's config with that
+        combination's augmentations: SIGNL-3 is Gaussian noise alone."""
+        root, _ = tiny_corpus
+        out = tmp_path / "runs"
+        code, _, err = run(["ablation-grid", "--set", f"data.dir={root}", "--set", "data.f=32",
+                            "--set", "data.t=32", "--set", "train.epochs=1",
+                            "--set", "train.batch_size=16", "--set", "aug.ed=true",
+                            "--set", "aug.fm=true", "--out", str(out)], capsys)
+        assert code == 0, err
+        run_dir = only_run_dir(out, "ablation-grid")
+        lines = (run_dir / "SIGNL-3" / "config.resolved.cfg").read_text().splitlines()
+        assert {"aug.ed = false", "aug.gn = true", "aug.fm = false", "data.f = 32",
+                "train.epochs = 1"} <= set(lines)
+        resolved = config.load(str(run_dir / "SIGNL-3" / "config.resolved.cfg"), ())
+        assert resolved == {**config.load(str(run_dir / "config.resolved.cfg"), ()),
+                            "aug.ed": False, "aug.fm": False, "aug.gn": True}
 
 
 class TestRunDirs:
@@ -406,6 +425,7 @@ class TestErrors:
         assert "non-finite loss at epoch 1" in err
         assert (only_run_dir(out, "finetune") / "config.resolved.cfg").is_file()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a diverged run stops quietly
     def test_diverged_pretrain_exits_2_keeping_its_run_dir(self, tiny_corpus, tmp_path,
                                                            capsys):
         """At lr 1e39 epoch 1's one step makes the parameters infinite: a runtime
@@ -423,6 +443,7 @@ class TestErrors:
         assert (run_dir / "config.resolved.cfg").is_file()
         assert (run_dir / "pretrain_trace.jsonl").read_text() == ""
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a diverged run stops quietly
     def test_diverged_finetune_exits_2_keeping_its_run_dir(self, tiny_corpus, tmp_path,
                                                            capsys):
         """At lr 1e39 epoch 1's one step makes the dev scores NaN: the parameter norms,

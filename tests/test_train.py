@@ -152,6 +152,30 @@ def _no_child_left():
         os.waitpid(-1, os.WNOHANG)
 
 
+def _log_draws(monkeypatch, path):
+    """Log each later ``augment.sample_draws`` call, from either process, to ``path``
+    as [pid, seed, batch key, epoch, view]: the key its ``derive_rng`` stream was
+    made from.  Returns a reader of the logged calls as tuples."""
+    derive, sample, keys = aug.derive_rng, aug.sample_draws, {}
+
+    def derive_rng(*key):
+        rng = derive(*key)
+        keys[id(rng)] = rng, key  # the stream stays alive, so its id is not reused
+        return rng
+
+    def sample_draws(spec, rng, *args):
+        with open(path, "a") as fh:
+            fh.write(json.dumps([os.getpid(), *keys[id(rng)][1]]) + "\n")
+        return sample(spec, rng, *args)
+
+    monkeypatch.setattr(aug, "derive_rng", derive_rng)
+    monkeypatch.setattr(aug, "sample_draws", sample_draws)
+    return lambda: [tuple(json.loads(line)) for line in path.read_text().splitlines()]
+
+
+_ALL_AUGMENTATIONS = {"aug.ed": True, "aug.gn": True, "aug.fm": True}
+
+
 class TestPretrainTwoProcesses:
     """The temporal view trains in a forked worker when the probe allows it."""
 
@@ -227,6 +251,93 @@ class TestPretrainTwoProcesses:
         assert sum(k == "temporal" for _, k in calls) == sum(k == "spatial" for _, k in calls) == 4
         _no_child_left()
 
+    def test_worker_draws_each_train_batch_once_and_one_batch_more(self, tiny_corpus,
+                                                                   tiny_cfg, tmp_path,
+                                                                   monkeypatch,
+                                                                   force_processes):
+        """The worker draws the temporal view of every train batch exactly once, and
+        one batch that is never asked for: the one after the run's last, epoch 3's
+        first, prepared while the parent finished epoch 2's last step."""
+        root, entries = tiny_corpus
+        draws = _log_draws(monkeypatch, tmp_path / "draws")
+        force_processes(2)
+        train.pretrain(_pretrain_cfg(tiny_cfg, **_ALL_AUGMENTATIONS),
+                       train.strip_labels(entries), root, tmp_path / "out")
+        _no_child_left()
+        parent, calls = os.getpid(), draws()
+        assert {view for pid, *_, view in calls if pid == parent} == {"spatial:12"}
+        assert {view for pid, *_, view in calls if pid != parent} == {"temporal:12"}
+        assert len({pid for pid, *_ in calls}) == 2
+        used = [(key, epoch) for pid, _, key, epoch, _ in calls if pid == parent]
+        drawn = [(key, epoch) for pid, _, key, epoch, _ in calls if pid != parent]
+        assert len(used) == len(set(used)) == 6  # batches of 16, 16 and 4 clips, 2 epochs
+        assert len(drawn) == len(set(drawn))
+        assert set(used) <= set(drawn)
+        assert [epoch for _, epoch in set(drawn) - set(used)] == [3]
+
+    def test_dev_pass_keeps_the_prepared_first_batch_of_the_next_epoch(self, tiny_corpus,
+                                                                        tiny_cfg, tmp_path,
+                                                                        monkeypatch,
+                                                                        force_processes):
+        """Every train batch but the run's first takes the draws the worker prepared;
+        epoch 2's first does so after epoch 1's dev pass, which the worker computes on
+        its own.  Epoch 2's dev loss reads worse, so patience 1 stops the run there, and
+        the prepared epoch 3 batch is the one drawn and never asked for."""
+        root, entries = tiny_corpus
+        view_embed, pair_forward, dev_passes = train._view_embed, train._pair_forward, []
+        log = tmp_path / "views"
+
+        def logged(model, segs, kind, *args):
+            if kind == "temporal":  # the worker's: (clip ids, spec, seed, epoch, segs, draws)
+                with open(log, "a") as fh:
+                    fh.write(json.dumps([args[3], args[1] is not None, args[5] is not None])
+                             + "\n")
+            return view_embed(model, segs, kind, *args)
+
+        def dev_spoiled(model, mats, clip_ids, spec, seed, epoch):
+            h1, h2, z1, z2 = pair_forward(model, mats, clip_ids, spec, seed, epoch)
+            if spec is None:
+                dev_passes.append(epoch)
+                if len(dev_passes) == 2:
+                    z1 = tg.scale(z1, -1.0)
+            return h1, h2, z1, z2
+
+        monkeypatch.setattr(train, "_view_embed", logged)
+        monkeypatch.setattr(train, "_pair_forward", dev_spoiled)
+        draws = _log_draws(monkeypatch, tmp_path / "draws")
+        force_processes(2)
+        cfg = _pretrain_cfg(tiny_cfg, **_ALL_AUGMENTATIONS,
+                            **{"train.epochs": 3, "train.patience": 1})
+        _, trace = train.pretrain(cfg, train.strip_labels(entries), root, tmp_path / "out")
+        _no_child_left()
+        assert len(trace) == 2
+        train_calls = [[1, True, False], [1, True, True], [1, True, True],
+                       [2, True, True], [2, True, True], [2, True, True]]
+        dev_call = [0, False, False]
+        calls = [json.loads(line) for line in log.read_text().splitlines()]
+        assert calls == train_calls[:3] + [dev_call] + train_calls[3:] + [dev_call]
+        drawn = [epoch for pid, _, _, epoch, _ in draws() if pid != os.getpid()]
+        assert drawn == [1, 1, 1, 2, 2, 2, 3]
+
+    def test_preparation_reads_no_parameter(self):
+        """``_prepare``, and what it calls in ``train``, reads no ``model.store`` entry
+        and runs no embedding, tape or Adam step: only work a step's parameters
+        cannot change moves off the worker's critical path."""
+        tree = ast.parse(Path(train.__file__).read_text())
+        functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+        seen, todo = set(), ["_prepare"]
+        while todo:
+            name = todo.pop()
+            seen.add(name)
+            for node in ast.walk(functions[name]):
+                assert not (isinstance(node, ast.Attribute) and node.attr == "store"), name
+                if isinstance(node, ast.Call):
+                    callee = ast.unparse(node.func).split(".")[-1]
+                    assert callee not in ("_view_embed", "Tape", "adam_step"), name
+                    if callee in functions and callee not in seen:
+                        todo.append(callee)
+        assert seen == {"_prepare", "_pair_halves", "_view_draws"}
+
     def test_non_finite_loss_names_the_workers_current_norms(self, tiny_corpus, tiny_cfg,
                                                              tmp_path, monkeypatch,
                                                              force_processes):
@@ -262,6 +373,7 @@ class TestPretrainTwoProcesses:
             assert "stem.temporal.w=" in messages[0]
             assert f"stem.temporal.w={initial:.3g}," not in messages[0]  # the steps moved it
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a diverged run stops quietly
     def test_diverged_run_stops_before_its_trace_row(self, tiny_corpus, tiny_cfg, tmp_path,
                                                      force_processes):
         """At lr 1e39 epoch 1's one step makes the parameters infinite and its dev loss
@@ -410,6 +522,7 @@ class TestPretrainTwoProcesses:
 
 
 class TestFinetune:
+    @pytest.mark.filterwarnings("error::RuntimeWarning")  # a diverged run stops quietly
     def test_diverged_run_names_the_param_norms(self, tiny_corpus, tiny_cfg, tmp_path):
         """At lr 1e39 epoch 1's one step makes the parameters infinite and the dev
         scores NaN: the run stops with the norms, not an EER error, and saves nothing."""
