@@ -8,6 +8,7 @@ its last entry; ``load_arrays`` rejects any file ``save_arrays`` cannot write.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import struct
@@ -22,33 +23,39 @@ SIGC_VERSION = 1
 MAX_RANK = 64  # numpy's limit on array dimensions
 
 
-def save_arrays(arrays: dict, path):
-    """Write name -> float array entries in the given order.
-
-    The bytes go to a sibling temp file that replaces ``path`` only once it
-    is complete, so a failed or interrupted save leaves the previous file.
-    """
+@contextlib.contextmanager
+def replacing(path, mode="wb"):
+    """A file, opened in ``mode`` on a sibling temp file that replaces ``path``
+    only once the block completes, so a failed or interrupted write leaves the
+    previous file, or none."""
     tmp = Path(f"{path}.tmp")
     try:
-        with open(tmp, "wb") as fh:
-            fh.write(SIGC_MAGIC)
-            fh.write(struct.pack("<H", SIGC_VERSION))
-            fh.write(struct.pack("<I", len(arrays)))
-            for name, arr in arrays.items():
-                arr = np.asarray(arr, dtype="<f4")
-                if not np.isfinite(arr).all():
-                    raise CheckpointError(f"{path}: non-finite values in {name!r}")
-                encoded = name.encode("utf-8")
-                fh.write(struct.pack("<H", len(encoded)))
-                fh.write(encoded)
-                fh.write(struct.pack("<B", arr.ndim))
-                for extent in arr.shape:
-                    fh.write(struct.pack("<I", extent))
-                fh.write(arr.tobytes())
+        with open(tmp, mode) as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def save_arrays(arrays: dict, path):
+    """Write name -> float array entries in the given order, replacing ``path``
+    whole (see ``replacing``)."""
+    with replacing(path) as fh:
+        fh.write(SIGC_MAGIC)
+        fh.write(struct.pack("<H", SIGC_VERSION))
+        fh.write(struct.pack("<I", len(arrays)))
+        for name, arr in arrays.items():
+            arr = np.asarray(arr, dtype="<f4")
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: non-finite values in {name!r}")
+            encoded = name.encode("utf-8")
+            fh.write(struct.pack("<H", len(encoded)))
+            fh.write(encoded)
+            fh.write(struct.pack("<B", arr.ndim))
+            for extent in arr.shape:
+                fh.write(struct.pack("<I", extent))
+            fh.write(arr.tobytes())
 
 
 def load_arrays(path) -> dict:

@@ -7,29 +7,29 @@ array, checked to be finite, or, with one ``os.readv`` of header and payload,
 into a row of a caller's (B, F, T) chunk, whose finiteness the caller checks
 once for the whole chunk.  ``write_feature`` is the one writer.  Clip ids live
 in the manifest.  ``gen_synthetic`` computes each split GEN_BLOCK clips at a
-time and creates one block's files on one writer thread while it computes the
-next; every file has the bytes of computing and writing the clips one at a time.
-Manifests are JSON lines with fields path/label/attack_id/split.
+time and, with a second core free, has a forked child write one block's files
+while it computes the next; every file has the bytes of computing and writing
+the clips one at a time.  Manifests are JSON lines with fields path/label/attack_id/split.
 Malformed files and lines raise ``errors.FormatError``, which names the file
 (and line), so ``signl`` exits 1 on them.
 """
 
 from __future__ import annotations
 
+import contextlib
 import errno
 import json
 import math
 import os
 import stat
 import struct
-import threading
-import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
+from . import forking
+from .checkpoint import replacing
 from .errors import ConfigError, FormatError
 from .seeding import stream
 
@@ -145,7 +145,9 @@ def read_feature(path, out=None) -> np.ndarray:
 
 
 def write_manifest(entries, path):
-    with open(path, "w") as fh:
+    """One JSON line per entry, replacing ``path`` whole: a manifest cut at a line
+    boundary would read as a smaller corpus."""
+    with replacing(path, "w") as fh:
         for e in entries:
             fh.write(json.dumps({"path": e.path, "label": e.label,
                                  "attack_id": e.attack_id, "split": e.split}) + "\n")
@@ -299,42 +301,38 @@ def _write_block(values, paths):
         write_feature(row, path)
 
 
-def _await_exit(native_ids):
-    """Wait for joined threads to leave /proc/self/task, where
-    ``train._second_core_free`` counts them: ``Thread.join`` returns before the OS
-    thread has ended, on a busy machine milliseconds before.  A joined thread has
-    run its last Python code, so it leaves."""
-    for tid in native_ids:
-        while os.path.exists(f"/proc/self/task/{tid}"):
-            time.sleep(1e-4)
+def _write_blocks(conn):
+    """The corpus writer: it says it is idle, and writes the (values, paths) block
+    that follows, until this process's end of ``conn`` closes."""
+    with contextlib.suppress(EOFError):
+        while True:
+            conn.send(("idle", None))
+            _write_block(*conn.recv())
 
 
 def gen_synthetic(cfg: SynthConfig, out_dir):
     """Write a labelled SIGF corpus plus manifest; pure function of cfg.
 
-    One writer thread creates a block's files with ``write_feature`` while the next
-    block is computed, with at most one block in flight.  A write error, a
-    non-finite clip's included, is raised here after the clips before it are
-    written, and the thread has ended before this returns or raises, so a later
-    fork (see ``train._second_core_free``) still sees one thread."""
+    With ``forking.second_core_free``, a forked corpus writer creates a block's
+    files while the next is computed, one block in flight; otherwise each block is
+    written once computed.  A write error, a non-finite clip's included, is raised
+    here after the clips before it are written; the writer is reaped by then."""
     cfg.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    entries, started = [], []  # started: the writer thread's OS id
-    writer = ThreadPoolExecutor(1, initializer=lambda: started.append(threading.get_native_id()))
-    try:
-        with writer:
-            written = None  # the block being written
-            for block, x in _blocks(cfg):
-                entries += block
-                if written is not None:
-                    written.result()
-                written = writer.submit(_write_block, x,
-                                        [os.path.join(out_dir, e.path) for e in block])
-            if written is not None:
-                written.result()
-    finally:
-        _await_exit(started)
+    entries = []
+    with forking.Child("corpus writer", _write_blocks) if forking.second_core_free() \
+            else contextlib.nullcontext() as writer:
+        for block, x in _blocks(cfg):
+            entries += block
+            paths = [os.path.join(out_dir, e.path) for e in block]
+            if writer:
+                writer.recv()  # idle: the block before is written
+                writer.send((x, paths))
+            else:
+                _write_block(x, paths)
+        if writer:
+            writer.recv()
     write_manifest(entries, out_dir / "manifest.jsonl")
     return entries
 

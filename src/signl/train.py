@@ -22,7 +22,8 @@ the classifier trains on.
 Evaluation streams its clips: each process reads and scores one EVAL_BATCH chunk array
 at a time.  On a long eval split with a second core free, a forked child scores the
 second half of the chunks, so memory holds one chunk per process; every chunk holds the
-same clips either way.  Both forks go through one helper, ``_Child``, with one format.
+same clips either way.  Both forks wait for ``forking.second_core_free`` and go
+through ``forking.Child``, with one format.
 A whole run, pretrain -> fine-tune -> reload -> evaluate, is composed in one place,
 ``run_pipeline``; the CLI's ablation grid and the acceptance runs call it.
 """
@@ -33,9 +34,7 @@ import contextlib
 import hashlib
 import json
 import math
-import multiprocessing
 import os
-import signal
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -45,6 +44,7 @@ import numpy as np
 from . import augment as aug
 from . import checkpoint as ckpt
 from . import encoder as enc
+from . import forking
 from . import metrics
 from . import tensorgrad as tg
 from .config import VIEW_MODES, patch_dims
@@ -409,83 +409,14 @@ def pretrain(cfg, clips, data_dir, out_dir):
     # projection-head entries ship under proj.* and are ignored downstream
     with _ViewWorker(model, feats, cfg["train.lr"],
                      lambda epoch: _epoch_batches(cfg, train_ids, epoch)) \
-            if dev_ids and _second_core_free() else contextlib.nullcontext():
+            if dev_ids and forking.second_core_free() else contextlib.nullcontext():
         path, trace, _ = _fit(model, cfg, train_ids, batch_loss, dev_loss if dev_ids else None,
                               out_dir / "pretrained.sigc", out_dir / "pretrain_trace.jsonl")
     return path, trace
 
 
 # ---------------------------------------------------------------------------
-# second processes: a forked child, and pre-training's temporal view in one
-
-class _Child:
-    """A forked child process running ``work(conn)`` on one end of a pipe, seen
-    from this process, which holds the other end as ``conn``.
-
-    The child's last (op, value) message is ("result", what ``work`` returned)
-    or ("error", the exception it raised).  It leaves only through os._exit, so
-    it runs none of this process's atexit or finally code, and exits 0 only once
-    that message is sent.  ``recv`` raises a received error, and RuntimeError
-    naming the exit status or signal of a child that ended without a result (a
-    signal, or a value or error that does not pickle).  As a context manager the
-    child is killed when the block is left on an exception, and reaped before
-    the block ends either way, so no process outlives the block."""
-
-    def __init__(self, name, work):
-        self.name, self.status = name, None  # the exit code, once reaped
-        self.conn, there = multiprocessing.Pipe()
-        try:
-            self.pid = os.fork()
-        except BaseException:
-            self.conn.close()
-            there.close()
-            raise
-        if self.pid == 0:
-            status = 1
-            try:
-                self.conn.close()
-                try:
-                    message = ("result", work(there))
-                except Exception as exc:
-                    message = ("error", exc)
-                there.send(message)  # one that does not pickle ends the pipe: exit 1
-                status = 0
-            finally:
-                os._exit(status)
-        there.close()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, exc_type, *_):
-        if exc_type is not None and self.status is None:
-            os.kill(self.pid, signal.SIGKILL)
-        self.conn.close()
-        self._reap()
-
-    def send(self, message):
-        try:
-            self.conn.send(message)
-        except OSError:  # the child has left: raise its error, or how it ended
-            self.recv()
-            raise
-
-    def recv(self):
-        try:
-            op, value = self.conn.recv()
-        except (EOFError, OSError):
-            code = self._reap()
-            how = f"exit status {code}" if code >= 0 else f"signal {-code}"
-            raise RuntimeError(f"the {self.name} ended without a result ({how})") from None
-        if op == "error":
-            raise value
-        return value
-
-    def _reap(self):
-        if self.status is None:
-            self.status = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        return self.status
-
+# pre-training's temporal view in a forked worker
 
 def _next_key(aug_key, epoch_batches):
     """The ``_embed`` key of the training batch after ``aug_key``'s: the next batch of
@@ -545,7 +476,7 @@ def _train_view(model, feats, lr, kind, owned, epoch_batches, conn):
             tg.adam_step(model.store, lr)
 
 
-class _ViewWorker(_Child):
+class _ViewWorker(forking.Child):
     """A forked worker that trains the temporal view of a pre-training ``model`` on
     the clip matrices ``feats`` (clip_id -> F x T), attached to the model until
     the block ends.
@@ -561,7 +492,7 @@ class _ViewWorker(_Child):
     step once ``pretrain`` forks only with dev clips.  ``epoch_batches(epoch)`` is
     ``_fit``'s batch order: from it the worker prepares the next training batch
     while this process computes the projection head and the loss (see
-    ``_train_view``).  Its lifecycle is ``_Child``'s: an error it raises is
+    ``_train_view``).  Its lifecycle is ``forking.Child``'s: an error it raises is
     raised by the next call that waits for it, and it is reaped before the block
     ends."""
 
@@ -674,7 +605,7 @@ def evaluate(model, entries, data_dir):
 
     Clips are read into one (B, F, T) array, checked and scored one EVAL_BATCH
     chunk at a time.  With at least FORK_MIN_CHUNKS chunks and a second core free
-    (see ``_second_core_free``), this process scores the first n_chunks // 2
+    (see ``forking.second_core_free``), this process scores the first n_chunks // 2
     chunks while a forked child scores the second half of the chunks; otherwise
     this process scores every chunk.  A fork costs a fixed 20-30 ms in a
     desk-sized process (page tables, copy-on-write faults on each side's first
@@ -695,10 +626,10 @@ def evaluate(model, entries, data_dir):
 
     n_chunks = math.ceil(len(rows) / EVAL_BATCH)
     cut = len(rows)  # this process scores rows[:cut], the second scorer the rest
-    if n_chunks >= FORK_MIN_CHUNKS and _second_core_free():
+    if n_chunks >= FORK_MIN_CHUNKS and forking.second_core_free():
         cut = n_chunks // 2 * EVAL_BATCH
     back = rows[cut:]
-    with _Child("second eval scorer",
+    with forking.Child("second eval scorer",
                 lambda conn: [p for _, p, _ in score_entries(back, logits).entries]) \
             if back else contextlib.nullcontext() as child:
         scores = score_entries(rows[:cut], logits).entries
@@ -706,18 +637,6 @@ def evaluate(model, entries, data_dir):
             scores += [(e.clip_id, p, e.label) for e, p in zip(back, child.recv())]
     score_set = metrics.ScoreSet(scores)
     return score_set, metrics.compute_eer(score_set)
-
-
-def _second_core_free():
-    """Whether a second process may run beside this one: pre-training's temporal-view
-    worker, or evaluate's second scorer.  It holds when this process may use 2+
-    cores and runs exactly one OS thread.  Forking is safe only from one thread,
-    and numpy's OpenBLAS starts a thread, which uses the second core, unless pinned
-    to one (OPENBLAS_NUM_THREADS=1)."""
-    try:
-        return len(os.sched_getaffinity(0)) >= 2 and len(os.listdir("/proc/self/task")) == 1
-    except (AttributeError, OSError):  # no affinity call or no /proc: stay in one process
-        return False
 
 
 def load_model(cfg, checkpoint_path, head="cls"):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import strategies as st
 
 from signl import config as cfgmod
-from signl import encoder, featio, train
+from signl import encoder, featio, forking, train
 
 
 @pytest.fixture(scope="session")
@@ -39,10 +39,10 @@ def _no_fork():
 
 @pytest.fixture
 def force_processes(monkeypatch):
-    """Force ``train.pretrain`` and ``train.evaluate`` onto 1 or 2 processes
-    through their one probe, ``train._second_core_free``: with 2, pretrain forks
-    its temporal-view worker and evaluate its second scorer, for which 2 chunks
-    are then enough.
+    """Force ``featio.gen_synthetic``, ``train.pretrain`` and ``train.evaluate`` onto
+    1 or 2 processes through their one probe, ``forking.second_core_free``: with 2,
+    gen_synthetic forks its corpus writer, pretrain its temporal-view worker and
+    evaluate its second scorer, for which 2 chunks are then enough.
 
     Under pytest the probe reads False (the faulthandler watchdog is a thread),
     so the two-process paths run only when forced.  Forced to 1, ``os.fork``
@@ -50,7 +50,7 @@ def force_processes(monkeypatch):
     process may be left, zombie or live."""
     def force(processes):
         monkeypatch.setattr(train, "FORK_MIN_CHUNKS", 2)
-        monkeypatch.setattr(train, "_second_core_free", lambda: processes == 2)
+        monkeypatch.setattr(forking, "second_core_free", lambda: processes == 2)
         monkeypatch.setattr(os, "fork", _FORK if processes == 2 else _no_fork)
     yield force
     with pytest.raises(ChildProcessError):

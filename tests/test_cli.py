@@ -112,9 +112,11 @@ class TestEndToEnd:
         env = {k: v for k, v in os.environ.items() if k not in BLAS_ENV}
         env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
         outputs = []
-        for name, blas in [("pinned", {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}),
-                           ("default", {})]:
-            subprocess.run([sys.executable, "-m", "signl.cli", "pretrain", "--config",
+        # the ``signl`` command (module ``signl``) pins BLAS itself when the user has not
+        for name, module, blas in [
+                ("pinned", "signl.cli", {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}),
+                ("default", "signl.cli", {}), ("command", "signl", {})]:
+            subprocess.run([sys.executable, "-m", module, "pretrain", "--config",
                             str(base_cfg), "--set", "train.epochs=2", "--set", "aug.gn=true",
                             "--out", str(tmp_path / name)], env={**env, **blas}, check=True,
                            capture_output=True)
@@ -123,8 +125,22 @@ class TestEndToEnd:
                     (run_dir / "pretrain_trace.jsonl").read_text().splitlines()]
             outputs.append(((run_dir / "pretrained.sigc").read_bytes(),
                             [{k: v for k, v in row.items() if k != "seconds"} for row in rows]))
-        assert outputs[0] == outputs[1]
+        assert outputs[0] == outputs[1] == outputs[2]
         assert [row["epoch"] for row in outputs[0][1]] == [1, 2]
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU: nothing to fork")
+    @pytest.mark.parametrize("user, expected", [({}, "True 1 1 1"),
+                                                ({"OPENBLAS_NUM_THREADS": "2"}, "False 2 1 1")],
+                             ids=["unset", "user_value_wins"])
+    def test_command_pins_blas_so_the_probe_holds(self, user, expected):
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_ENV}
+        env["PYTHONPATH"] = str(Path(cli.__file__).parents[1])
+        script = ("import os, signl.__main__\n"
+                  "from signl import forking\n"
+                  f"print(forking.second_core_free(), *map(os.environ.get, {BLAS_ENV!r}))\n")
+        out = subprocess.run([sys.executable, "-c", script], env={**env, **user}, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.split() == expected.split()
 
     def test_collapse_report(self, base_cfg, tmp_path, capsys):
         out = tmp_path / "runs"

@@ -419,6 +419,23 @@ class TestManifest:
         featio.write_manifest(entries, path)
         assert featio.read_manifest(path) == entries
 
+    @pytest.mark.parametrize("previous", [True, False], ids=["over_a_manifest", "none"])
+    def test_failed_write_leaves_the_previous_manifest(self, tmp_path, previous):
+        entries = [featio.ManifestEntry("a.sigf", "bonafide", "-", "train"),
+                   featio.ManifestEntry("b.sigf", "fake", "A01", "eval")]
+        path = tmp_path / "m.jsonl"
+        if previous:
+            featio.write_manifest(entries, path)
+        before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+
+        def cut_short():  # a write that fails after its first line
+            yield entries[0]
+            raise OSError(28, "No space left on device")
+
+        with pytest.raises(OSError, match="No space left"):
+            featio.write_manifest(cut_short(), path)
+        assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+
     def test_clip_id_is_derived_not_written(self, tmp_path):
         entries = [featio.ManifestEntry("dir/a.sigf", "bonafide", "-", "train"),
                    featio.ManifestEntry("b.sigf", "fake", "A01", "eval")]
@@ -525,19 +542,23 @@ class TestSynthCorpus:
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes()
 
-    def test_corpus_bytes_pinned(self, tmp_path):
+    def test_corpus_bytes_pinned(self, tmp_path, force_processes):
         """The name and bytes of every file, manifest included, hash as they did when
-        each clip was computed and written on its own; 31 frames make rows odd."""
+        each clip was computed and written on its own, whether a forked writer or
+        this process writes them; 31 frames make rows odd."""
         cfg = featio.SynthConfig(F=32, T=31, n_per_split={"train": 40, "dev": 10, "eval": 33},
                                  n_attack_types=4, artifact_strength=1.5, seed=3)
-        featio.gen_synthetic(cfg, tmp_path)
-        digest = hashlib.sha256()
-        for path in sorted(tmp_path.iterdir()):
-            digest.update(path.name.encode())
-            digest.update(path.read_bytes())
-        assert len(list(tmp_path.iterdir())) == 84
-        assert digest.hexdigest() == \
-            "635a9bbb657f06237bdd3fffed8d3a7c702855b1c5e4d738d06d95ee09f8550f"
+        for processes in (1, 2):
+            force_processes(processes)
+            out = tmp_path / str(processes)
+            featio.gen_synthetic(cfg, out)
+            digest = hashlib.sha256()
+            for path in sorted(out.iterdir()):
+                digest.update(path.name.encode())
+                digest.update(path.read_bytes())
+            assert len(list(out.iterdir())) == 84
+            assert digest.hexdigest() == \
+                "635a9bbb657f06237bdd3fffed8d3a7c702855b1c5e4d738d06d95ee09f8550f"
 
     def test_zero_strength_degenerates_to_bona_fide(self, tmp_path):
         cfg = featio.SynthConfig(F=32, T=32,
@@ -615,67 +636,97 @@ class TestSynthCorpus:
 
 
 class TestWriterThread:
-    """``gen_synthetic`` creates files on one writer thread, which has ended by the
-    time it returns or raises: the fork probe counts OS threads."""
+    """``gen_synthetic`` creates files in one writer: a forked child when the probe
+    holds, this process otherwise.  By the time it returns or raises no child is
+    left and this process runs the OS threads it ran before, as the probe counts
+    them.  Each test runs both paths."""
 
     CFG = featio.SynthConfig(F=8, T=8, n_per_split={"train": 70, "dev": 0, "eval": 0}, seed=4)
 
     @pytest.fixture
-    def writers(self, monkeypatch):
-        """The OS ids of the threads that wrote a block of clips."""
-        ids, write_block = set(), featio._write_block
+    def writers(self, monkeypatch, tmp_path):
+        """The pids of the processes that wrote a block of clips since the last call."""
+        log, write_block = tmp_path / "writers.log", featio._write_block
 
         def record(values, paths):
-            ids.add(threading.get_native_id())
+            with open(log, "a") as fh:  # a forked writer's pid reaches this process
+                fh.write(f"{os.getpid()}\n")
             write_block(values, paths)
         monkeypatch.setattr(featio, "_write_block", record)
-        return ids
+
+        def pids():
+            found = set(map(int, log.read_text().split())) if log.exists() else set()
+            log.unlink(missing_ok=True)
+            return found
+        return pids
 
     @staticmethod
     def _threads():
-        return threading.active_count(), sorted(os.listdir("/proc/self/task"))
+        """This process's threads, and whether it has a child, live or zombie."""
+        try:
+            os.waitpid(-1, os.WNOHANG)
+            child = True
+        except ChildProcessError:
+            child = False
+        return threading.active_count(), sorted(os.listdir("/proc/self/task")), child
 
-    def test_no_thread_left_after_return(self, tmp_path, writers):
-        before = self._threads()
-        featio.gen_synthetic(self.CFG, tmp_path)
-        assert self._threads() == before
-        assert len(writers) == 1 and threading.get_native_id() not in writers
+    def test_no_thread_left_after_return(self, tmp_path, writers, force_processes):
+        for processes in (1, 2):
+            force_processes(processes)
+            before = self._threads()
+            featio.gen_synthetic(self.CFG, tmp_path / str(processes))
+            assert self._threads() == before
+            pids = writers()
+            assert len(pids) == 1 and (os.getpid() in pids) == (processes == 1)
 
-    def test_directory_at_a_later_clip_raises_with_no_thread_left(self, tmp_path, writers):
-        (tmp_path / "train_00040.sigf").mkdir()  # in the second block of 32
-        before = self._threads()
-        with pytest.raises(IsADirectoryError, match="train_00040.sigf"):
-            featio.gen_synthetic(self.CFG, tmp_path)
-        assert self._threads() == before
-        assert len(writers) == 1
-        assert sorted(p.name for p in tmp_path.iterdir()) == \
-            [f"train_{i:05d}.sigf" for i in range(41)]  # 40 clips and the directory
+    def test_directory_at_a_later_clip_raises_with_no_thread_left(self, tmp_path, writers,
+                                                                  force_processes):
+        for processes in (1, 2):
+            out = tmp_path / str(processes)
+            (out / "train_00040.sigf").mkdir(parents=True)  # in the second block of 32
+            force_processes(processes)
+            before = self._threads()
+            with pytest.raises(IsADirectoryError, match="train_00040.sigf"):
+                featio.gen_synthetic(self.CFG, out)
+            assert self._threads() == before
+            assert len(writers()) == 1
+            assert sorted(p.name for p in out.iterdir()) == \
+                [f"train_{i:05d}.sigf" for i in range(41)]  # 40 clips and the directory
 
-    def test_interrupt_while_computing_leaves_no_thread(self, tmp_path, monkeypatch, writers):
-        plant, planted = featio._plant_artifact, []
+    def test_interrupt_while_computing_leaves_no_thread(self, tmp_path, monkeypatch, writers,
+                                                        force_processes):
+        plant = featio._plant_artifact
+        for processes in (1, 2):
+            planted = []
 
-        def interrupted(*args):
-            planted.append(args[1])
-            if len(planted) == 20:  # clip 54, in the second block
-                raise KeyboardInterrupt
-            plant(*args)
-        monkeypatch.setattr(featio, "_plant_artifact", interrupted)
-        before = self._threads()
-        with pytest.raises(KeyboardInterrupt):
-            featio.gen_synthetic(self.CFG, tmp_path)
-        assert self._threads() == before
-        assert len(writers) == 1  # the first block was being written
-        assert not (tmp_path / "manifest.jsonl").exists()
+            def interrupted(*args):
+                planted.append(args[1])
+                if len(planted) == 31:  # clip 65, in the third block
+                    raise KeyboardInterrupt
+                plant(*args)
+            monkeypatch.setattr(featio, "_plant_artifact", interrupted)
+            out = tmp_path / str(processes)
+            force_processes(processes)
+            before = self._threads()
+            with pytest.raises(KeyboardInterrupt):
+                featio.gen_synthetic(self.CFG, out)
+            assert self._threads() == before
+            assert len(writers()) == 1  # the first block was written
+            assert {f"train_{i:05d}.sigf" for i in range(32)} <= {p.name for p in out.iterdir()}
+            assert not (out / "manifest.jsonl").exists()
 
     @pytest.mark.filterwarnings("ignore:overflow encountered in cast:RuntimeWarning")
-    def test_non_finite_clip_raises_as_write_feature_after_the_clips_before_it(self,
-                                                                              tmp_path):
+    def test_non_finite_clip_raises_as_write_feature_after_the_clips_before_it(
+            self, tmp_path, force_processes):
         cfg = featio.SynthConfig(F=8, T=8, n_per_split={"train": 6, "dev": 0, "eval": 0},
                                  artifact_strength=1e39)  # float32 overflow in every fake
-        with pytest.raises(featio.FormatError, match="non-finite values"):
-            featio.gen_synthetic(cfg, tmp_path)
-        assert sorted(p.name for p in tmp_path.iterdir()) == \
-            ["train_00000.sigf", "train_00001.sigf", "train_00002.sigf"]
+        for processes in (1, 2):
+            force_processes(processes)
+            out = tmp_path / str(processes)
+            with pytest.raises(featio.FormatError, match="non-finite values"):
+                featio.gen_synthetic(cfg, out)
+            assert sorted(p.name for p in out.iterdir()) == \
+                ["train_00000.sigf", "train_00001.sigf", "train_00002.sigf"]
 
 
 class TestLimitedLabels:

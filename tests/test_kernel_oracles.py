@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -521,16 +521,18 @@ def _files(root):
 
 
 class TestGenSyntheticOracle:
-    """Blocks of clips computed together, and written on a second thread, give the
-    files of computing and writing each clip alone, manifest included."""
+    """Blocks of clips computed together, and written by a forked writer or by this
+    process, give the files of computing and writing each clip alone, manifest
+    included."""
 
-    @settings(max_examples=30, deadline=None)
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(f=st.integers(2, 16), t=st.integers(4, 17),
            sizes=st.lists(st.integers(0, 70), min_size=3, max_size=3),
            attack_types=st.integers(1, 6), strength=st.floats(0, 3),
            seed=st.integers(0, 2**64))
-    def test_same_files_as_one_clip_at_a_time(self, f, t, sizes, attack_types, strength,
-                                              seed):
+    def test_same_files_as_one_clip_at_a_time(self, force_processes, f, t, sizes,
+                                              attack_types, strength, seed):
         cfg = featio.SynthConfig(F=f, T=t, n_per_split=dict(zip(featio.SPLITS, sizes)),
                                  n_attack_types=attack_types, artifact_strength=strength,
                                  seed=seed)
@@ -539,9 +541,13 @@ class TestGenSyntheticOracle:
         except ConfigError:
             assume(False)
         with tempfile.TemporaryDirectory() as scratch:
-            shipped, reference = Path(scratch) / "shipped", Path(scratch) / "reference"
-            assert featio.gen_synthetic(cfg, shipped) == _ref_gen_synthetic(cfg, reference)
-            assert _files(shipped) == _files(reference)
+            reference = Path(scratch) / "reference"
+            entries = _ref_gen_synthetic(cfg, reference)
+            for processes in (1, 2):
+                force_processes(processes)
+                shipped = Path(scratch) / f"shipped{processes}"
+                assert featio.gen_synthetic(cfg, shipped) == entries
+                assert _files(shipped) == _files(reference)
 
     @settings(max_examples=100, deadline=None)
     @given(f=st.integers(1, 16), t=st.integers(1, 17), n=st.integers(1, 40),

@@ -25,7 +25,7 @@ from signl import checkpoint as ckpt
 from signl import cli
 from signl import config as cfgmod
 from signl import encoder as enc
-from signl import featio
+from signl import featio, forking
 from signl import metrics
 from signl import tensorgrad as tg
 from signl import train
@@ -501,7 +501,7 @@ class TestPretrainTwoProcesses:
         root, entries = tiny_corpus
         script = (
             "import os, sys\n"
-            "from signl import config, featio, train\n"
+            "from signl import config, featio, forking, train\n"
             "def no_fork():\n"
             "    raise AssertionError('pretrain forked')\n"
             "os.fork = no_fork\n"
@@ -510,7 +510,7 @@ class TestPretrainTwoProcesses:
             "entries = featio.read_manifest(os.path.join(sys.argv[1], 'manifest.jsonl'))\n"
             "clips = train.strip_labels(entries)[:8]\n"
             "train.pretrain(cfg, clips, sys.argv[1], sys.argv[2])\n"
-            "print(train._second_core_free(), len(os.listdir('/proc/self/task')))\n")
+            "print(forking.second_core_free(), len(os.listdir('/proc/self/task')))\n")
         env = {k: v for k, v in os.environ.items()
                if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
         env["PYTHONPATH"] = str(Path(train.__file__).parents[1])
@@ -1122,7 +1122,7 @@ class TestEvaluate:
         force_processes(1)
         expected, _ = train.evaluate(model, entries, root)
         force_processes(pids)  # with 1, os.fork raises
-        monkeypatch.setattr(train, "_second_core_free", lambda: True)
+        monkeypatch.setattr(forking, "second_core_free", lambda: True)
         monkeypatch.setattr(train, "FORK_MIN_CHUNKS", fork_min_chunks)
         loads = logged_loads()
         scores, _ = train.evaluate(model, entries, root)
@@ -1162,7 +1162,7 @@ class TestEvaluate:
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            assert not train._second_core_free()
+            assert not forking.second_core_free()
         finally:
             stop.set()
             thread.join()
@@ -1171,7 +1171,8 @@ class TestEvaluate:
         env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
                "PYTHONPATH": str(Path(train.__file__).parents[1])}
         out = subprocess.run([sys.executable, "-c",
-                              "from signl import train; print(train._second_core_free())"],
+                              "from signl import forking, train; "
+                              "print(forking.second_core_free())"],
                              env=env, capture_output=True, text=True, check=True).stdout
         assert out.strip() == str(len(os.sched_getaffinity(0)) >= 2)
 
@@ -1238,21 +1239,25 @@ class TestChild:
         _no_child_left()
 
     def test_train_forks_and_exits_only_in_the_helper(self):
-        tree = ast.parse(Path(train.__file__).read_text())
-        calls = [(top.name, node.func.attr) for top in tree.body for node in ast.walk(top)
-                 if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                 and isinstance(node.func.value, ast.Name) and node.func.value.id == "os"
-                 and node.func.attr in ("fork", "_exit")]
-        assert sorted(calls) == [("_Child", "_exit"), ("_Child", "fork")]
-        imported = {alias.name for node in ast.walk(tree)
-                    if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
-        assert "pickle" not in imported
+        """Every second process, the corpus writer's included, comes from the one
+        helper in the probe's module: one ``os.fork`` and one ``os._exit`` in signl."""
+        calls = []
+        for path in sorted(Path(train.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            calls += [(path.name, top.name, node.func.attr) for top in tree.body
+                      for node in ast.walk(top)
+                      if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                      and isinstance(node.func.value, ast.Name) and node.func.value.id == "os"
+                      and node.func.attr in ("fork", "_exit")]
+            imported = {alias.name for node in ast.walk(tree)
+                        if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+            assert "pickle" not in imported, path.name
+        assert sorted(calls) == [("forking.py", "Child", "_exit"), ("forking.py", "Child", "fork")]
 
-    def test_only_gen_synthetic_starts_a_thread(self):
-        """Both forks wait for ``_second_core_free``'s one-thread probe, which a thread
-        started elsewhere would turn off, or outlive into a child.  Only featio imports
-        threading or concurrent.futures, and only ``gen_synthetic``, which has ended its
-        writer thread before it returns, starts one."""
+    def test_no_module_starts_a_thread(self):
+        """Every fork waits for ``forking.second_core_free``'s one-thread probe, which
+        a thread would turn off, or outlive into a child: no module imports
+        threading, _thread or concurrent, or starts a thread or a pool."""
         imports, starts = set(), set()
         for path in sorted(Path(train.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text())
@@ -1261,14 +1266,12 @@ class TestChild:
                          else [node.module or ""] if isinstance(node, ast.ImportFrom) else [])
                 imports |= {(path.name, name) for name in names
                             if name.split(".")[0] in ("threading", "_thread", "concurrent")}
-            for top in tree.body:
-                for node in ast.walk(top):
-                    if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in (
-                            "Thread", "Timer", "ThreadPoolExecutor", "ThreadPool", "Pool",
-                            "Queue", "start_new_thread"):
-                        starts.add((path.name, getattr(top, "name", None)))
-        assert imports == {("featio.py", "threading"), ("featio.py", "concurrent.futures")}
-        assert starts == {("featio.py", "gen_synthetic")}
+                if isinstance(node, ast.Call) and ast.unparse(node.func).split(".")[-1] in (
+                        "Thread", "Timer", "ThreadPoolExecutor", "ThreadPool", "Pool",
+                        "ProcessPoolExecutor", "Process", "Queue", "start_new_thread"):
+                    starts.add((path.name, ast.unparse(node.func)))
+        assert imports == set()
+        assert starts == set()
 
     def test_no_class_in_train_derives_from_the_param_store(self):
         """This process's store stays a plain ``ParamStore``: the view worker's values
