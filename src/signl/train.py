@@ -57,7 +57,7 @@ PROJ_DIMS = (256, 128, 80)
 CLS_DIMS = (256, 128, 2)
 DEV_HOLDOUT = 0.1  # fraction of train clips monitored during pre-training
 EVAL_BATCH = 96    # clips per forward pass when scoring without gradients
-FORK_MIN_CHUNKS = 64  # fewest EVAL_BATCH chunks that evaluate splits across two processes
+FORK_MIN_CHUNKS = 8  # fewest EVAL_BATCH chunks that evaluate splits across two processes
 ENCODER_PREFIX = {"temporal": "enc_t", "spatial": "enc_s"}  # a view's graph-conv layers
 
 
@@ -606,16 +606,25 @@ def evaluate(model, entries, data_dir):
     Clips are read into one (B, F, T) array, checked and scored one EVAL_BATCH
     chunk at a time.  With at least FORK_MIN_CHUNKS chunks and a second core free
     (see ``forking.second_core_free``), this process scores the first n_chunks // 2
-    chunks while a forked child scores the second half of the chunks; otherwise
-    this process scores every chunk.  A fork costs a fixed 20-30 ms in a
-    desk-sized process (page tables, copy-on-write faults on each side's first
-    chunk, the child's exit), and a shared machine may give two processes one
-    core's throughput; below FORK_MIN_CHUNKS 64 x 64 chunks, about 0.25 s of work,
-    that cost can outweigh the gain, so one process scores them.  Memory holds one
-    chunk of features per process whatever the size of the eval split, and every
-    chunk holds the same clips, so the scores keep their bits.  The first failing
-    chunk in split order raises its error, as in one process: an error in this
-    process's half raises at once and kills the child."""
+    chunks while a forked child, on another CPU, scores the second half of the
+    chunks; otherwise this process scores every chunk.  A fork has a fixed cost
+    (page tables, copy-on-write faults on each side's first chunk, the child's
+    exit), so a short split is scored faster in one process.  Desk-shape
+    (64 x 64) evaluates in a process that had pre-trained, on 2 CPUs, 10
+    alternating pairs, each side the median of 15 calls:
+
+        chunks   one process   forked    forked won
+           4       12.4 ms     15.5 ms    1 of 10
+           6       19.1 ms     18.9 ms    6 of 10
+           8       25.7 ms     24.3 ms    7 of 10
+          11       33.2 ms     29.6 ms    9 of 10
+
+    (medians over the pairs).  At 6 chunks the two tie; from 8 the fork is
+    ahead, so FORK_MIN_CHUNKS is 8.  Memory holds one chunk of features per
+    process whatever the size of the eval split, and every chunk holds the same
+    clips, so the scores keep their bits.  The first failing chunk in split order
+    raises its error, as in one process: an error in this process's half raises
+    at once and kills the child."""
     rows = [e for e in entries if e.split == "eval"]
     _check_both_labels(rows, "eval")
     paths = {e.clip_id: e.path for e in rows}

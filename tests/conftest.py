@@ -58,6 +58,19 @@ def force_processes(monkeypatch):
 
 
 @pytest.fixture
+def child_exits(monkeypatch):
+    """The (name, exit status) of each ``forking.Child`` reaped at its block's end,
+    in order, from every later block."""
+    reaped, leave = [], forking.Child.__exit__
+
+    def record(self, *exc):
+        leave(self, *exc)
+        reaped.append((self.name, self.status))
+    monkeypatch.setattr(forking.Child, "__exit__", record)
+    return reaped
+
+
+@pytest.fixture
 def rng():
     return np.random.default_rng(0)
 

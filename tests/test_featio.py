@@ -679,6 +679,13 @@ class TestWriterThread:
             pids = writers()
             assert len(pids) == 1 and (os.getpid() in pids) == (processes == 1)
 
+    def test_clean_writer_session_exits_0(self, tmp_path, force_processes, child_exits):
+        # the writer returns once this process closes the pipe, with no one left to
+        # take its result
+        force_processes(2)
+        featio.gen_synthetic(self.CFG, tmp_path)
+        assert child_exits == [("corpus writer", 0)]
+
     def test_directory_at_a_later_clip_raises_with_no_thread_left(self, tmp_path, writers,
                                                                   force_processes):
         for processes in (1, 2):

@@ -1,6 +1,7 @@
 """Training loops: pre-training, fine-tuning, early stopping, evaluation."""
 
 import ast
+import contextlib
 import errno
 import hashlib
 import json
@@ -150,6 +151,13 @@ def _trace_rows(trace):
 def _no_child_left():
     with pytest.raises(ChildProcessError):  # no child is left, zombie or live
         os.waitpid(-1, os.WNOHANG)
+
+
+def _wait_for_close(conn):
+    """A child's work: say it is up, then wait until the parent closes the pipe."""
+    conn.send(("up", None))
+    with contextlib.suppress(EOFError):
+        conn.recv()
 
 
 def _log_draws(monkeypatch, path):
@@ -1240,7 +1248,8 @@ class TestChild:
 
     def test_train_forks_and_exits_only_in_the_helper(self):
         """Every second process, the corpus writer's included, comes from the one
-        helper in the probe's module: one ``os.fork`` and one ``os._exit`` in signl."""
+        helper in the probe's module: one ``os.fork`` and one ``os._exit`` in signl.
+        Only that helper places processes on CPUs (``os.sched_setaffinity``)."""
         calls = []
         for path in sorted(Path(train.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text())
@@ -1248,11 +1257,65 @@ class TestChild:
                       for node in ast.walk(top)
                       if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                       and isinstance(node.func.value, ast.Name) and node.func.value.id == "os"
-                      and node.func.attr in ("fork", "_exit")]
+                      and node.func.attr in ("fork", "_exit", "sched_setaffinity")]
             imported = {alias.name for node in ast.walk(tree)
                         if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
             assert "pickle" not in imported, path.name
-        assert sorted(calls) == [("forking.py", "Child", "_exit"), ("forking.py", "Child", "fork")]
+        assert {call for call in calls if call[2] == "sched_setaffinity"} == \
+            {("forking.py", "Child", "sched_setaffinity")}
+        assert sorted(call for call in calls if call[2] != "sched_setaffinity") == \
+            [("forking.py", "Child", "_exit"), ("forking.py", "Child", "fork")]
+
+    def test_clean_forked_pretrain_worker_exits_0(self, tiny_corpus, tiny_cfg, tmp_path,
+                                                  force_processes, child_exits):
+        # the worker returns once this process closes the pipe, with no one left to
+        # take its result
+        root, entries = tiny_corpus
+        force_processes(2)
+        train.pretrain(_pretrain_cfg(tiny_cfg, **{"train.epochs": 1}),
+                       train.strip_labels(entries), root, tmp_path)
+        assert child_exits == [("temporal view worker", 0)]
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU: nothing to share")
+    def test_child_and_this_process_share_out_its_cpus(self):
+        before = os.sched_getaffinity(0)
+        with forking.Child("placed child", _wait_for_close) as child:
+            child.recv()  # the child has placed itself
+            theirs, ours = os.sched_getaffinity(child.pid), os.sched_getaffinity(0)
+        assert theirs and ours and not theirs & ours
+        assert theirs | ours == before
+        assert child.status == 0
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU: nothing to restore")
+    @pytest.mark.parametrize("end", ["clean", "exception", "child_exits"])
+    def test_cpus_restored_when_the_child_is_reaped(self, end):
+        before = os.sched_getaffinity(0)
+        with contextlib.suppress(KeyError):
+            work = (lambda conn: os._exit(3)) if end == "child_exits" else _wait_for_close
+            with forking.Child("placed child", work) as child:
+                if end == "child_exits":
+                    with pytest.raises(RuntimeError, match=r"exit status 3"):
+                        child.recv()
+                    assert os.sched_getaffinity(0) == before  # reaped by recv
+                else:
+                    child.recv()
+                    assert os.sched_getaffinity(0) != before
+                if end == "exception":
+                    raise KeyError
+        assert child.status == {"clean": 0, "exception": -signal.SIGKILL, "child_exits": 3}[end]
+        assert os.sched_getaffinity(0) == before
+
+    def test_child_runs_beside_this_process_pinned_to_one_cpu(self):
+        before = os.sched_getaffinity(0)
+        one = {min(before)}
+        try:
+            os.sched_setaffinity(0, one)
+            with forking.Child("placed child", lambda conn: os.sched_getaffinity(0)) as child:
+                assert child.recv() == one
+            assert child.status == 0
+            assert os.sched_getaffinity(0) == one
+        finally:
+            os.sched_setaffinity(0, before)
 
     def test_no_module_starts_a_thread(self):
         """Every fork waits for ``forking.second_core_free``'s one-thread probe, which
