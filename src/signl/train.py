@@ -14,9 +14,9 @@ pre-training forks one worker that trains the temporal view (its stem and graph-
 layers) while this process trains the spatial view, the projection head and the loss;
 the worker's parameter values come back with each embedding of its view.  While it
 waits for an embedding's gradient, the worker builds the pair batch and augmentation
-draws of the batch ``_fit`` asks for next, in ``_epoch_batches`` order.  The views
-share no parameter and Adam is elementwise, so every checkpoint byte, trace value
-and dev loss keeps the bits of one process.
+draws of the batch ``_fit`` asks for next, whose key it reads from one iterator over
+``_fit``'s order.  The views share no parameter and Adam is elementwise, so every
+checkpoint byte, trace value and dev loss keeps the bits of one process.
 A frozen fine-tune encodes each labelled clip once, into one matrix whose rows
 the classifier trains on.
 Evaluation streams its clips: each process reads and scores one EVAL_BATCH chunk array
@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -406,9 +407,11 @@ def pretrain(cfg, clips, data_dir, out_dir):
             total += float(metrics.alignment_loss(z1, z2, tau).data)
         return total / len(dev_ids)
 
+    # _fit's training keys, epoch after epoch: the worker prepares each in turn
+    keys = ((batch, spec, seed, epoch, "12") for epoch in itertools.count(1)
+            for batch in _epoch_batches(cfg, train_ids, epoch))
     # projection-head entries ship under proj.* and are ignored downstream
-    with _ViewWorker(model, feats, cfg["train.lr"],
-                     lambda epoch: _epoch_batches(cfg, train_ids, epoch)) \
+    with _ViewWorker(model, feats, cfg["train.lr"], keys) \
             if dev_ids and forking.second_core_free() else contextlib.nullcontext():
         path, trace, _ = _fit(model, cfg, train_ids, batch_loss, dev_loss if dev_ids else None,
                               out_dir / "pretrained.sigc", out_dir / "pretrain_trace.jsonl")
@@ -417,17 +420,6 @@ def pretrain(cfg, clips, data_dir, out_dir):
 
 # ---------------------------------------------------------------------------
 # pre-training's temporal view in a forked worker
-
-def _next_key(aug_key, epoch_batches):
-    """The ``_embed`` key of the training batch after ``aug_key``'s: the next batch of
-    its epoch, or the next epoch's first after the epoch's last."""
-    clip_ids, spec, seed, epoch, seg_ids = aug_key
-    batches = epoch_batches(epoch)
-    i = batches.index(clip_ids) + 1
-    if i == len(batches):
-        batches, epoch, i = epoch_batches(epoch + 1), epoch + 1, 0
-    return batches[i], spec, seed, epoch, seg_ids
-
 
 def _prepare(feats, aug_key, kind, n, k, d):
     """The part of an embedding of view ``kind`` of the batch ``aug_key`` that reads
@@ -439,7 +431,7 @@ def _prepare(feats, aug_key, kind, n, k, d):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _fit stops a run whose loss is not finite
-def _train_view(model, feats, lr, kind, owned, epoch_batches, conn):
+def _train_view(model, feats, lr, kind, owned, keys, conn):
     """The worker's loop, until this process's end of ``conn`` closes.  It embeds
     view ``kind`` of the ``_pair_halves`` batch of each requested batch of clips,
     on a tape when the request is recorded, and sends the rows with its ``owned``
@@ -447,12 +439,14 @@ def _train_view(model, feats, lr, kind, owned, epoch_batches, conn):
     and followed by an Adam step.
 
     After a recorded request's rows are sent, while this process waits for their
-    gradient, it prepares the training batch that ``epoch_batches(epoch)``, ``_fit``'s
-    order, puts next.  A request with that batch's whole key takes the prepared one;
-    any other request, such as a dev batch, computes its own and keeps it.  A guess
-    that goes unasked (an early stop, the run's last batch) changes no bit."""
+    gradient, it prepares the batch of ``next(keys)``: ``keys`` yields the ``_embed``
+    key of every training batch in ``_fit``'s order, and the run's first batch is
+    asked for before any is prepared.  A request with the prepared batch's whole key
+    takes it; any other request, such as a dev batch, computes its own and keeps it.
+    A guess that goes unasked (an early stop, the run's last batch) changes no bit."""
     n, k, d = model.n_patches, model.k_neighbors, model.store[f"stem.{kind}.w"].shape[1]
     tape = rows = None
+    next(keys)  # the run's first batch, which nothing prepares
     prepared = (None, None, None)  # (key, segs, draws) of the batch expected next
     while True:
         try:
@@ -469,7 +463,7 @@ def _train_view(model, feats, lr, kind, owned, epoch_batches, conn):
                 rows = _view_embed(model, segs, kind, *aug_key, draws)
             conn.send(("rows", (rows.data, {name: model.store[name].data for name in owned})))
             if recording:
-                key = _next_key(aug_key, epoch_batches)
+                key = next(keys)
                 prepared = (key, *_prepare(feats, key, kind, n, k, d))
         else:  # "grad"
             tape.backward(rows, arg)
@@ -489,14 +483,14 @@ class _ViewWorker(forking.Child):
     parameter as of the worker's last step.  ``_fit`` reads the whole store only
     at such points: the abort message after a batch's forward pass, and the
     snapshot, restore and save after a dev pass, which follows every epoch's last
-    step once ``pretrain`` forks only with dev clips.  ``epoch_batches(epoch)`` is
-    ``_fit``'s batch order: from it the worker prepares the next training batch
-    while this process computes the projection head and the loss (see
-    ``_train_view``).  Its lifecycle is ``forking.Child``'s: an error it raises is
-    raised by the next call that waits for it, and it is reaped before the block
-    ends."""
+    step once ``pretrain`` forks only with dev clips.  ``keys`` iterates over the
+    ``_embed`` keys of ``_fit``'s training batches in order: from it the worker reads
+    the next training batch, which it prepares while this process computes the
+    projection head and the loss (see ``_train_view``).  Its lifecycle is
+    ``forking.Child``'s: an error it raises is raised by the next call that waits
+    for it, and it is reaped before the block ends."""
 
-    def __init__(self, model, feats, lr, epoch_batches):
+    def __init__(self, model, feats, lr, keys):
         kind = "temporal"
         owned = [name for name in model.store.names()  # its stem and graph-conv layers
                  if name.startswith((f"stem.{kind}.", f"{ENCODER_PREFIX[kind]}."))]
@@ -504,7 +498,7 @@ class _ViewWorker(forking.Child):
         def work(conn):
             for name, t in model.store.items():
                 t.requires_grad = name in owned
-            _train_view(model, feats, lr, kind, owned, epoch_batches, conn)
+            _train_view(model, feats, lr, kind, owned, keys, conn)
 
         super().__init__(f"{kind} view worker", work)
         self.model, self.kind, self.owned = model, kind, owned

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from conftest import byte_edits
-from signl import featio, train
+from signl import featio, forking, train
 
 
 def _fromfile_reader(path):
@@ -642,6 +642,14 @@ class TestWriterThread:
     them.  Each test runs both paths."""
 
     CFG = featio.SynthConfig(F=8, T=8, n_per_split={"train": 70, "dev": 0, "eval": 0}, seed=4)
+
+    @pytest.fixture(autouse=True)
+    def warm_up_fork(self):
+        """Fork one child that does nothing before the test takes its "before" list:
+        under a threaded BLAS, OpenBLAS ends its worker thread at a process's first
+        fork, which would otherwise end a thread that was there before the call."""
+        with forking.Child("warm-up", lambda conn: None):
+            pass
 
     @pytest.fixture
     def writers(self, monkeypatch, tmp_path):

@@ -327,6 +327,33 @@ class TestPretrainTwoProcesses:
         drawn = [epoch for pid, _, _, epoch, _ in draws() if pid != os.getpid()]
         assert drawn == [1, 1, 1, 2, 2, 2, 3]
 
+    def test_each_process_orders_each_epoch_once(self, tiny_corpus, tiny_cfg, tmp_path,
+                                                 monkeypatch, force_processes):
+        """``_epoch_batches`` runs once an epoch in each process of a 2-epoch run: here
+        for ``_fit``'s epochs 1 and 2, and in the worker for those and epoch 3, whose
+        first batch it prepares after the run's last."""
+        root, entries = tiny_corpus
+        epoch_batches = train._epoch_batches
+        log = os.open(tmp_path / "orders", os.O_WRONLY | os.O_CREAT | os.O_APPEND)
+
+        def logged(cfg, ids, epoch):
+            os.write(log, f"{os.getpid()} {epoch}\n".encode())
+            return epoch_batches(cfg, ids, epoch)
+
+        monkeypatch.setattr(train, "_epoch_batches", logged)
+        force_processes(2)
+        try:
+            train.pretrain(_pretrain_cfg(tiny_cfg), train.strip_labels(entries), root,
+                           tmp_path / "out")
+        finally:
+            os.close(log)
+        _no_child_left()
+        calls = [line.split() for line in (tmp_path / "orders").read_text().splitlines()]
+        parent = str(os.getpid())
+        assert len({pid for pid, _ in calls}) == 2
+        assert [int(epoch) for pid, epoch in calls if pid == parent] == [1, 2]
+        assert [int(epoch) for pid, epoch in calls if pid != parent] == [1, 2, 3]
+
     def test_preparation_reads_no_parameter(self):
         """``_prepare``, and what it calls in ``train``, reads no ``model.store`` entry
         and runs no embedding, tape or Adam step: only work a step's parameters
