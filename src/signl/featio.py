@@ -7,16 +7,16 @@ array, checked to be finite, or, with one ``os.readv`` of header and payload,
 into a row of a caller's (B, F, T) chunk, whose finiteness the caller checks
 once for the whole chunk.  ``write_feature`` is the one writer.  Clip ids live
 in the manifest.  ``gen_synthetic`` computes each split GEN_BLOCK clips at a
-time and, with a second core free, has a forked child write one block's files
-while it computes the next; every file has the bytes of computing and writing
-the clips one at a time.  Manifests are JSON lines with fields path/label/attack_id/split.
+time and, with a second core free, has the helper process (see ``forking``) write
+one block's files while it computes the next; every file has the bytes of
+computing and writing the clips one at a time.  Manifests are JSON lines with
+fields path/label/attack_id/split.
 Malformed files and lines raise ``errors.FormatError``, which names the file
 (and line), so ``signl`` exits 1 on them.
 """
 
 from __future__ import annotations
 
-import contextlib
 import errno
 import json
 import math
@@ -301,38 +301,31 @@ def _write_block(values, paths):
         write_feature(row, path)
 
 
-def _write_blocks(conn):
-    """The corpus writer: it says it is idle, and writes the (values, paths) block
-    that follows, until this process's end of ``conn`` closes."""
-    with contextlib.suppress(EOFError):
-        while True:
-            conn.send(("idle", None))
-            _write_block(*conn.recv())
-
-
 def gen_synthetic(cfg: SynthConfig, out_dir):
     """Write a labelled SIGF corpus plus manifest; pure function of cfg.
 
-    With ``forking.second_core_free``, a forked corpus writer creates a block's
-    files while the next is computed, one block in flight; otherwise each block is
-    written once computed.  A write error, a non-finite clip's included, is raised
-    here after the clips before it are written; the writer is reaped by then."""
+    Each block is written by one call of ``_write_block``: with
+    ``forking.second_core_free``, a call on the helper process, which writes the
+    block while the next is computed, one block in flight; otherwise in this
+    process, once the block is computed.  The calls name absolute paths, so a
+    helper forked before a ``chdir`` writes where this process would.  A write
+    error, a non-finite clip's included, is raised here after the clips before
+    it are written."""
     cfg.validate()
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    where = os.path.abspath(out_dir)
     entries = []
-    with forking.Child("corpus writer", _write_blocks) if forking.second_core_free() \
-            else contextlib.nullcontext() as writer:
-        for block, x in _blocks(cfg):
-            entries += block
-            paths = [os.path.join(out_dir, e.path) for e in block]
-            if writer:
-                writer.recv()  # idle: the block before is written
-                writer.send((x, paths))
-            else:
+    blocks = _blocks(cfg)
+    block = next(blocks, None)
+    while block:
+        clips, x = block
+        entries += clips
+        paths = [os.path.join(where, e.path) for e in clips]
+        with forking.call("corpus writer", _write_block, x, paths) as writer:
+            if writer is None:
                 _write_block(x, paths)
-        if writer:
-            writer.recv()
+            block = next(blocks, None)
     write_manifest(entries, out_dir / "manifest.jsonl")
     return entries
 

@@ -10,20 +10,22 @@ and every clip through ``load_features``, which reads a chunk of clips into one
 Whole splits load in EVAL_BATCH chunks; each clip's matrix is a row of its chunk.
 A pre-training step encodes both clip halves as one (2B, F, T/2) batch per view,
 built in one copy by ``_pair_halves``.  With dev clips and a second core free,
-pre-training forks one worker that trains the temporal view (its stem and graph-conv
-layers) while this process trains the spatial view, the projection head and the loss;
-the worker's parameter values come back with each embedding of its view.  While it
-waits for an embedding's gradient, the worker builds the pair batch and augmentation
-draws of the batch ``_fit`` asks for next, whose key it reads from one iterator over
-``_fit``'s order.  The views share no parameter and Adam is elementwise, so every
-checkpoint byte, trace value and dev loss keeps the bits of one process.
+a call on the helper process (``forking``) trains the temporal view (its stem and
+graph-conv layers) while this process trains the spatial view, the projection head
+and the loss; the worker's parameter values come back with each embedding of its
+view.  The worker loads its own copy of the split while this process loads its
+own, and while it waits for an embedding's gradient, it builds the pair batch and
+augmentation draws of the batch ``_fit`` asks for next, whose key it reads from one
+iterator over ``_fit``'s order.  The views share no parameter and Adam is
+elementwise, so every checkpoint byte, trace value and dev loss keeps the bits of
+one process.
 A frozen fine-tune encodes each labelled clip once, into one matrix whose rows
 the classifier trains on.
 Evaluation streams its clips: each process reads and scores one EVAL_BATCH chunk array
-at a time.  On a long eval split with a second core free, a forked child scores the
-second half of the chunks, so memory holds one chunk per process; every chunk holds the
-same clips either way.  Both forks wait for ``forking.second_core_free`` and go
-through ``forking.Child``, with one format.
+at a time.  On a long eval split with a second core free, a call on the helper scores
+the second half of the chunks, so memory holds one chunk per process; every chunk
+holds the same clips either way.  Each call carries what it reads (parameters, ids,
+absolute paths), so a helper forked before a stage sees none of its state.
 A whole run, pretrain -> fine-tune -> reload -> evaluate, is composed in one place,
 ``run_pipeline``; the CLI's ablation grid and the acceptance runs call it.
 """
@@ -58,8 +60,9 @@ PROJ_DIMS = (256, 128, 80)
 CLS_DIMS = (256, 128, 2)
 DEV_HOLDOUT = 0.1  # fraction of train clips monitored during pre-training
 EVAL_BATCH = 96    # clips per forward pass when scoring without gradients
-FORK_MIN_CHUNKS = 8  # fewest EVAL_BATCH chunks that evaluate splits across two processes
+FORK_MIN_CHUNKS = 2  # fewest EVAL_BATCH chunks that evaluate splits across two processes
 ENCODER_PREFIX = {"temporal": "enc_t", "spatial": "enc_s"}  # a view's graph-conv layers
+_WORKER_VIEW = "temporal"  # the view pre-training's worker trains on a second core
 
 
 @dataclass
@@ -387,7 +390,6 @@ def pretrain(cfg, clips, data_dir, out_dir):
     spec.validate()
     tau = cfg["train.temperature"]
     model = build_model(cfg, head="proj")
-    feats = load_split(clips, data_dir, model.clip_shape)
     ids = [cid for cid, _ in clips]
 
     order = stream(seed, "holdout").permutation(len(ids))
@@ -407,19 +409,26 @@ def pretrain(cfg, clips, data_dir, out_dir):
             total += float(metrics.alignment_loss(z1, z2, tau).data)
         return total / len(dev_ids)
 
-    # _fit's training keys, epoch after epoch: the worker prepares each in turn
-    keys = ((batch, spec, seed, epoch, "12") for epoch in itertools.count(1)
-            for batch in _epoch_batches(cfg, train_ids, epoch))
-    # projection-head entries ship under proj.* and are ignored downstream
-    with _ViewWorker(model, feats, cfg["train.lr"], keys) \
-            if dev_ids and forking.second_core_free() else contextlib.nullcontext():
+    owned = {name: t.data for name, t in model.store.items()  # the worker's view's layers
+             if name.startswith((f"stem.{_WORKER_VIEW}.", f"{ENCODER_PREFIX[_WORKER_VIEW]}."))}
+    # without dev clips no embedding follows an epoch's last step to bring the
+    # worker's values back, so one process trains both views
+    with forking.call("temporal view worker", _train_view, owned, cfg, train_ids, clips,
+                      os.path.abspath(data_dir)) \
+            if dev_ids else contextlib.nullcontext() as worker:
+        feats = load_split(clips, data_dir, model.clip_shape)  # the worker loads its own
+        if worker:
+            _ViewWorker(worker, model, owned)
+        # projection-head entries ship under proj.* and are ignored downstream
         path, trace, _ = _fit(model, cfg, train_ids, batch_loss, dev_loss if dev_ids else None,
                               out_dir / "pretrained.sigc", out_dir / "pretrain_trace.jsonl")
+        if worker:
+            worker.send(("done", None))
     return path, trace
 
 
 # ---------------------------------------------------------------------------
-# pre-training's temporal view in a forked worker
+# pre-training's temporal view on the helper
 
 def _prepare(feats, aug_key, kind, n, k, d):
     """The part of an embedding of view ``kind`` of the batch ``aug_key`` that reads
@@ -431,27 +440,38 @@ def _prepare(feats, aug_key, kind, n, k, d):
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _fit stops a run whose loss is not finite
-def _train_view(model, feats, lr, kind, owned, keys, conn):
-    """The worker's loop, until this process's end of ``conn`` closes.  It embeds
-    view ``kind`` of the ``_pair_halves`` batch of each requested batch of clips,
-    on a tape when the request is recorded, and sends the rows with its ``owned``
-    parameters' values; a gradient sent for the last embedding is back-propagated
-    and followed by an Adam step.
+def _train_view(owned, cfg, train_ids, clips, data_dir):
+    """The temporal-view worker: one call on the helper that lasts a pre-training
+    run of ``cfg`` on ``clips`` (clip_id, path under the absolute ``data_dir``).
+    It trains the ``owned`` parameters, the view's stem and graph-conv layers,
+    loads its own copy of the split, and serves messages from ``forking.caller()``
+    until "done".  An "embed" message embeds the view of the ``_pair_halves`` batch
+    of the requested clips, on a tape when the request is recorded, and sends the
+    rows with the owned parameters' values; a "grad" message for the last
+    embedding is back-propagated and followed by an Adam step.
 
-    After a recorded request's rows are sent, while this process waits for their
-    gradient, it prepares the batch of ``next(keys)``: ``keys`` yields the ``_embed``
-    key of every training batch in ``_fit``'s order, and the run's first batch is
-    asked for before any is prepared.  A request with the prepared batch's whole key
-    takes it; any other request, such as a dev batch, computes its own and keeps it.
-    A guess that goes unasked (an early stop, the run's last batch) changes no bit."""
-    n, k, d = model.n_patches, model.k_neighbors, model.store[f"stem.{kind}.w"].shape[1]
-    tape = rows = None
+    After a recorded request's rows are sent, while the caller waits for their
+    gradient, it prepares the next training batch in ``_fit``'s order; the run's
+    first batch is asked for before any is prepared.  A request with the prepared
+    batch's whole key takes it; any other request, such as a dev batch, computes
+    its own and keeps it.  A guess that goes unasked (an early stop, the run's
+    last batch) changes no bit."""
+    kind, conn, store = _WORKER_VIEW, forking.caller(), tg.ParamStore()
+    for name, values in owned.items():
+        store.add(name, tg.Tensor._wrap(values, True))
+    model = Model(store, (kind,), cfg["graph.n"], cfg["graph.k"],
+                  clip_shape=(cfg["data.f"], cfg["data.t"]))
+    feats = load_split(clips, data_dir, model.clip_shape)
+    n, k, d = model.n_patches, model.k_neighbors, store[f"stem.{kind}.w"].shape[1]
+    spec = aug.AugmentSpec.from_config(cfg)  # _fit's training keys, epoch after epoch
+    keys = ((batch, spec, cfg["train.seed"], epoch, "12") for epoch in itertools.count(1)
+            for batch in _epoch_batches(cfg, train_ids, epoch))
     next(keys)  # the run's first batch, which nothing prepares
     prepared = (None, None, None)  # (key, segs, draws) of the batch expected next
+    tape = rows = None
     while True:
-        try:
-            op, arg = conn.recv()
-        except EOFError:
+        op, arg = conn.recv()
+        if op == "done":
             return
         if op == "embed":
             aug_key, recording = arg
@@ -461,19 +481,19 @@ def _train_view(model, feats, lr, kind, owned, keys, conn):
                 segs, draws = _pair_halves([feats[c] for c in aug_key[0]]), None
             with tg.Tape() if recording else contextlib.nullcontext() as tape:
                 rows = _view_embed(model, segs, kind, *aug_key, draws)
-            conn.send(("rows", (rows.data, {name: model.store[name].data for name in owned})))
+            conn.send(("rows", (rows.data, store.state_arrays())))
             if recording:
                 key = next(keys)
                 prepared = (key, *_prepare(feats, key, kind, n, k, d))
         else:  # "grad"
             tape.backward(rows, arg)
-            tg.adam_step(model.store, lr)
+            tg.adam_step(store, cfg["train.lr"])
 
 
-class _ViewWorker(forking.Child):
-    """A forked worker that trains the temporal view of a pre-training ``model`` on
-    the clip matrices ``feats`` (clip_id -> F x T), attached to the model until
-    the block ends.
+class _ViewWorker:
+    """This process's side of the temporal-view worker of a pre-training ``model``,
+    a ``forking.Call`` of ``_train_view``: it attaches itself as ``model.remote``
+    and turns the ``owned`` parameters' gradients off here.
 
     The worker owns the temporal stem and graph-conv layers; this process keeps
     the spatial view, the projection head and the loss.  Each side's Adam step
@@ -483,45 +503,27 @@ class _ViewWorker(forking.Child):
     parameter as of the worker's last step.  ``_fit`` reads the whole store only
     at such points: the abort message after a batch's forward pass, and the
     snapshot, restore and save after a dev pass, which follows every epoch's last
-    step once ``pretrain`` forks only with dev clips.  ``keys`` iterates over the
-    ``_embed`` keys of ``_fit``'s training batches in order: from it the worker reads
-    the next training batch, which it prepares while this process computes the
-    projection head and the loss (see ``_train_view``).  Its lifecycle is
-    ``forking.Child``'s: an error it raises is raised by the next call that waits
-    for it, and it is reaped before the block ends."""
+    step once ``pretrain`` calls the worker only with dev clips.  An error the
+    worker raises is raised by the next call here that waits for it."""
 
-    def __init__(self, model, feats, lr, keys):
-        kind = "temporal"
-        owned = [name for name in model.store.names()  # its stem and graph-conv layers
-                 if name.startswith((f"stem.{kind}.", f"{ENCODER_PREFIX[kind]}."))]
+    kind = _WORKER_VIEW
 
-        def work(conn):
-            for name, t in model.store.items():
-                t.requires_grad = name in owned
-            _train_view(model, feats, lr, kind, owned, keys, conn)
-
-        super().__init__(f"{kind} view worker", work)
-        self.model, self.kind, self.owned = model, kind, owned
+    def __init__(self, call, model, owned):
+        self.call, self.model = call, model
         for name in owned:
             model.store[name].requires_grad = False
         model.remote = self
 
-    def __exit__(self, *exc):
-        self.model.remote = None
-        for name in self.owned:
-            self.model.store[name].requires_grad = True
-        super().__exit__(*exc)
-
     def request(self, aug_key):
         """Ask for the worker's view of a batch, on a tape if this process records."""
-        self.send(("embed", (aug_key, tg.recording())))
+        self.call.send(("embed", (aug_key, tg.recording())))
 
     def embedding(self):
         """The requested rows, as a tensor whose gradient goes to the worker; the
         worker's parameter values that came with them are loaded first."""
-        rows, params = self.recv()
+        rows, params = self.call.recv()
         self.model.store.load_arrays(params)
-        return tg.external(rows, lambda g: self.send(("grad", g)))
+        return tg.external(rows, lambda g: self.call.send(("grad", g)))
 
 
 def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):
@@ -594,51 +596,58 @@ def score_entries(entries, logits):
     return metrics.ScoreSet(scores)
 
 
+def _score_chunks(model, chunks, data_dir):
+    """The bona-fide probabilities of the clips of ``chunks``, lists of (clip_id,
+    path under ``data_dir``), in order: one ``load_features`` array and one forward
+    per chunk."""
+    probs = []
+    for chunk in chunks:
+        logits = _classify_forward(model, load_features(chunk, data_dir, model.clip_shape),
+                                   [clip_id for clip_id, _ in chunk])
+        probs += map(float, enc.softmax_np(logits.data)[:, 1])  # class 1 = bona fide
+    return probs
+
+
 def evaluate(model, entries, data_dir):
     """Bona-fide probabilities + EER on the eval split.
 
     Clips are read into one (B, F, T) array, checked and scored one EVAL_BATCH
     chunk at a time.  With at least FORK_MIN_CHUNKS chunks and a second core free
     (see ``forking.second_core_free``), this process scores the first n_chunks // 2
-    chunks while a forked child, on another CPU, scores the second half of the
-    chunks; otherwise this process scores every chunk.  A fork has a fixed cost
-    (page tables, copy-on-write faults on each side's first chunk, the child's
-    exit), so a short split is scored faster in one process.  Desk-shape
-    (64 x 64) evaluates in a process that had pre-trained, on 2 CPUs, 10
-    alternating pairs, each side the median of 15 calls:
+    chunks while a call on the helper process, on another CPU, scores the second
+    half; otherwise this process scores every chunk.  The call carries the model,
+    its chunks and the absolute data path, so a helper forked before another
+    model, another EVAL_BATCH or a ``chdir`` scores the clips this process would.
+    A call has a fixed cost (the model and the scores over the pipe, two wake-ups,
+    the helper's model and chunk buffers), so one chunk is scored faster in one
+    process.  Desk-shape (64 x 64) evaluates in a process that had pre-trained and
+    fine-tuned, with one BLAS thread on 2 CPUs, 10 alternating pairs, each side
+    the median of 15 calls:
 
-        chunks   one process   forked    forked won
-           4       12.4 ms     15.5 ms    1 of 10
-           6       19.1 ms     18.9 ms    6 of 10
-           8       25.7 ms     24.3 ms    7 of 10
-          11       33.2 ms     29.6 ms    9 of 10
+        chunks   one process   helper    helper won
+           1        5.1 ms      7.1 ms    0 of 10
+           2       10.0 ms      7.0 ms   10 of 10
+           3       15.3 ms     13.0 ms   10 of 10
+           4       19.8 ms     13.4 ms   10 of 10
+           8       36.2 ms     21.5 ms   10 of 10
 
-    (medians over the pairs).  At 6 chunks the two tie; from 8 the fork is
-    ahead, so FORK_MIN_CHUNKS is 8.  Memory holds one chunk of features per
-    process whatever the size of the eval split, and every chunk holds the same
-    clips, so the scores keep their bits.  The first failing chunk in split order
-    raises its error, as in one process: an error in this process's half raises
-    at once and kills the child."""
+    (medians over the pairs; with one chunk the helper scores it alone).  From 2
+    chunks the helper is ahead, so FORK_MIN_CHUNKS is 2.  Memory holds one chunk
+    of features per process whatever the size of the eval split, and every chunk
+    holds the same clips, so the scores keep their bits.  The first failing chunk
+    in split order raises its error, as in one process: an error in this
+    process's half raises at once and kills the helper."""
     rows = [e for e in entries if e.split == "eval"]
     _check_both_labels(rows, "eval")
-    paths = {e.clip_id: e.path for e in rows}
-
-    def logits(ids):
-        mats = load_features([(c, paths[c]) for c in ids], data_dir, model.clip_shape)
-        return _classify_forward(model, mats, ids)
-
-    n_chunks = math.ceil(len(rows) / EVAL_BATCH)
-    cut = len(rows)  # this process scores rows[:cut], the second scorer the rest
-    if n_chunks >= FORK_MIN_CHUNKS and forking.second_core_free():
-        cut = n_chunks // 2 * EVAL_BATCH
-    back = rows[cut:]
-    with forking.Child("second eval scorer",
-                lambda conn: [p for _, p, _ in score_entries(back, logits).entries]) \
-            if back else contextlib.nullcontext() as child:
-        scores = score_entries(rows[:cut], logits).entries
-        if child:
-            scores += [(e.clip_id, p, e.label) for e, p in zip(back, child.recv())]
-    score_set = metrics.ScoreSet(scores)
+    data_dir = os.path.abspath(data_dir)
+    chunks = list(_batches([(e.clip_id, e.path) for e in rows], EVAL_BATCH))
+    cut = len(chunks) // 2 if len(chunks) >= FORK_MIN_CHUNKS else len(chunks)
+    with forking.call("second eval scorer", _score_chunks, model, chunks[cut:], data_dir) \
+            if cut < len(chunks) else contextlib.nullcontext() as scorer:
+        probs = _score_chunks(model, chunks if scorer is None else chunks[:cut], data_dir)
+        if scorer:
+            probs += scorer.recv()
+    score_set = metrics.ScoreSet([(e.clip_id, p, e.label) for e, p in zip(rows, probs)])
     return score_set, metrics.compute_eer(score_set)
 
 

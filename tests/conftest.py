@@ -41,32 +41,35 @@ def _no_fork():
 def force_processes(monkeypatch):
     """Force ``featio.gen_synthetic``, ``train.pretrain`` and ``train.evaluate`` onto
     1 or 2 processes through their one probe, ``forking.second_core_free``: with 2,
-    gen_synthetic forks its corpus writer, pretrain its temporal-view worker and
-    evaluate its second scorer, for which 2 chunks are then enough.
+    gen_synthetic's corpus writer, pretrain's temporal-view worker and evaluate's
+    second scorer run as calls on the helper process, for which 2 eval chunks
+    are then enough.
 
     Under pytest the probe reads False (the faulthandler watchdog is a thread),
     so the two-process paths run only when forced.  Forced to 1, ``os.fork``
-    raises, so a fork on that path fails the test.  After the test no child
-    process may be left, zombie or live."""
+    raises, so a fork on that path fails the test.  After the test the helper is
+    shut down, and then no child process may be left, zombie or live."""
     def force(processes):
         monkeypatch.setattr(train, "FORK_MIN_CHUNKS", 2)
         monkeypatch.setattr(forking, "second_core_free", lambda: processes == 2)
         monkeypatch.setattr(os, "fork", _FORK if processes == 2 else _no_fork)
     yield force
+    forking.shutdown()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
 def child_exits(monkeypatch):
-    """The (name, exit status) of each ``forking.Child`` reaped at its block's end,
-    in order, from every later block."""
-    reaped, leave = [], forking.Child.__exit__
+    """The exit status of each helper process reaped, in order, from every later
+    reap."""
+    reaped, reap = [], forking._Helper.reap
 
-    def record(self, *exc):
-        leave(self, *exc)
-        reaped.append((self.name, self.status))
-    monkeypatch.setattr(forking.Child, "__exit__", record)
+    def record(self, *args, **kwargs):
+        if self.status is None:
+            reaped.append(reap(self, *args, **kwargs))
+        return self.status
+    monkeypatch.setattr(forking._Helper, "reap", record)
     return reaped
 
 

@@ -428,6 +428,39 @@ class TestErrors:
         assert "'eval_00007' are (30, 32)" in err
         assert not [p for p in out.iterdir() if p.name.startswith("eval-")]
 
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU: nothing to fork")
+    @pytest.mark.parametrize("code", [0, 1], ids=["success", "exit_1"])
+    def test_eval_command_leaves_no_process_behind(self, base_cfg, tmp_path, capsys, code):
+        """``python -m signl eval`` forks its helper once and reaps it before it
+        exits, whether it succeeds or exits 1 on a clip in the helper's half."""
+        out = tmp_path / "runs"
+        n_eval = train.FORK_MIN_CHUNKS * train.EVAL_BATCH
+        assert run(["gen-data", "--config", str(base_cfg), "--set", f"data.n_eval={n_eval}",
+                    "--out", str(out)], capsys)[0] == 0
+        if code:
+            last = f"eval_{n_eval - 1:05d}"
+            featio.write_feature(np.zeros((30, 32)), tmp_path / "corpus" / f"{last}.sigf")
+        model = train.build_model(config.load(base_cfg), head="cls")
+        ck = tmp_path / "model.sigc"
+        checkpoint.save_arrays(model.store.state_arrays(), ck)
+        # every process forked in the command writes its pid, from the child's side
+        hooks, forks = tmp_path / "hooks", tmp_path / "forks"
+        hooks.mkdir()
+        (hooks / "sitecustomize.py").write_text(
+            "import os\n"
+            f"os.register_at_fork(after_in_child=lambda: open({str(forks)!r}, 'a')"
+            ".write(f'{os.getpid()}\\n'))\n")
+        env = {k: v for k, v in os.environ.items() if k not in BLAS_ENV}
+        env["PYTHONPATH"] = os.pathsep.join([str(hooks), str(Path(cli.__file__).parents[1])])
+        done = subprocess.run([sys.executable, "-m", "signl", "eval", "--config", str(base_cfg),
+                               "--set", f"paths.checkpoint={ck}", "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == code, done.stderr
+        assert (f"'{last}' are (30, 32)" in done.stderr) if code else not done.stderr
+        helpers = forks.read_text().split()
+        assert len(helpers) == 1
+        assert not Path(f"/proc/{helpers[0]}").exists()  # reaped before the command exited
+
     def test_non_finite_finetune_loss_exits_2(self, base_cfg, tmp_path, capsys, monkeypatch):
         out = tmp_path / "runs"
         assert run(["gen-data", "--config", str(base_cfg), "--out", str(out)],

@@ -636,31 +636,34 @@ class TestSynthCorpus:
 
 
 class TestWriterThread:
-    """``gen_synthetic`` creates files in one writer: a forked child when the probe
-    holds, this process otherwise.  By the time it returns or raises no child is
-    left and this process runs the OS threads it ran before, as the probe counts
-    them.  Each test runs both paths."""
+    """``gen_synthetic`` creates files in one writer: calls on the helper process
+    when the probe holds, this process otherwise.  By the time it returns or
+    raises, this process runs the OS threads it ran before, as the probe counts
+    them, and no child is left but an idle helper.  Each test runs both paths."""
 
     CFG = featio.SynthConfig(F=8, T=8, n_per_split={"train": 70, "dev": 0, "eval": 0}, seed=4)
 
     @pytest.fixture(autouse=True)
     def warm_up_fork(self):
-        """Fork one child that does nothing before the test takes its "before" list:
-        under a threaded BLAS, OpenBLAS ends its worker thread at a process's first
-        fork, which would otherwise end a thread that was there before the call."""
-        with forking.Child("warm-up", lambda conn: None):
+        """Fork a helper, run a call that does nothing and shut it down before the
+        test takes its "before" list: under a threaded BLAS, OpenBLAS ends its
+        worker thread at a process's first fork, which would otherwise end a
+        thread that was there before the call."""
+        with forking.Call("warm-up", os.getpid):
             pass
+        forking.shutdown()
 
     @pytest.fixture
     def writers(self, monkeypatch, tmp_path):
-        """The pids of the processes that wrote a block of clips since the last call."""
-        log, write_block = tmp_path / "writers.log", featio._write_block
+        """The pids of the processes that wrote a clip since the last call.  The
+        helper is forked after this patch, so it writes through it too."""
+        log, write_feature = tmp_path / "writers.log", featio.write_feature
 
-        def record(values, paths):
-            with open(log, "a") as fh:  # a forked writer's pid reaches this process
+        def record(values, path):
+            with open(log, "a") as fh:  # the helper's pid reaches this process
                 fh.write(f"{os.getpid()}\n")
-            write_block(values, paths)
-        monkeypatch.setattr(featio, "_write_block", record)
+            write_feature(values, path)
+        monkeypatch.setattr(featio, "write_feature", record)
 
         def pids():
             found = set(map(int, log.read_text().split())) if log.exists() else set()
@@ -670,7 +673,9 @@ class TestWriterThread:
 
     @staticmethod
     def _threads():
-        """This process's threads, and whether it has a child, live or zombie."""
+        """This process's threads, and whether it has a child, live or zombie, once
+        the helper, which must be idle, is shut down."""
+        assert forking.shutdown() in (None, 0)
         try:
             os.waitpid(-1, os.WNOHANG)
             child = True
@@ -688,11 +693,33 @@ class TestWriterThread:
             assert len(pids) == 1 and (os.getpid() in pids) == (processes == 1)
 
     def test_clean_writer_session_exits_0(self, tmp_path, force_processes, child_exits):
-        # the writer returns once this process closes the pipe, with no one left to
-        # take its result
+        # every block's call ends with its result and leaves the helper idle, so it
+        # exits 0 once shut down
         force_processes(2)
         featio.gen_synthetic(self.CFG, tmp_path)
-        assert child_exits == [("corpus writer", 0)]
+        assert child_exits == []
+        forking.shutdown()
+        assert child_exits == [0]
+
+    def test_one_helper_writes_every_block(self, tmp_path, writers, force_processes):
+        force_processes(2)
+        featio.gen_synthetic(self.CFG, tmp_path / "a")  # 70 clips: 3 blocks, 3 calls
+        featio.gen_synthetic(self.CFG, tmp_path / "b")
+        assert len(writers()) == 1
+
+    def test_relative_out_dir_after_a_chdir(self, tmp_path, monkeypatch, force_processes):
+        """A helper forked before a ``chdir`` writes under the new working directory,
+        as this process does."""
+        force_processes(2)
+        featio.gen_synthetic(self.CFG, tmp_path / "first")  # forks the helper here
+        for processes in (2, 1):
+            force_processes(processes)
+            monkeypatch.chdir(tmp_path / "first")
+            featio.gen_synthetic(self.CFG, str(processes))
+        assert sorted(p.name for p in (tmp_path / "first" / "2").iterdir()) == \
+            sorted(p.name for p in (tmp_path / "first" / "1").iterdir())
+        for path in (tmp_path / "first" / "1").iterdir():
+            assert path.read_bytes() == (tmp_path / "first" / "2" / path.name).read_bytes()
 
     def test_directory_at_a_later_clip_raises_with_no_thread_left(self, tmp_path, writers,
                                                                   force_processes):

@@ -149,15 +149,18 @@ def _trace_rows(trace):
 
 
 def _no_child_left():
-    with pytest.raises(ChildProcessError):  # no child is left, zombie or live
+    """No child is left, zombie or live, once the helper is shut down; a helper
+    left alive was idle, so it exits 0 once its pipe closes."""
+    assert forking.shutdown() in (None, 0)
+    with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
 
-def _wait_for_close(conn):
-    """A child's work: say it is up, then wait until the parent closes the pipe."""
-    conn.send(("up", None))
-    with contextlib.suppress(EOFError):
-        conn.recv()
+def _up_until_told():
+    """A call's work on the helper: say it is up, then wait for the caller's next
+    message."""
+    forking.caller().send(("up", None))
+    forking.caller().recv()
 
 
 def _log_draws(monkeypatch, path):
@@ -1030,6 +1033,59 @@ class TestEvaluate:
         assert scores.entries == expected.entries
         assert report.eer == metrics.compute_eer(expected).eer
 
+    @pytest.mark.parametrize("change", ["second_model", "eval_batch", "chdir"])
+    def test_helper_forked_before_a_change_gives_one_process_bits(self, tiny_corpus, tiny_cfg,
+                                                                  monkeypatch,
+                                                                  force_processes, change):
+        """A helper forked before this process changes its model, its chunk size or
+        its working directory scores what this process would: each call carries
+        the model, the chunks and an absolute data path."""
+        root, entries = tiny_corpus
+        model = train.build_model(tiny_cfg, head="cls")
+        monkeypatch.setattr(train, "EVAL_BATCH", 6)
+        force_processes(2)
+        train.evaluate(model, entries, root)  # forks the helper
+        helper, data_dir = forking._helper.pid, root
+        if change == "second_model":
+            model = train.build_model({**tiny_cfg, "train.seed": 12}, head="cls")
+        elif change == "eval_batch":
+            monkeypatch.setattr(train, "EVAL_BATCH", 4)  # a clip's score hangs on its chunk
+        else:
+            monkeypatch.chdir(root.parent)
+            data_dir = root.name
+        runs = []
+        for processes in (2, 1):
+            force_processes(processes)
+            scores, report = train.evaluate(model, entries, data_dir)
+            runs.append((scores.entries, report.eer.hex()))
+        assert runs[0] == runs[1]
+        assert forking._helper.pid == helper
+
+    @settings(max_examples=30, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(eval_batch=st.integers(1, 8), chunks=st.integers(2, 5), offset=st.integers(-1, 1))
+    def test_sizes_around_chunk_boundaries_give_one_process_bits(self, tiny_corpus, tiny_cfg,
+                                                                  monkeypatch,
+                                                                  force_processes,
+                                                                  eval_batch, chunks, offset):
+        """Splits of one clip fewer than, as many as and one more than a whole number
+        of chunks score alike in one process and with the helper, which keeps the
+        chunks of one example to the next."""
+        root, entries = tiny_corpus
+        rows = [e for e in entries if e.split == "eval"]
+        mixed = [e for pair in zip(rows[:10], rows[10:]) for e in pair]  # bona fide, fake, ...
+        n = min(max(chunks * eval_batch + offset, 2), len(mixed))
+        subset = [e for e in entries if e.split != "eval"] + mixed[:n]
+        model = train.build_model(tiny_cfg, head="cls")
+        monkeypatch.setattr(train, "EVAL_BATCH", eval_batch)
+        runs = []
+        for processes in (2, 1):
+            force_processes(processes)
+            scores, report = train.evaluate(model, subset, root)
+            runs.append((scores.entries, report.eer.hex(), report.threshold.hex()))
+        assert runs[0] == runs[1]
+        assert len(runs[0][0]) == n
+
     @settings(max_examples=25, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(eval_batch=st.integers(1, 24))
@@ -1075,8 +1131,7 @@ class TestEvaluate:
                     train.evaluate(model, entries, corpus)
                 errors.append((type(info.value), str(info.value),
                                getattr(info.value, "filename", None)))
-                with pytest.raises(ChildProcessError):  # no child is left, zombie or live
-                    os.waitpid(-1, os.WNOHANG)
+                _no_child_left()
         finally:
             for rel, raw in originals.items():
                 if (corpus / rel).is_dir():
@@ -1103,8 +1158,7 @@ class TestEvaluate:
         force_processes(2)
         with pytest.raises(RuntimeError, match=f"without a result \\({status}\\)"):
             train.evaluate(train.build_model(tiny_cfg, head="cls"), entries, root)
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        _no_child_left()
 
     def test_child_error_that_does_not_pickle_raises_runtime_error(self, tiny_corpus, tiny_cfg,
                                                                    monkeypatch, force_processes):
@@ -1143,8 +1197,7 @@ class TestEvaluate:
         with pytest.raises(KeyboardInterrupt):
             train.evaluate(train.build_model(tiny_cfg, head="cls"), entries, root)
         assert time.monotonic() - start < 30
-        with pytest.raises(ChildProcessError):
-            os.waitpid(-1, os.WNOHANG)
+        _no_child_left()
 
     @pytest.mark.parametrize("fork_min_chunks, pids", [(20, 2), (21, 1)],
                              ids=["at_minimum", "below_minimum"])
@@ -1246,8 +1299,14 @@ def test_readme_states_the_eval_chunk_sizes():
 
 
 class TestChild:
-    """Both second processes, pre-training's view worker and evaluate's second
-    scorer, come from one fork helper."""
+    """Every second process, the corpus writer, pre-training's view worker and
+    evaluate's second scorer, is a call on one child, the helper, forked once per
+    process."""
+
+    @pytest.fixture(autouse=True)
+    def no_helper_left(self):
+        yield
+        forking.shutdown()
 
     @pytest.mark.parametrize("stage", ["evaluate", "pretrain"])
     def test_fork_failure_raises_and_leaves_no_child_or_pipe(self, tiny_corpus, tiny_cfg,
@@ -1274,9 +1333,9 @@ class TestChild:
         _no_child_left()
 
     def test_train_forks_and_exits_only_in_the_helper(self):
-        """Every second process, the corpus writer's included, comes from the one
-        helper in the probe's module: one ``os.fork`` and one ``os._exit`` in signl.
-        Only that helper places processes on CPUs (``os.sched_setaffinity``)."""
+        """Every second process comes from the one helper in the probe's module: one
+        ``os.fork`` and one ``os._exit`` in signl.  Only that module places
+        processes on CPUs (``os.sched_setaffinity``)."""
         calls = []
         for path in sorted(Path(train.__file__).parent.glob("*.py")):
             tree = ast.parse(path.read_text())
@@ -1288,61 +1347,159 @@ class TestChild:
             imported = {alias.name for node in ast.walk(tree)
                         if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
             assert "pickle" not in imported, path.name
-        assert {call for call in calls if call[2] == "sched_setaffinity"} == \
-            {("forking.py", "Child", "sched_setaffinity")}
+        assert {call[0] for call in calls if call[2] == "sched_setaffinity"} == {"forking.py"}
         assert sorted(call for call in calls if call[2] != "sched_setaffinity") == \
-            [("forking.py", "Child", "_exit"), ("forking.py", "Child", "fork")]
+            [("forking.py", "_Helper", "_exit"), ("forking.py", "_Helper", "fork")]
 
     def test_clean_forked_pretrain_worker_exits_0(self, tiny_corpus, tiny_cfg, tmp_path,
                                                   force_processes, child_exits):
-        # the worker returns once this process closes the pipe, with no one left to
-        # take its result
+        # the worker's call returns on "done", and the helper, idle again, exits 0
+        # once shut down
         root, entries = tiny_corpus
         force_processes(2)
         train.pretrain(_pretrain_cfg(tiny_cfg, **{"train.epochs": 1}),
                        train.strip_labels(entries), root, tmp_path)
-        assert child_exits == [("temporal view worker", 0)]
+        assert child_exits == []
+        forking.shutdown()
+        assert child_exits == [0]
+
+    def test_stages_after_the_first_fork_nothing(self, tiny_corpus, tiny_cfg, tmp_path,
+                                                 monkeypatch, force_processes):
+        """Once the helper is forked, every later call of every stage runs on it."""
+        root, entries = tiny_corpus
+        monkeypatch.setattr(train, "EVAL_BATCH", 6)
+        force_processes(2)
+        featio.gen_synthetic(featio.SynthConfig(F=8, T=8, n_per_split={"train": 4, "dev": 0,
+                                                                       "eval": 0}),
+                             tmp_path / "corpus")  # forks the helper
+        helper, calls, start = forking._helper.pid, [], forking.Call.__init__
+
+        def recorded(call, name, *args):
+            start(call, name, *args)
+            calls.append((name, call.helper.pid))
+
+        def no_fork():
+            raise AssertionError("a stage forked beside the helper")
+
+        monkeypatch.setattr(forking.Call, "__init__", recorded)
+        monkeypatch.setattr(os, "fork", no_fork)
+        train.pretrain(_pretrain_cfg(tiny_cfg, **{"train.epochs": 1}),
+                       train.strip_labels(entries), root, tmp_path / "pre")
+        for _ in range(2):
+            train.evaluate(train.build_model(tiny_cfg, head="cls"), entries, root)
+        assert calls == [("temporal view worker", helper), ("second eval scorer", helper),
+                         ("second eval scorer", helper)]
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU: nothing to share")
     def test_child_and_this_process_share_out_its_cpus(self):
         before = os.sched_getaffinity(0)
-        with forking.Child("placed child", _wait_for_close) as child:
-            child.recv()  # the child has placed itself
-            theirs, ours = os.sched_getaffinity(child.pid), os.sched_getaffinity(0)
+        with forking.Call("placed call", _up_until_told) as call:
+            call.recv()  # the helper has placed itself
+            theirs, ours = os.sched_getaffinity(call.helper.pid), os.sched_getaffinity(0)
+            call.send(("go on", None))
         assert theirs and ours and not theirs & ours
         assert theirs | ours == before
-        assert child.status == 0
+        assert os.sched_getaffinity(0) == before
+        assert forking.shutdown() == 0
 
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU: nothing to restore")
     @pytest.mark.parametrize("end", ["clean", "exception", "child_exits"])
-    def test_cpus_restored_when_the_child_is_reaped(self, end):
+    def test_cpus_restored_when_the_child_is_reaped(self, child_exits, end):
+        """This process gets its CPUs back when the call ends, before the helper is
+        reaped: at shutdown, or at once when the call's block raises or the helper
+        exits during the call."""
         before = os.sched_getaffinity(0)
         with contextlib.suppress(KeyError):
-            work = (lambda conn: os._exit(3)) if end == "child_exits" else _wait_for_close
-            with forking.Child("placed child", work) as child:
+            call = (forking.Call("placed call", os._exit, 3) if end == "child_exits"
+                    else forking.Call("placed call", _up_until_told))
+            with call:
                 if end == "child_exits":
                     with pytest.raises(RuntimeError, match=r"exit status 3"):
-                        child.recv()
+                        call.recv()
                     assert os.sched_getaffinity(0) == before  # reaped by recv
                 else:
-                    child.recv()
+                    call.recv()
                     assert os.sched_getaffinity(0) != before
+                    call.send(("go on", None))
                 if end == "exception":
                     raise KeyError
-        assert child.status == {"clean": 0, "exception": -signal.SIGKILL, "child_exits": 3}[end]
         assert os.sched_getaffinity(0) == before
+        forking.shutdown()
+        assert child_exits == [{"clean": 0, "exception": -signal.SIGKILL,
+                                "child_exits": 3}[end]]
 
     def test_child_runs_beside_this_process_pinned_to_one_cpu(self):
         before = os.sched_getaffinity(0)
         one = {min(before)}
         try:
             os.sched_setaffinity(0, one)
-            with forking.Child("placed child", lambda conn: os.sched_getaffinity(0)) as child:
-                assert child.recv() == one
-            assert child.status == 0
+            with forking.Call("placed call", os.sched_getaffinity, 0) as call:
+                assert call.recv() == one
             assert os.sched_getaffinity(0) == one
         finally:
             os.sched_setaffinity(0, before)
+
+    def test_helper_killed_between_calls_is_replaced(self, child_exits):
+        with forking.Call("first call", os.getpid) as call:
+            first = call.recv()
+        os.kill(first, signal.SIGKILL)
+        deadline = time.monotonic() + 30
+        while Path(f"/proc/{first}/stat").read_text().rpartition(")")[2].split()[0] != "Z":
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        with forking.Call("second call", os.getpid) as call:
+            second = call.recv()
+        assert second != first and forking._helper.pid == second
+        with pytest.raises(ChildProcessError):  # the killed helper was reaped
+            os.waitpid(first, os.WNOHANG)
+        assert child_exits == []  # reaped as found ended, not through a kill here
+
+    def test_helper_killed_during_a_call_raises_runtime_error(self):
+        with forking.Call("sleeping call", time.sleep, 60) as call:
+            os.kill(call.helper.pid, signal.SIGKILL)
+            with pytest.raises(RuntimeError, match=r"^the sleeping call ended without a "
+                                                   r"result \(signal 9\)$"):
+                call.recv()
+        assert forking._helper is None
+        _no_child_left()
+
+    def test_probe_gates_every_call(self, tiny_corpus, tiny_cfg, monkeypatch, force_processes,
+                                    logged_loads):
+        """With the probe failing, a helper left alive by an earlier call is not used."""
+        root, entries = tiny_corpus
+        model = train.build_model(tiny_cfg, head="cls")
+        monkeypatch.setattr(train, "EVAL_BATCH", 6)
+        force_processes(2)
+        expected, _ = train.evaluate(model, entries, root)
+        helper = forking._helper.pid
+        force_processes(1)
+        loads = logged_loads()
+        scores, _ = train.evaluate(model, entries, root)
+        rows = [e for e in entries if e.split == "eval"]
+        assert loads() == [(os.getpid(), [e.clip_id for e in chunk])
+                           for chunk in train._batches(rows, 6)]
+        assert scores.entries == expected.entries
+        assert forking._helper.pid == helper  # left alone, not shut down
+
+    def test_own_fork_neither_uses_nor_closes_the_helper(self):
+        with forking.Call("first call", os.getpid) as call:
+            helper = call.recv()
+        read, write = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # the caller's own child: what its atexit would run, then report
+            status = 1
+            try:
+                forking.shutdown()
+                os.write(write, str(forking._helper).encode())
+                status = 0
+            finally:
+                os._exit(status)
+        os.close(write)
+        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
+        with os.fdopen(read) as fh:
+            assert fh.read() == "None"
+        with forking.Call("second call", os.getpid) as call:
+            assert call.recv() == helper
 
     def test_no_module_starts_a_thread(self):
         """Every fork waits for ``forking.second_core_free``'s one-thread probe, which
@@ -1510,7 +1667,7 @@ class TestRunPipeline:
                                              monkeypatch, force_processes, processes,
                                              pretrained):
         root, entries = tiny_corpus
-        # 20 eval clips in chunks of 6: with two processes evaluate forks its scorer too
+        # 20 eval clips in chunks of 6: with two processes evaluate calls its scorer too
         monkeypatch.setattr(train, "EVAL_BATCH", 6)
         force_processes(processes)
         pre_cfg = _pretrain_cfg(tiny_cfg) if pretrained else None
