@@ -1,46 +1,18 @@
-"""The ``signl`` command (also ``python -m signl``): ``cli.main`` with BLAS pinned
-and glibc's heap kept between chunks.
+"""The ``signl`` command (also ``python -m signl``): ``cli.main`` with BLAS pinned.
 
 numpy's BLAS starts its own thread unless told to run one, and a process with a
 second thread never forks (``forking.second_core_free``), so every verb would
 stay in one process.  A second BLAS thread sped up neither pre-training nor
 evaluation on a 2-core machine, so the command sets each BLAS library's thread
-count to 1 before anything imports numpy.  A value the user set wins.
-
-glibc's malloc hands the top of its heap back to the kernel once more than
-M_TRIM_THRESHOLD bytes lie free there, and serves a block above
-M_MMAP_THRESHOLD from a mapping of its own; it raises both only after such a
-block is freed.  Each evaluation chunk allocates and frees a few MB of
-temporaries, so a fresh process gave its heap back and faulted it in again on
-every chunk.  Where glibc's ``mallopt`` is found, the command keeps up to
-HEAP_KEPT bytes free at the top of the heap and serves blocks below
-MMAP_FROM from the heap.  Library callers keep their own environment and
-allocator.
+count to 1 before anything imports numpy.  A value the user set wins; library
+callers keep their own environment.
 """
 
-import ctypes
 import os
 import sys
 
-M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's <malloc.h> parameter numbers
-HEAP_KEPT = 64 << 20
-MMAP_FROM = 32 << 20  # glibc's largest M_MMAP_THRESHOLD on a 64-bit build
-
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
-
-
-def _keep_heap():
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError):  # not glibc: its allocator is left as it is
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(M_TRIM_THRESHOLD, HEAP_KEPT)
-    mallopt(M_MMAP_THRESHOLD, MMAP_FROM)
-
-
-_keep_heap()
 
 from signl.cli import main  # noqa: E402  (numpy loads here, after the pin)
 

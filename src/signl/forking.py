@@ -68,8 +68,12 @@ def shutdown():
 
 def _forget():
     """In any child forked from this process, this process's helper is not the
-    child's to use or to reap: the child forks its own if it needs one."""
+    child's to use or to reap: the child closes its copy of the helper's pipe,
+    so the helper still sees EOF when this process closes its own, and forks
+    its own helper if it needs one."""
     global _helper
+    if _helper:
+        _helper.conn.close()
     _helper = None
 
 

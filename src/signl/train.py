@@ -60,7 +60,7 @@ PROJ_DIMS = (256, 128, 80)
 CLS_DIMS = (256, 128, 2)
 DEV_HOLDOUT = 0.1  # fraction of train clips monitored during pre-training
 EVAL_BATCH = 96    # clips per forward pass when scoring without gradients
-FORK_MIN_CHUNKS = 2  # fewest EVAL_BATCH chunks that evaluate splits across two processes
+FORK_MIN_CHUNKS = 8  # fewest EVAL_BATCH chunks that evaluate splits across two processes
 ENCODER_PREFIX = {"temporal": "enc_t", "spatial": "enc_s"}  # a view's graph-conv layers
 _WORKER_VIEW = "temporal"  # the view pre-training's worker trains on a second core
 
@@ -619,24 +619,31 @@ def evaluate(model, entries, data_dir):
     its chunks and the absolute data path, so a helper forked before another
     model, another EVAL_BATCH or a ``chdir`` scores the clips this process would.
     A call has a fixed cost (the model and the scores over the pipe, two wake-ups,
-    the helper's model and chunk buffers), so one chunk is scored faster in one
-    process.  Desk-shape (64 x 64) evaluates in a process that had pre-trained and
-    fine-tuned, with one BLAS thread on 2 CPUs, 10 alternating pairs, each side
-    the median of 15 calls:
+    the helper's model and chunk buffers), and the call that forks the helper
+    pays for the fork and the copy-on-write faults after it on both sides.
+    Desk-shape (64 x 64) evaluates with one BLAS thread on 2 CPUs, medians over
+    alternating pairs; "warm" is a process that had generated its corpus (which
+    forked the helper), pre-trained and fine-tuned, each side the median of 15
+    calls, 10 pairs; "cold" is a fresh process, as in ``signl eval``, one
+    evaluate and the helper's shutdown, 10 pairs up to 4 chunks and 20 from 6:
 
-        chunks   one process   helper    helper won
-           1        5.1 ms      7.1 ms    0 of 10
-           2       10.0 ms      7.0 ms   10 of 10
-           3       15.3 ms     13.0 ms   10 of 10
-           4       19.8 ms     13.4 ms   10 of 10
-           8       36.2 ms     21.5 ms   10 of 10
+                  warm: one process / helper      cold: one process / helper
+        chunks
+           2      10.0 ms /  7.0 ms  10 of 10     22.4 ms / 36.3 ms   0 of 10
+           4      19.8 ms / 13.4 ms  10 of 10     34.2 ms / 48.9 ms   0 of 10
+           6      32.4 ms / 17.6 ms  10 of 10     41.2 ms / 49.6 ms   4 of 20
+           8      36.2 ms / 21.5 ms  10 of 10     49.3 ms / 56.3 ms   5 of 20
+          11                                      64.5 ms / 65.5 ms   9 of 20
+          16                                      86.3 ms / 71.1 ms  19 of 20
 
-    (medians over the pairs; with one chunk the helper scores it alone).  From 2
-    chunks the helper is ahead, so FORK_MIN_CHUNKS is 2.  Memory holds one chunk
-    of features per process whatever the size of the eval split, and every chunk
-    holds the same clips, so the scores keep their bits.  The first failing chunk
-    in split order raises its error, as in one process: an error in this
-    process's half raises at once and kills the helper."""
+    ("of n": pairs the helper won).  A live helper is ahead from 2 chunks, a
+    new one from about 11.  FORK_MIN_CHUNKS is 8, where a fork per stage began
+    before the helper: a fresh process forks no sooner than it did then, and a
+    process with a live helper gives up 3-15 ms a call on 2-7 chunks.  Memory
+    holds one chunk of features per process whatever the size of the eval
+    split, and every chunk holds the same clips, so the scores keep their bits.
+    The first failing chunk in split order raises its error, as in one process:
+    an error in this process's half raises at once and kills the helper."""
     rows = [e for e in entries if e.split == "eval"]
     _check_both_labels(rows, "eval")
     data_dir = os.path.abspath(data_dir)

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import select
 import shutil
 import signal
 import subprocess
@@ -1482,24 +1483,37 @@ class TestChild:
         assert forking._helper.pid == helper  # left alone, not shut down
 
     def test_own_fork_neither_uses_nor_closes_the_helper(self):
+        """A child of the caller's own fork forgets the helper and keeps no end of
+        its pipe, so the caller's shutdown does not wait for that child to exit."""
         with forking.Call("first call", os.getpid) as call:
             helper = call.recv()
         read, write = os.pipe()
+        hold, release = os.pipe()
         pid = os.fork()
-        if pid == 0:  # the caller's own child: what its atexit would run, then report
+        if pid == 0:  # the caller's own child: what its atexit would run, report, then wait
             status = 1
             try:
+                os.close(release)
                 forking.shutdown()
                 os.write(write, str(forking._helper).encode())
+                os.close(write)
+                select.select([hold], [], [], 30)  # until released, or 30 s
                 status = 0
             finally:
                 os._exit(status)
         os.close(write)
-        assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
-        with os.fdopen(read) as fh:
-            assert fh.read() == "None"
-        with forking.Call("second call", os.getpid) as call:
-            assert call.recv() == helper
+        os.close(hold)
+        try:
+            with os.fdopen(read) as fh:
+                assert fh.read() == "None"
+            with forking.Call("second call", os.getpid) as call:
+                assert call.recv() == helper
+            assert forking.shutdown() == 0
+            # the child is still waiting to be released (looked at, not reaped)
+            assert os.waitid(os.P_PID, pid, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
+        finally:
+            os.close(release)
+            assert os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) == 0
 
     def test_no_module_starts_a_thread(self):
         """Every fork waits for ``forking.second_core_free``'s one-thread probe, which
