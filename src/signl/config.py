@@ -8,6 +8,7 @@ import math
 from .augment import AugmentSpec
 from .encoder import check_pyramid
 from .errors import ConfigError
+from .graphbuild import half_width
 
 # key -> (type, default).  Booleans are written true/false.
 SCHEMA = {
@@ -145,7 +146,7 @@ def patch_dims(cfg):
     """Flattened patch length of each view, once cfg's clip, patch and pyramid sizes
     are checked to make a model."""
     f, t, n = cfg["data.f"], cfg["data.t"], cfg["graph.n"]
-    t_seg = (t + t % 2) // 2  # width of one half, odd T padded by a frame
+    t_seg = half_width(t)
     if t_seg % n or f % n:
         raise ConfigError(
             f"patch count {n} must divide half-width {t_seg} and freq bins {f}")

@@ -23,11 +23,16 @@ class GraphView:
     segment_id: str         # "1" | "2" | "whole"
 
 
+def half_width(t: int):
+    """The width of each half of a T-frame clip: an odd T is padded by column 0."""
+    return (t + 1) // 2
+
+
 def split_pair(values: np.ndarray):
     """Halve (..., F, T) clips along time; odd widths are repeat-padded from column 0."""
     if values.shape[-1] % 2 == 1:
         values = np.concatenate([values, values[..., :1]], axis=-1)
-    half = values.shape[-1] // 2
+    half = half_width(values.shape[-1])
     return values[..., :half], values[..., half:]
 
 

@@ -10,15 +10,15 @@ and every clip through ``load_features``, which reads a chunk of clips into one
 Whole splits load in EVAL_BATCH chunks; each clip's matrix is a row of its chunk.
 A pre-training step encodes both clip halves as one (2B, F, T/2) batch per view,
 built in one copy by ``_pair_halves``.  With dev clips and a second core free,
-a call on the helper process (``forking``) trains the temporal view (its stem and
-graph-conv layers) while this process trains the spatial view, the projection head
-and the loss; the worker's parameter values come back with each embedding of its
-view.  The worker loads its own copy of the split while this process loads its
-own, and while it waits for an embedding's gradient, it builds the pair batch and
-augmentation draws of the batch ``_fit`` asks for next, whose key it reads from one
-iterator over ``_fit``'s order.  The views share no parameter and Adam is
-elementwise, so every checkpoint byte, trace value and dev loss keeps the bits of
-one process.
+a call on the helper process (``forking``), the model's ``remote``, trains the
+temporal view (its stem and graph-conv layers) while this process trains the
+spatial view, the projection head and the loss; the worker's parameter values
+come back with each embedding of its view.  The worker loads its own copy of the
+split, and builds the pair batch and augmentation draws of each training batch
+before it is asked for: the run's first once loaded, and each next one, read from
+one iterator over ``_fit``'s order, while it waits for an embedding's gradient.
+The views share no parameter and Adam is elementwise, so every checkpoint byte,
+trace value and dev loss keeps the bits of one process.
 A frozen fine-tune encodes each labelled clip once, into one matrix whose rows
 the classifier trains on.
 Evaluation streams its clips: each process reads and scores one EVAL_BATCH chunk array
@@ -53,7 +53,7 @@ from . import tensorgrad as tg
 from .config import VIEW_MODES, patch_dims
 from .errors import CheckpointError, ConfigError, FormatError, InputError
 from .featio import LABELS, read_feature, sample_limited_labels
-from .graphbuild import neighbor_table, patchify, split_pair
+from .graphbuild import half_width, neighbor_table, patchify, split_pair
 from .seeding import stream
 
 PROJ_DIMS = (256, 128, 80)
@@ -72,7 +72,12 @@ class Model:
     n_patches: int
     k_neighbors: int
     clip_shape: tuple      # (data.f, data.t) of the clips it takes
-    remote: _ViewWorker | None = None  # a worker embedding one of ``kinds`` in another process
+    remote: forking.Call | None = None  # pre-training's temporal-view worker, if it has one
+
+    @classmethod
+    def from_config(cls, cfg, store, kinds):
+        """A model of ``kinds`` on ``store``: cfg's patch and neighbour counts, clip shape."""
+        return cls(store, kinds, cfg["graph.n"], cfg["graph.k"], (cfg["data.f"], cfg["data.t"]))
 
 
 def build_model(cfg, head):
@@ -94,7 +99,7 @@ def build_model(cfg, head):
     embed_len = n * d_last  # concat-pooled length of one view
     head_dims = PROJ_DIMS if head == "proj" else CLS_DIMS
     enc.init_mlp(store, head, (len(kinds) * embed_len, *head_dims), rng)
-    return Model(store, kinds, n, cfg["graph.k"], clip_shape=(cfg["data.f"], cfg["data.t"]))
+    return Model.from_config(cfg, store, kinds)
 
 
 def _is_encoder(name):
@@ -171,19 +176,21 @@ def _embed(model, segs, *aug_key):
     the (S*B, views*N*d_L) classifier or projection input.  ``aug_key`` is
     _view_embed's (clip_ids, spec, seed, epoch, seg_ids); without it no view is augmented.
 
-    With a view worker attached (pre-training on two cores), ``segs`` is the
-    ``_pair_halves`` batch of clip_ids.  The worker's view is requested first and
-    the other view computed here; the worker's rows are then recorded as one op
-    after that view's ops, so a backward pass hands the worker its gradient
-    before it runs this process's share."""
-    remote = model.remote
-    if remote is None:
+    With the worker's call as ``model.remote`` (pre-training on two cores), ``segs``
+    is the ``_pair_halves`` batch of clip_ids.  The worker's view is requested first
+    and the other computed here; the worker's rows, whose parameter values are
+    loaded first, are then recorded as one op after that view's ops, so a backward
+    pass hands the worker its gradient before it runs this process's share."""
+    call = model.remote
+    if call is None:
         return tg.concat([_view_embed(model, segs, kind, *aug_key) for kind in model.kinds],
                          axis=1)
-    remote.request(aug_key)
+    call.send(("embed", (aug_key, tg.recording())))
     views = {kind: _view_embed(model, segs, kind, *aug_key)
-             for kind in model.kinds if kind != remote.kind}
-    views[remote.kind] = remote.embedding()
+             for kind in model.kinds if kind != _WORKER_VIEW}
+    rows, params = call.recv()
+    model.store.load_arrays(params)
+    views[_WORKER_VIEW] = tg.external(rows, lambda g: call.send(("grad", g)))
     return tg.concat([views[kind] for kind in model.kinds], axis=1)
 
 
@@ -191,7 +198,7 @@ def _pair_halves(mats):
     """The (2B, F, T/2) pair batch of B (F, T) clips: every clip's first half, then
     every clip's second half, as ``split_pair`` halves them, built in one copy."""
     f, t = mats[0].shape
-    half = (t + 1) // 2
+    half = half_width(t)
     out = np.empty((2, len(mats), f, half), np.result_type(*{m.dtype for m in mats}))
     np.stack([m[:, :half] for m in mats], out=out[0])
     np.stack([m[:, half:] for m in mats], out=out[1, ..., :t - half])
@@ -380,6 +387,15 @@ def pretrain(cfg, clips, data_dir, out_dir):
 
     ``clips`` is a list of (clip_id, relative_path); labels are never seen.
     Returns (checkpoint_path, trace).
+
+    With dev clips and a second core free, ``model.remote`` is a call of
+    ``_train_view`` on the helper, which trains the temporal view's stem and
+    graph-conv layers (their gradients are off here).  Each side takes one Adam
+    step a step, on its own parameters only, so every value keeps the bits of one
+    process.  Each embedding brings the worker's values with its rows, and ``_fit``
+    reads the whole store only after one: the abort message after a batch's forward
+    pass, and the snapshot, restore and save after a dev pass.  Without dev clips
+    no embedding follows an epoch's last step, so one process trains both views.
     """
     if not clips:
         raise ConfigError("pre-training requires a non-empty train split")
@@ -411,14 +427,14 @@ def pretrain(cfg, clips, data_dir, out_dir):
 
     owned = {name: t.data for name, t in model.store.items()  # the worker's view's layers
              if name.startswith((f"stem.{_WORKER_VIEW}.", f"{ENCODER_PREFIX[_WORKER_VIEW]}."))}
-    # without dev clips no embedding follows an epoch's last step to bring the
-    # worker's values back, so one process trains both views
     with forking.call("temporal view worker", _train_view, owned, cfg, train_ids, clips,
                       os.path.abspath(data_dir)) \
             if dev_ids else contextlib.nullcontext() as worker:
         feats = load_split(clips, data_dir, model.clip_shape)  # the worker loads its own
         if worker:
-            _ViewWorker(worker, model, owned)
+            for name in owned:
+                model.store[name].requires_grad = False
+            model.remote = worker
         # projection-head entries ship under proj.* and are ignored downstream
         path, trace, _ = _fit(model, cfg, train_ids, batch_loss, dev_loss if dev_ids else None,
                               out_dir / "pretrained.sigc", out_dir / "pretrain_trace.jsonl")
@@ -443,87 +459,44 @@ def _prepare(feats, aug_key, kind, n, k, d):
 def _train_view(owned, cfg, train_ids, clips, data_dir):
     """The temporal-view worker: one call on the helper that lasts a pre-training
     run of ``cfg`` on ``clips`` (clip_id, path under the absolute ``data_dir``).
-    It trains the ``owned`` parameters, the view's stem and graph-conv layers,
-    loads its own copy of the split, and serves messages from ``forking.caller()``
-    until "done".  An "embed" message embeds the view of the ``_pair_halves`` batch
-    of the requested clips, on a tape when the request is recorded, and sends the
-    rows with the owned parameters' values; a "grad" message for the last
+    It trains the ``owned`` parameters, loads its own copy of the split, and serves
+    messages from ``forking.caller()`` until "done".  An "embed" message embeds the
+    view of the requested batch, on a tape when the request is recorded, and sends
+    the rows with the owned parameters' values; a "grad" message for the last
     embedding is back-propagated and followed by an Adam step.
 
-    After a recorded request's rows are sent, while the caller waits for their
-    gradient, it prepares the next training batch in ``_fit``'s order; the run's
-    first batch is asked for before any is prepared.  A request with the prepared
-    batch's whole key takes it; any other request, such as a dev batch, computes
-    its own and keeps it.  A guess that goes unasked (an early stop, the run's
-    last batch) changes no bit."""
+    It prepares the run's first training batch once the split is loaded, and the
+    next one in ``_fit``'s order after each recorded request's rows are sent, while
+    the caller waits for their gradient.  A request with the prepared batch's
+    whole key takes it; any other, such as a dev batch, prepares its own.  A guess
+    that goes unasked (an early stop, the run's last batch) changes no bit."""
     kind, conn, store = _WORKER_VIEW, forking.caller(), tg.ParamStore()
     for name, values in owned.items():
         store.add(name, tg.Tensor._wrap(values, True))
-    model = Model(store, (kind,), cfg["graph.n"], cfg["graph.k"],
-                  clip_shape=(cfg["data.f"], cfg["data.t"]))
+    model = Model.from_config(cfg, store, (kind,))
     feats = load_split(clips, data_dir, model.clip_shape)
     n, k, d = model.n_patches, model.k_neighbors, store[f"stem.{kind}.w"].shape[1]
     spec = aug.AugmentSpec.from_config(cfg)  # _fit's training keys, epoch after epoch
     keys = ((batch, spec, cfg["train.seed"], epoch, "12") for epoch in itertools.count(1)
             for batch in _epoch_batches(cfg, train_ids, epoch))
-    next(keys)  # the run's first batch, which nothing prepares
-    prepared = (None, None, None)  # (key, segs, draws) of the batch expected next
-    tape = rows = None
+    key = next(keys)
+    prepared = _prepare(feats, key, kind, n, k, d)  # (segs, draws) of the batch expected next
     while True:
         op, arg = conn.recv()
         if op == "done":
             return
         if op == "embed":
             aug_key, recording = arg
-            if prepared[0] == aug_key:
-                _, segs, draws = prepared
-            else:
-                segs, draws = _pair_halves([feats[c] for c in aug_key[0]]), None
+            segs, draws = prepared if aug_key == key else _prepare(feats, aug_key, kind, n, k, d)
             with tg.Tape() if recording else contextlib.nullcontext() as tape:
                 rows = _view_embed(model, segs, kind, *aug_key, draws)
             conn.send(("rows", (rows.data, store.state_arrays())))
             if recording:
                 key = next(keys)
-                prepared = (key, *_prepare(feats, key, kind, n, k, d))
+                prepared = _prepare(feats, key, kind, n, k, d)
         else:  # "grad"
             tape.backward(rows, arg)
             tg.adam_step(store, cfg["train.lr"])
-
-
-class _ViewWorker:
-    """This process's side of the temporal-view worker of a pre-training ``model``,
-    a ``forking.Call`` of ``_train_view``: it attaches itself as ``model.remote``
-    and turns the ``owned`` parameters' gradients off here.
-
-    The worker owns the temporal stem and graph-conv layers; this process keeps
-    the spatial view, the projection head and the loss.  Each side's Adam step
-    sees only its own parameters, and both take one per step, so every value
-    keeps the bits of one process.  Each embedding brings the worker's values
-    with its rows, so once a batch is embedded this process holds every
-    parameter as of the worker's last step.  ``_fit`` reads the whole store only
-    at such points: the abort message after a batch's forward pass, and the
-    snapshot, restore and save after a dev pass, which follows every epoch's last
-    step once ``pretrain`` calls the worker only with dev clips.  An error the
-    worker raises is raised by the next call here that waits for it."""
-
-    kind = _WORKER_VIEW
-
-    def __init__(self, call, model, owned):
-        self.call, self.model = call, model
-        for name in owned:
-            model.store[name].requires_grad = False
-        model.remote = self
-
-    def request(self, aug_key):
-        """Ask for the worker's view of a batch, on a tape if this process records."""
-        self.call.send(("embed", (aug_key, tg.recording())))
-
-    def embedding(self):
-        """The requested rows, as a tensor whose gradient goes to the worker; the
-        worker's parameter values that came with them are loaded first."""
-        rows, params = self.call.recv()
-        self.model.store.load_arrays(params)
-        return tg.external(rows, lambda g: self.call.send(("grad", g)))
 
 
 def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):

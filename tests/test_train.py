@@ -7,6 +7,7 @@ import hashlib
 import json
 import math
 import os
+import pickle
 import re
 import select
 import shutil
@@ -291,7 +292,7 @@ class TestPretrainTwoProcesses:
                                                                         tiny_cfg, tmp_path,
                                                                         monkeypatch,
                                                                         force_processes):
-        """Every train batch but the run's first takes the draws the worker prepared;
+        """Every train batch takes the draws the worker prepared, the run's first too;
         epoch 2's first does so after epoch 1's dev pass, which the worker computes on
         its own.  Epoch 2's dev loss reads worse, so patience 1 stops the run there, and
         the prepared epoch 3 batch is the one drawn and never asked for."""
@@ -323,7 +324,7 @@ class TestPretrainTwoProcesses:
         _, trace = train.pretrain(cfg, train.strip_labels(entries), root, tmp_path / "out")
         _no_child_left()
         assert len(trace) == 2
-        train_calls = [[1, True, False], [1, True, True], [1, True, True],
+        train_calls = [[1, True, True], [1, True, True], [1, True, True],
                        [2, True, True], [2, True, True], [2, True, True]]
         dev_call = [0, False, False]
         calls = [json.loads(line) for line in log.read_text().splitlines()]
@@ -1454,6 +1455,19 @@ class TestChild:
         with pytest.raises(ChildProcessError):  # the killed helper was reaped
             os.waitpid(first, os.WNOHANG)
         assert child_exits == []  # reaped as found ended, not through a kill here
+
+    def test_call_whose_arguments_do_not_pickle_raises_before_it_starts(self):
+        """The pickling error raises before this process pins itself, so its CPUs are
+        unchanged, and the helper, sent nothing, serves the next call."""
+        before = os.sched_getaffinity(0)
+        # a local lambda does not pickle: PicklingError or, on some Pythons, AttributeError
+        with pytest.raises((pickle.PicklingError, AttributeError), match="pickle"):
+            forking.Call("bad call", os.getpid, lambda: 1)
+        assert os.sched_getaffinity(0) == before
+        helper = forking._helper.pid  # forked for the bad call if there was none
+        with forking.Call("next call", os.getpid) as call:
+            assert call.recv() == helper
+        assert forking.shutdown() == 0
 
     def test_helper_killed_during_a_call_raises_runtime_error(self):
         with forking.Call("sleeping call", time.sleep, 60) as call:
