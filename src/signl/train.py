@@ -21,9 +21,10 @@ The views share no parameter and Adam is elementwise, so every checkpoint byte,
 trace value and dev loss keeps the bits of one process.
 A frozen fine-tune encodes each labelled clip once, into one matrix whose rows
 the classifier trains on.
-Evaluation streams its clips: each process reads and scores one EVAL_BATCH chunk array
-at a time.  On a long eval split with a second core free, a call on the helper scores
-the second half of the chunks, so memory holds one chunk per process; every chunk
+Scoring is one loop, ``_score_chunks``: one logits call and class-1 (bona fide)
+softmax per EVAL_BATCH chunk, for the fine-tune dev pass and for evaluation, whose
+processes each read one chunk array at a time.  On a long eval split with a second
+core free, a call on the helper scores the second half of the chunks; every chunk
 holds the same clips either way.  Each call carries what it reads (parameters, ids,
 absolute paths), so a helper forked before a stage sees none of its state.
 A whole run, pretrain -> fine-tune -> reload -> evaluate, is composed in one place,
@@ -33,6 +34,7 @@ A whole run, pretrain -> fine-tune -> reload -> evaluate, is composed in one pla
 from __future__ import annotations
 
 import contextlib
+import functools
 import hashlib
 import itertools
 import json
@@ -223,11 +225,12 @@ def _classify_forward(model, mats, clip_ids):
     return enc.run_mlp(_embed(model, split_pair(np.asarray(mats))[0]), model.store, "cls")
 
 
-def _embedding_rows(model, chunks):
-    """The (n, views*N*d_L) float32 classifier inputs of the clips of ``chunks``, in
-    order: one forward per (clip ids, (B, F, T) array) chunk, as ``load_chunks``
-    yields them."""
-    return np.concatenate([_embed(model, split_pair(mats)[0]).data for _, mats in chunks])
+def _embedding_rows(model, items, data_dir):
+    """The (n, views*N*d_L) float32 classifier inputs of the (clip_id, path) ``items``,
+    in order: one ``load_features`` array and one forward per EVAL_BATCH chunk."""
+    chunks = (load_features(chunk, data_dir, model.clip_shape)
+              for chunk in _batches(items, EVAL_BATCH))
+    return np.concatenate([_embed(model, split_pair(mats)[0]).data for mats in chunks])
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +274,11 @@ def _check_finite(mats, items, data_dir):
         raise FormatError(f"{path}: non-finite values") from None
 
 
-def load_chunks(items, data_dir, shape):
-    """(clip ids, load_features array) for each EVAL_BATCH chunk of ``items``."""
-    for chunk in _batches(items, EVAL_BATCH):
-        yield [clip_id for clip_id, _ in chunk], load_features(chunk, data_dir, shape)
-
-
 def load_split(items, data_dir, shape):
-    """clip_id -> F x T matrix of every item, read by ``load_chunks``: each matrix is a
-    row of its chunk's array, so no array larger than a chunk is allocated."""
-    return {clip_id: row for ids, mats in load_chunks(items, data_dir, shape)
-            for clip_id, row in zip(ids, mats)}
+    """clip_id -> F x T matrix of every item, read in EVAL_BATCH chunks: each matrix is
+    a row of its chunk's ``load_features`` array, so no larger array is allocated."""
+    return {clip_id: row for chunk in _batches(items, EVAL_BATCH)
+            for (clip_id, _), row in zip(chunk, load_features(chunk, data_dir, shape))}
 
 
 def _check_both_labels(entries, split):
@@ -500,10 +497,9 @@ def _train_view(owned, cfg, train_ids, clips, data_dir):
 
 
 def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):
-    """Algorithm-2 downstream training with limited labels.
-
-    Returns (model_checkpoint_path, trace, dev_eer_of_best).
-    """
+    """Algorithm-2 downstream training with limited labels.  Each epoch's dev EER
+    comes from evaluate's loop, ``_score_chunks``, on the training batches' logits.
+    Returns (model_checkpoint_path, trace, dev_eer_of_best)."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     seed = cfg["train.seed"]
@@ -536,7 +532,7 @@ def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):
     # into one matrix whose rows each batch picks
     rows = feats = None
     if cfg["train.freeze_encoders"]:
-        rows = _embedding_rows(model, load_chunks(items, data_dir, model.clip_shape))
+        rows = _embedding_rows(model, items, data_dir)
         row_of = {clip_id: i for i, (clip_id, _) in enumerate(items)}
     else:
         feats = load_split(items, data_dir, model.clip_shape)
@@ -551,46 +547,43 @@ def finetune(cfg, entries, data_dir, out_dir, checkpoint_path=None):
         return metrics.cross_entropy(logits(batch), [labels[c] for c in batch])
 
     def dev_eer():
-        scores = score_entries(dev_entries, logits)
-        if not all(math.isfinite(score) for _, score, _ in scores.entries):
+        probs = _score_chunks(logits, _batches([e.clip_id for e in dev_entries], EVAL_BATCH))
+        if not all(math.isfinite(p) for p in probs):
             return math.nan  # diverged: _fit names the largest parameter norms
-        return metrics.compute_eer(scores).eer
+        return metrics.compute_eer(metrics.ScoreSet(
+            [(e.clip_id, p, e.label) for e, p in zip(dev_entries, probs)])).eer
 
     return _fit(model, cfg, [e.clip_id for e in train_entries], batch_loss,
                 dev_eer, out_dir / "model.sigc", out_dir / "finetune_trace.jsonl")
 
 
-def score_entries(entries, logits):
-    """Bona-fide probabilities of entries; ``logits(clip_ids)`` gives one batch's logits."""
-    scores = []
-    for batch in _batches(entries, EVAL_BATCH):
-        probs = enc.softmax_np(logits([e.clip_id for e in batch]).data)[:, 1]  # class 1 = bona fide
-        scores.extend((e.clip_id, float(p), e.label) for e, p in zip(batch, probs))
-    return metrics.ScoreSet(scores)
-
-
-def _score_chunks(model, chunks, data_dir):
-    """The bona-fide probabilities of the clips of ``chunks``, lists of (clip_id,
-    path under ``data_dir``), in order: one ``load_features`` array and one forward
-    per chunk."""
+def _score_chunks(logits, chunks):
+    """The bona-fide probabilities of the clips of ``chunks``, in order, from one
+    ``logits(chunk)`` tensor per chunk: the one scoring loop, of finetune's dev
+    pass and of both halves of ``evaluate``."""
     probs = []
     for chunk in chunks:
-        logits = _classify_forward(model, load_features(chunk, data_dir, model.clip_shape),
-                                   [clip_id for clip_id, _ in chunk])
-        probs += map(float, enc.softmax_np(logits.data)[:, 1])  # class 1 = bona fide
+        probs += map(float, enc.softmax_np(logits(chunk).data)[:, 1])  # class 1 = bona fide
     return probs
+
+
+def _chunk_logits(model, data_dir, chunk):
+    """The logits of ``chunk``, (clip_id, path under ``data_dir``) items: its
+    ``load_features`` array and one forward."""
+    return _classify_forward(model, load_features(chunk, data_dir, model.clip_shape),
+                             [clip_id for clip_id, _ in chunk])
 
 
 def evaluate(model, entries, data_dir):
     """Bona-fide probabilities + EER on the eval split.
 
     Clips are read into one (B, F, T) array, checked and scored one EVAL_BATCH
-    chunk at a time.  With at least FORK_MIN_CHUNKS chunks and a second core free
-    (see ``forking.second_core_free``), this process scores the first n_chunks // 2
-    chunks while a call on the helper process, on another CPU, scores the second
-    half; otherwise this process scores every chunk.  The call carries the model,
-    its chunks and the absolute data path, so a helper forked before another
-    model, another EVAL_BATCH or a ``chdir`` scores the clips this process would.
+    chunk at a time by ``_score_chunks`` over ``_chunk_logits``.  With at least
+    FORK_MIN_CHUNKS chunks and a second core free (``forking.second_core_free``),
+    this process scores the first n_chunks // 2 chunks while a call on the helper
+    process, on another CPU, scores the second half, and otherwise every chunk.
+    The call carries the model, its chunks and the absolute data path, so a helper
+    forked before another model, EVAL_BATCH or ``chdir`` scores as this process would.
     A call has a fixed cost (the model and the scores over the pipe, two wake-ups,
     the helper's model and chunk buffers), and the call that forks the helper
     pays for the fork and the copy-on-write faults after it on both sides.
@@ -619,12 +612,12 @@ def evaluate(model, entries, data_dir):
     an error in this process's half raises at once and kills the helper."""
     rows = [e for e in entries if e.split == "eval"]
     _check_both_labels(rows, "eval")
-    data_dir = os.path.abspath(data_dir)
+    logits = functools.partial(_chunk_logits, model, os.path.abspath(data_dir))
     chunks = list(_batches([(e.clip_id, e.path) for e in rows], EVAL_BATCH))
     cut = len(chunks) // 2 if len(chunks) >= FORK_MIN_CHUNKS else len(chunks)
-    with forking.call("second eval scorer", _score_chunks, model, chunks[cut:], data_dir) \
+    with forking.call("second eval scorer", _score_chunks, logits, chunks[cut:]) \
             if cut < len(chunks) else contextlib.nullcontext() as scorer:
-        probs = _score_chunks(model, chunks if scorer is None else chunks[:cut], data_dir)
+        probs = _score_chunks(logits, chunks if scorer is None else chunks[:cut])
         if scorer:
             probs += scorer.recv()
     score_set = metrics.ScoreSet([(e.clip_id, p, e.label) for e, p in zip(rows, probs)])

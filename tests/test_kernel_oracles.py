@@ -502,8 +502,10 @@ class TestLoadFeaturesOracle:
         monkeypatch.setattr(train, "EVAL_BATCH", 6)  # 20 eval clips: chunks of 6, 6, 6, 2
         rows = [e for e in entries if e.split == "eval"]
         feats = _ref_load_features([(e.clip_id, e.path) for e in rows], root, model.clip_shape)
-        expected = train.score_entries(rows, lambda ids: train._classify_forward(
-            model, np.stack([feats[c] for c in ids]), ids))
+        probs = train._score_chunks(lambda ids: train._classify_forward(
+            model, np.stack([feats[c] for c in ids]), ids),
+            train._batches([e.clip_id for e in rows], train.EVAL_BATCH))
+        expected = metrics.ScoreSet([(e.clip_id, p, e.label) for e, p in zip(rows, probs)])
         scores, report = train.evaluate(model, entries, root)
         assert scores.entries == expected.entries
         assert _same_bits(np.array([s for _, s, _ in scores.entries]),

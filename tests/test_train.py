@@ -2,6 +2,7 @@
 
 import ast
 import contextlib
+import dataclasses
 import errno
 import hashlib
 import json
@@ -732,7 +733,7 @@ class TestFrozenEmbeddingCache:
         items = [(e.clip_id, e.path) for e in self._labelled(entries)]
         feats = train.load_split(items, root, model.clip_shape)
         monkeypatch.setattr(train, "EVAL_BATCH", eval_batch)
-        cached = train._embedding_rows(model, train.load_chunks(items, root, model.clip_shape))
+        cached = train._embedding_rows(model, items, root)
 
         inputs = []
         run_mlp = enc.run_mlp
@@ -1019,8 +1020,10 @@ class TestEvaluate:
         rows = [e for e in entries if e.split == "eval"]
         # the whole-split algorithm: load every eval clip, then score
         feats = train.load_split([(e.clip_id, e.path) for e in rows], root, model.clip_shape)
-        expected = train.score_entries(
-            rows, lambda ids: train._classify_forward(model, [feats[c] for c in ids], ids))
+        probs = train._score_chunks(
+            lambda ids: train._classify_forward(model, [feats[c] for c in ids], ids),
+            train._batches([e.clip_id for e in rows], train.EVAL_BATCH))
+        expected = metrics.ScoreSet([(e.clip_id, p, e.label) for e, p in zip(rows, probs)])
         loads = logged_loads()
         force_processes(processes)
         scores, report = train.evaluate(model, entries, root)
@@ -1287,6 +1290,44 @@ class TestEvaluate:
         model = train.build_model(tiny_cfg, head="cls")
         with pytest.raises(ConfigError, match="split 'eval' holds no 'fake' clips"):
             train.evaluate(model, no_fakes, tmp_path / "no-corpus")
+
+
+class TestDevMetricIsEvaluatesEER:
+    """finetune's dev pass and evaluate score through one loop, so evaluating the
+    saved model on the dev clips, relabelled as eval clips, reports exactly the best
+    dev EER that finetune returned."""
+
+    @pytest.fixture(scope="class")
+    def dev_corpus(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("dev-corpus")
+        cfg = featio.SynthConfig(F=32, T=32, n_per_split={"train": 40, "dev": 30, "eval": 20},
+                                 n_attack_types=3, artifact_strength=1.0, seed=11)
+        return root, featio.gen_synthetic(cfg, root)
+
+    @staticmethod
+    def _eval_eer_of_dev(cfg, root, entries, out_dir):
+        path, _, best = train.finetune(cfg, entries, root, out_dir)
+        as_eval = [dataclasses.replace(e, split="eval") for e in entries if e.split == "dev"]
+        _, report = train.evaluate(train.load_model(cfg, path, head="cls"), as_eval, root)
+        return report.eer, best
+
+    @pytest.mark.parametrize("processes", [1, 2], ids=["one_process", "two_processes"])
+    @pytest.mark.parametrize("eval_batch", [96, 7])  # 30 dev clips: one chunk, or five
+    def test_unfrozen(self, dev_corpus, tiny_cfg, tmp_path, monkeypatch, force_processes,
+                      eval_batch, processes):
+        root, entries = dev_corpus
+        monkeypatch.setattr(train, "EVAL_BATCH", eval_batch)
+        force_processes(processes)  # with 2, the helper scores evaluate's back chunks at 7
+        cfg = _finetune_cfg(tiny_cfg, **{"train.label_fraction": 1.0})
+        eer, best = self._eval_eer_of_dev(cfg, root, entries, tmp_path)
+        assert eer == best
+
+    def test_frozen(self, dev_corpus, tiny_cfg, tmp_path):
+        root, entries = dev_corpus
+        cfg = _finetune_cfg(tiny_cfg, **{"train.label_fraction": 1.0,
+                                         "train.freeze_encoders": True})
+        eer, best = self._eval_eer_of_dev(cfg, root, entries, tmp_path)
+        assert eer == best
 
 
 def test_readme_states_the_eval_chunk_sizes():
