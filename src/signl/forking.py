@@ -175,8 +175,8 @@ class Call:
     of a helper that ended without either (a signal, or a value or error that
     does not pickle), which is then dropped.  As a context manager, a block left
     normally waits for the call's end, and a block left on an exception kills
-    and drops the helper: no call outlives its block, and no message the call
-    left unread reaches the next one.
+    and drops the helper, as does a start that fails once the call is sent: no
+    call outlives its block, and no message the call left unread reaches the next.
 
     Until the call ends, the helper runs on this process's CPUs but the one this
     process ran on when the call began, or on all of them if that is the only
@@ -192,7 +192,11 @@ class Call:
         self.cpus = os.sched_getaffinity(0)
         here = {_current_cpu()}
         self.send((fn, args, self.cpus - here or self.cpus))
-        os.sched_setaffinity(0, here)
+        try:
+            os.sched_setaffinity(0, here)
+        except BaseException:  # the helper runs fn: drop it, or the next call reads its result
+            self._drop(kill=True)
+            raise
 
     def __enter__(self):
         return self

@@ -124,11 +124,6 @@ def _op(data, *inputs):
     return out
 
 
-def recording():
-    """Whether a primitive run now is recorded: a ``Tape`` is active."""
-    return bool(_TAPE_STACK)
-
-
 # ---------------------------------------------------------------------------
 # primitives
 

@@ -9,14 +9,14 @@ and every clip through ``load_features``, which reads a chunk of clips into one
 (B, F, T) array, checks each against (data.f, data.t) and the chunk's finiteness once.
 Whole splits load in EVAL_BATCH chunks; each clip's matrix is a row of its chunk.
 A pre-training step encodes both clip halves as one (2B, F, T/2) batch per view,
-built in one copy by ``_pair_halves``.  With dev clips and a second core free,
-a call on the helper process (``forking``), the model's ``remote``, trains the
-temporal view (its stem and graph-conv layers) while this process trains the
-spatial view, the projection head and the loss; the worker's parameter values
-come back with each embedding of its view.  The worker loads its own copy of the
-split, and builds the pair batch and augmentation draws of each training batch
-before it is asked for: the run's first once loaded, and each next one, read from
-one iterator over ``_fit``'s order, while it waits for an embedding's gradient.
+built in one copy by ``_pair_halves``.  With a second core free, a call on the
+helper process (``forking``), the model's ``remote``, trains the temporal view
+(its stem and graph-conv layers) while this process trains the spatial view, the
+projection head and the loss; the worker's parameter values come back with each
+embedding of its view.  The worker loads its own copy of the split, and builds
+the pair batch and augmentation draws of each training batch before it is asked
+for: the run's first once loaded, and each next one, read from one iterator over
+``_fit``'s order, while it waits for an embedding's gradient.
 The views share no parameter and Adam is elementwise, so every checkpoint byte,
 trace value and dev loss keeps the bits of one process.
 A frozen fine-tune encodes each labelled clip once, into one matrix whose rows
@@ -187,7 +187,7 @@ def _embed(model, segs, *aug_key):
     if call is None:
         return tg.concat([_view_embed(model, segs, kind, *aug_key) for kind in model.kinds],
                          axis=1)
-    call.send(("embed", (aug_key, tg.recording())))
+    call.send(("embed", aug_key))
     views = {kind: _view_embed(model, segs, kind, *aug_key)
              for kind in model.kinds if kind != _WORKER_VIEW}
     rows, params = call.recv()
@@ -343,8 +343,8 @@ def _fit(model, cfg, train_ids, batch_loss, dev_metric, ckpt_path, trace_path):
     """The epoch loop of both phases: shuffle, Adam steps, early stop, save.
 
     ``batch_loss(batch, epoch)`` builds one batch's scalar loss on the open
-    tape.  ``dev_metric()`` scores the model after each epoch; without one
-    the epoch's mean train loss stands in.  Each epoch's trace row is
+    tape.  ``dev_metric()`` scores the model after each epoch, and the best
+    score picks the epoch whose parameters are kept.  Each epoch's trace row is
     appended to ``trace_path`` as soon as the epoch ends, so an interrupted
     run keeps the epochs it finished.  The best epoch's parameters are saved to
     ``ckpt_path``.  Returns (ckpt_path, trace, best dev metric).
@@ -365,7 +365,7 @@ def _fit(model, cfg, train_ids, batch_loss, dev_metric, ckpt_path, trace_path):
             tg.adam_step(model.store, cfg["train.lr"])
             losses.append(float(loss.data))
         train_loss = float(np.mean(losses))
-        metric = train_loss if dev_metric is None else dev_metric()
+        metric = dev_metric()
         if not math.isfinite(metric):  # diverged: NaN would pass as a stale epoch
             raise RuntimeError(_abort_diagnostics(model, f"dev metric at epoch {epoch}"))
         trace.append({"epoch": epoch, "train_loss": train_loss, "dev_metric": metric,
@@ -382,17 +382,17 @@ def _fit(model, cfg, train_ids, batch_loss, dev_metric, ckpt_path, trace_path):
 def pretrain(cfg, clips, data_dir, out_dir):
     """Algorithm-1 pre-training on a label-stripped clip list.
 
-    ``clips`` is a list of (clip_id, relative_path); labels are never seen.
-    Returns (checkpoint_path, trace).
+    ``clips`` is a list of (clip_id, relative_path); labels are never seen.  A
+    DEV_HOLDOUT share of them, at least one, scores each epoch and the rest train:
+    a one-clip split is its own dev clip.  Returns (checkpoint_path, trace).
 
-    With dev clips and a second core free, ``model.remote`` is a call of
-    ``_train_view`` on the helper, which trains the temporal view's stem and
-    graph-conv layers (their gradients are off here).  Each side takes one Adam
-    step a step, on its own parameters only, so every value keeps the bits of one
-    process.  Each embedding brings the worker's values with its rows, and ``_fit``
-    reads the whole store only after one: the abort message after a batch's forward
-    pass, and the snapshot, restore and save after a dev pass.  Without dev clips
-    no embedding follows an epoch's last step, so one process trains both views.
+    With a second core free, ``model.remote`` is a call of ``_train_view`` on the
+    helper, which trains the temporal view's stem and graph-conv layers (their
+    gradients are off here).  Each side takes one Adam step a step, on its own
+    parameters only, so every value keeps the bits of one process.  Each embedding
+    brings the worker's values with its rows, and ``_fit`` reads the whole store
+    only after one: the abort message after a batch's forward pass, and the
+    snapshot, restore and save after a dev pass.
     """
     if not clips:
         raise ConfigError("pre-training requires a non-empty train split")
@@ -406,7 +406,7 @@ def pretrain(cfg, clips, data_dir, out_dir):
     ids = [cid for cid, _ in clips]
 
     order = stream(seed, "holdout").permutation(len(ids))
-    n_dev = max(1, int(round(DEV_HOLDOUT * len(ids)))) if len(ids) > 1 else 0
+    n_dev = max(1, int(round(DEV_HOLDOUT * len(ids))))
     dev_ids = [ids[i] for i in order[:n_dev]]
     train_ids = [ids[i] for i in order[n_dev:]] or ids
 
@@ -415,7 +415,7 @@ def pretrain(cfg, clips, data_dir, out_dir):
         return tg.scale(metrics.alignment_loss(z1, z2, tau), 1.0 / len(batch))
 
     def dev_loss():
-        """Mean per-pair alignment loss on held-out clips, unaugmented."""
+        """Mean per-pair alignment loss on the dev clips, unaugmented."""
         total = 0.0
         for batch in _batches(dev_ids, EVAL_BATCH):
             _, _, z1, z2 = _pair_forward(model, [feats[c] for c in batch], batch, None, 0, 0)
@@ -425,15 +425,14 @@ def pretrain(cfg, clips, data_dir, out_dir):
     owned = {name: t.data for name, t in model.store.items()  # the worker's view's layers
              if name.startswith((f"stem.{_WORKER_VIEW}.", f"{ENCODER_PREFIX[_WORKER_VIEW]}."))}
     with forking.call("temporal view worker", _train_view, owned, cfg, train_ids, clips,
-                      os.path.abspath(data_dir)) \
-            if dev_ids else contextlib.nullcontext() as worker:
+                      os.path.abspath(data_dir)) as worker:
         feats = load_split(clips, data_dir, model.clip_shape)  # the worker loads its own
         if worker:
             for name in owned:
                 model.store[name].requires_grad = False
             model.remote = worker
         # projection-head entries ship under proj.* and are ignored downstream
-        path, trace, _ = _fit(model, cfg, train_ids, batch_loss, dev_loss if dev_ids else None,
+        path, trace, _ = _fit(model, cfg, train_ids, batch_loss, dev_loss,
                               out_dir / "pretrained.sigc", out_dir / "pretrain_trace.jsonl")
         if worker:
             worker.send(("done", None))
@@ -458,15 +457,15 @@ def _train_view(owned, cfg, train_ids, clips, data_dir):
     run of ``cfg`` on ``clips`` (clip_id, path under the absolute ``data_dir``).
     It trains the ``owned`` parameters, loads its own copy of the split, and serves
     messages from ``forking.caller()`` until "done".  An "embed" message embeds the
-    view of the requested batch, on a tape when the request is recorded, and sends
-    the rows with the owned parameters' values; a "grad" message for the last
-    embedding is back-propagated and followed by an Adam step.
+    view of the batch its key names, on a tape, and sends the rows with the owned
+    parameters' values; a "grad" message, which follows only a training batch's
+    embedding, is back-propagated and followed by an Adam step.
 
-    It prepares the run's first training batch once the split is loaded, and the
-    next one in ``_fit``'s order after each recorded request's rows are sent, while
-    the caller waits for their gradient.  A request with the prepared batch's
-    whole key takes it; any other, such as a dev batch, prepares its own.  A guess
-    that goes unasked (an early stop, the run's last batch) changes no bit."""
+    The prepared batch is a cache of the batch expected next in ``_fit``'s order,
+    the run's first once the split is loaded.  A request with its whole key takes
+    it, and the next key is prepared while the caller waits for the gradient; any
+    other request, such as a dev batch, prepares its own.  A wrong or unasked guess
+    (an early stop, the run's last batch) costs one preparation and no bit."""
     kind, conn, store = _WORKER_VIEW, forking.caller(), tg.ParamStore()
     for name, values in owned.items():
         store.add(name, tg.Tensor._wrap(values, True))
@@ -483,12 +482,12 @@ def _train_view(owned, cfg, train_ids, clips, data_dir):
         if op == "done":
             return
         if op == "embed":
-            aug_key, recording = arg
-            segs, draws = prepared if aug_key == key else _prepare(feats, aug_key, kind, n, k, d)
-            with tg.Tape() if recording else contextlib.nullcontext() as tape:
-                rows = _view_embed(model, segs, kind, *aug_key, draws)
+            hit = arg == key
+            segs, draws = prepared if hit else _prepare(feats, arg, kind, n, k, d)
+            with tg.Tape() as tape:
+                rows = _view_embed(model, segs, kind, *arg, draws)
             conn.send(("rows", (rows.data, store.state_arrays())))
-            if recording:
+            if hit:
                 key = next(keys)
                 prepared = _prepare(feats, key, kind, n, k, d)
         else:  # "grad"

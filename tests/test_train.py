@@ -360,6 +360,32 @@ class TestPretrainTwoProcesses:
         assert [int(epoch) for pid, epoch in calls if pid == parent] == [1, 2]
         assert [int(epoch) for pid, epoch in calls if pid != parent] == [1, 2, 3]
 
+    def test_no_bit_depends_on_the_workers_guess(self, tiny_corpus, tiny_cfg, tmp_path,
+                                                 monkeypatch, force_processes):
+        """The worker, forked after the patch, guesses each epoch's batches (16, 16 and
+        4 clips) in reverse, so most requests miss the prepared batch and prepare their
+        own: the checkpoint and trace keep the bits of one process."""
+        root, entries = tiny_corpus
+        parent, epoch_batches = os.getpid(), train._epoch_batches
+
+        def reversed_in_the_worker(cfg, ids, epoch):
+            batches = epoch_batches(cfg, ids, epoch)
+            return batches if os.getpid() == parent else batches[::-1]
+
+        monkeypatch.setattr(train, "_epoch_batches", reversed_in_the_worker)
+        draws = _log_draws(monkeypatch, tmp_path / "draws")
+        cfg = _pretrain_cfg(tiny_cfg, **_ALL_AUGMENTATIONS, **{"train.epochs": 3})
+        runs = []
+        for processes in (2, 1):
+            force_processes(processes)
+            path, trace = train.pretrain(cfg, train.strip_labels(entries), root,
+                                         tmp_path / str(processes))
+            runs.append((path.read_bytes(), _trace_rows(trace)))
+            _no_child_left()
+        assert runs[0] == runs[1]
+        drawn = [(key, epoch) for pid, _, key, epoch, _ in draws() if pid != parent]
+        assert len(drawn) > len(set(drawn))  # a missed train batch, drawn again as a guess
+
     def test_preparation_reads_no_parameter(self):
         """``_prepare``, and what it calls in ``train``, reads no ``model.store`` entry
         and runs no embedding, tape or Adam step: only work a step's parameters
@@ -435,26 +461,24 @@ class TestPretrainTwoProcesses:
             _no_child_left()
         assert messages[0] == messages[1]
 
-    def test_one_clip_has_no_dev_pass_and_forks_no_worker(self, tiny_corpus, tiny_cfg,
-                                                          tmp_path, monkeypatch,
-                                                          force_processes):
-        """With one clip the train loss stands in for the dev metric, so no embedding
-        follows an epoch's last step to bring the worker's values back: pretrain keeps
-        one process even when the probe allows two."""
+    def test_one_clip_is_its_own_dev_clip_on_both_paths(self, tiny_corpus, tiny_cfg,
+                                                        tmp_path, force_processes):
+        """A one-clip split trains on its one clip and scores each epoch by that
+        clip's dev loss, with the worker when the probe allows it: both paths write
+        the same bits."""
         root, entries = tiny_corpus
         clips = train.strip_labels(entries)[:1]
-
-        def no_fork():
-            raise AssertionError("a one-clip pretrain forked")
-
+        cfg = _pretrain_cfg(tiny_cfg, **_ALL_AUGMENTATIONS, **{"train.epochs": 3})
         runs = []
-        for processes in (1, 2):
+        for processes in (2, 1):
             force_processes(processes)
-            monkeypatch.setattr(os, "fork", no_fork)
-            path, trace = train.pretrain(_pretrain_cfg(tiny_cfg), clips, root,
-                                         tmp_path / str(processes))
+            path, trace = train.pretrain(cfg, clips, root, tmp_path / str(processes))
             runs.append((path.read_bytes(), _trace_rows(trace)))
+            assert (forking._helper is not None) == (processes == 2)
+            _no_child_left()
         assert runs[0] == runs[1]
+        assert [row["dev_metric"] for row in runs[0][1]] != \
+            [row["train_loss"] for row in runs[0][1]]  # the dev loss, not the train loss
 
     def test_worker_exit_without_a_result_raises_runtime_error(self, tiny_corpus, tiny_cfg,
                                                                tmp_path, monkeypatch,
@@ -1331,14 +1355,15 @@ class TestDevMetricIsEvaluatesEER:
 
 
 def test_readme_states_the_eval_chunk_sizes():
-    # README step 6 spells out EVAL_BATCH, FORK_MIN_CHUNKS and their product
+    # README step 6 spells out EVAL_BATCH, FORK_MIN_CHUNKS and the smallest split
+    # of that many chunks
     readme = " ".join((Path(train.__file__).parents[2] / "README.md").read_text().split())
     batch = re.search(r"`train\.EVAL_BATCH` chunk \(([\d,]+) clips\)", readme)
-    fork = re.search(r"`train\.FORK_MIN_CHUNKS` chunks \((\d+), i\.e\. ([\d,]+) clips\)",
-                     readme)
+    fork = re.search(r"`train\.FORK_MIN_CHUNKS` chunks \((\d+), i\.e\. ([\d,]+) clips "
+                     r"or more\)", readme)
     stated = [int(n.replace(",", "")) for n in (*batch.groups(), *fork.groups())]
     assert stated == [train.EVAL_BATCH, train.FORK_MIN_CHUNKS,
-                      train.EVAL_BATCH * train.FORK_MIN_CHUNKS]
+                      (train.FORK_MIN_CHUNKS - 1) * train.EVAL_BATCH + 1]
 
 
 class TestChild:
@@ -1509,6 +1534,29 @@ class TestChild:
         with forking.Call("next call", os.getpid) as call:
             assert call.recv() == helper
         assert forking.shutdown() == 0
+
+    @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU: no pin to refuse")
+    def test_start_that_fails_once_sent_drops_the_helper(self, monkeypatch, child_exits):
+        """A start that raises after its request is sent, here as this process pins
+        itself to one CPU, kills and reaps the helper, which would otherwise run the
+        call and leave its result for the next call to read as its own."""
+        before, setaffinity = os.sched_getaffinity(0), os.sched_setaffinity
+        with forking.Call("first call", int, 1) as call:  # the helper, forked unpatched
+            assert call.recv() == 1
+
+        def refuse_one_cpu(pid, cpus):
+            if pid == 0 and len(cpus) == 1:
+                raise OSError(errno.EINVAL, "Invalid argument")
+            setaffinity(pid, cpus)
+
+        monkeypatch.setattr(os, "sched_setaffinity", refuse_one_cpu)
+        with pytest.raises(OSError, match="Invalid argument"):
+            forking.Call("second call", int, 2)
+        assert os.sched_getaffinity(0) == before
+        assert child_exits == [-signal.SIGKILL]
+        monkeypatch.setattr(os, "sched_setaffinity", setaffinity)
+        with forking.Call("third call", int, 3) as call:
+            assert call.recv() == 3
 
     def test_helper_killed_during_a_call_raises_runtime_error(self):
         with forking.Call("sleeping call", time.sleep, 60) as call:
