@@ -11,7 +11,10 @@ temporal-view worker and evaluate's second scorer are such calls.  Where the
 probe fails, each of them does its work in this process instead, with the same
 bits.  While a call runs, it and this process run on different CPUs: left to
 the scheduler, a process woken over the pipe often stays on its waker's CPU
-while the other one idles.
+while the other one idles.  A call may also share a buffer with this process
+(``share`` there, ``Call.shared`` here): a memfd that both map, whose one
+descriptor crosses the pipe, so that an array the call writes is read here
+without a copy.
 
 A process that runs many stages, such as a benchmark or an ablation grid,
 forks once in total: a fork per stage cost a few milliseconds, and left
@@ -22,9 +25,11 @@ from __future__ import annotations
 
 import atexit
 import contextlib
+import mmap
 import multiprocessing
 import os
 import signal
+from multiprocessing import reduction
 
 _helper = None  # this process's helper, once forked
 _caller = None  # in the helper: its end of the pipe
@@ -55,6 +60,23 @@ def caller():
     """In a call running on the helper, the pipe to the process that made it, over
     which the call may exchange messages with ``Call.send`` and ``Call.recv``."""
     return _caller
+
+
+def share(nbytes):
+    """In a call running on the helper, a zeroed buffer of ``nbytes`` that the call
+    writes and the process that made it maps too, read-only, with ``Call.shared``:
+    a memfd, whose size and descriptor are sent over ``caller()``.  Neither
+    process keeps a descriptor of it; each mapping, and the descriptor ``mmap``
+    holds, goes once no array views it."""
+    fd = os.memfd_create("signl-shared", os.MFD_CLOEXEC)
+    try:
+        os.ftruncate(fd, nbytes)
+        buffer = mmap.mmap(fd, nbytes)
+        _caller.send(("shared", nbytes))
+        reduction.send_handle(_caller, fd, os.getppid())
+    finally:
+        os.close(fd)
+    return buffer
 
 
 def shutdown():
@@ -174,9 +196,11 @@ class Call:
     one and raises the other, and RuntimeError naming the exit status or signal
     of a helper that ended without either (a signal, or a value or error that
     does not pickle), which is then dropped.  As a context manager, a block left
-    normally waits for the call's end, and a block left on an exception kills
-    and drops the helper, as does a start that fails once the call is sent: no
-    call outlives its block, and no message the call left unread reaches the next.
+    normally waits for the call's end, dropping any message it left unread, and
+    a block left on an exception kills and drops the helper, as does a start
+    that fails once the call is sent: no call outlives its block, and no message
+    the call left unread reaches the next.  A buffer the call shares (``shared``)
+    is ``buffer`` until the call ends.
 
     Until the call ends, the helper runs on this process's CPUs but the one this
     process ran on when the call began, or on all of them if that is the only
@@ -185,7 +209,7 @@ class Call:
 
     def __init__(self, name, fn, *args):
         global _helper
-        self.name, self.ended = name, False
+        self.name, self.ended, self.buffer = name, False, None
         if _helper is None or _helper.ended():
             _helper = _Helper()
         self.helper = _helper
@@ -204,7 +228,7 @@ class Call:
     def __exit__(self, exc_type, *_):
         if exc_type is not None:
             self._drop(kill=True)
-        elif not self.ended:
+        while not self.ended:
             self.recv()
 
     def send(self, message):
@@ -213,6 +237,22 @@ class Call:
         except OSError:  # the helper has left: raise its error, or how it ended
             self.recv()
             raise
+
+    def shared(self):
+        """The buffer the call shares with ``share``, mapped read-only here, once the
+        call sends it; the call's error, or how the helper ended, raises instead
+        if the call ends first."""
+        nbytes = self.recv()
+        try:
+            fd = reduction.recv_handle(self.helper.conn)
+        except EOFError:  # the helper left between the size and the descriptor
+            self.recv()
+            raise
+        try:
+            self.buffer = mmap.mmap(fd, nbytes, prot=mmap.PROT_READ)
+        finally:
+            os.close(fd)
+        return self.buffer
 
     def recv(self):
         try:
@@ -228,8 +268,9 @@ class Call:
         return value
 
     def _end(self):
-        """Mark the call ended and give this process its CPUs back."""
-        self.ended = True
+        """Mark the call ended, let go of its buffer, which is unmapped once no
+        array views it, and give this process its CPUs back."""
+        self.ended, self.buffer = True, None
         os.sched_setaffinity(0, self.cpus)
 
     def _drop(self, kill):

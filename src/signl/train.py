@@ -13,10 +13,12 @@ built in one copy by ``_pair_halves``.  With a second core free, a call on the
 helper process (``forking``), the model's ``remote``, trains the temporal view
 (its stem and graph-conv layers) while this process trains the spatial view, the
 projection head and the loss; the worker's parameter values come back with each
-embedding of its view.  The worker loads its own copy of the split, and builds
-the pair batch and augmentation draws of each training batch before it is asked
-for: the run's first once loaded, and each next one, read from one iterator over
-``_fit``'s order, while it waits for an embedding's gradient.
+embedding of its view.  Only the worker loads the split.  It builds the pair
+batch and augmentation draws of each training batch before it is asked for (the
+run's first once loaded, and each next one, read from one iterator over
+``_fit``'s order, while it waits for an embedding's gradient), the pair batch
+into one of two slots of a buffer both processes map, and this process embeds
+its view straight from the slot.
 The views share no parameter and Adam is elementwise, so every checkpoint byte,
 trace value and dev loss keeps the bits of one process.
 A frozen fine-tune encodes each labelled clip once, into one matrix whose rows
@@ -179,15 +181,21 @@ def _embed(model, segs, *aug_key):
     _view_embed's (clip_ids, spec, seed, epoch, seg_ids); without it no view is augmented.
 
     With the worker's call as ``model.remote`` (pre-training on two cores), ``segs``
-    is the ``_pair_halves`` batch of clip_ids.  The worker's view is requested first
-    and the other computed here; the worker's rows, whose parameter values are
-    loaded first, are then recorded as one op after that view's ops, so a backward
-    pass hands the worker its gradient before it runs this process's share."""
+    is None: the worker writes the ``_pair_halves`` batch of clip_ids into a slot of
+    the call's buffer and names the slot (see ``_train_view``), and this process
+    reads it there.  The worker's view is requested first and the other computed
+    here; the worker's rows, whose parameter values are loaded first, are then
+    recorded as one op after that view's ops, so a backward pass hands the worker
+    its gradient before it runs this process's share."""
     call = model.remote
     if call is None:
         return tg.concat([_view_embed(model, segs, kind, *aug_key) for kind in model.kinds],
                          axis=1)
     call.send(("embed", aug_key))
+    slot, key = call.recv()  # the worker's guess, announced once it was prepared
+    if key != aug_key:  # a miss: the worker prepares this batch first, in its other slot
+        slot, _ = call.recv()
+    segs = _slots(call.buffer, model.clip_shape)[slot, :2 * len(aug_key[0])]
     views = {kind: _view_embed(model, segs, kind, *aug_key)
              for kind in model.kinds if kind != _WORKER_VIEW}
     rows, params = call.recv()
@@ -196,23 +204,36 @@ def _embed(model, segs, *aug_key):
     return tg.concat([views[kind] for kind in model.kinds], axis=1)
 
 
-def _pair_halves(mats):
+def _pair_halves(mats, out=None):
     """The (2B, F, T/2) pair batch of B (F, T) clips: every clip's first half, then
-    every clip's second half, as ``split_pair`` halves them, built in one copy."""
+    every clip's second half, as ``split_pair`` halves them, built in one copy, into
+    ``out`` when it is given."""
     f, t = mats[0].shape
     half = half_width(t)
-    out = np.empty((2, len(mats), f, half), np.result_type(*{m.dtype for m in mats}))
-    np.stack([m[:, :half] for m in mats], out=out[0])
-    np.stack([m[:, half:] for m in mats], out=out[1, ..., :t - half])
+    if out is None:
+        out = np.empty((2 * len(mats), f, half), np.result_type(*{m.dtype for m in mats}))
+    halves = out.reshape(2, len(mats), f, half)
+    np.stack([m[:, :half] for m in mats], out=halves[0])
+    np.stack([m[:, half:] for m in mats], out=halves[1, ..., :t - half])
     if t % 2:  # an odd width repeats column 0 at the end of the second half
-        np.stack([m[:, 0] for m in mats], out=out[1, ..., -1])
-    return out.reshape(2 * len(mats), f, half)
+        np.stack([m[:, 0] for m in mats], out=halves[1, ..., -1])
+    return out
+
+
+def _slots(buffer, shape):
+    """The pre-training worker's two pair-batch slots in ``buffer``, for clips of
+    ``shape``: a (2, rows, F, T/2) float32 view, whose slot holds a batch of B clips'
+    ``_pair_halves`` batch in its first 2B rows."""
+    f, t = shape
+    return np.frombuffer(buffer, np.float32).reshape(2, -1, f, half_width(t))
 
 
 def _pair_forward(model, mats, clip_ids, spec, seed, epoch):
-    """Embeddings and projections (h1, h2, z1, z2) of both halves of a batch of clips."""
-    h = _embed(model, _pair_halves(mats), clip_ids, spec, seed, epoch, "12")
-    b = len(mats)
+    """Embeddings and projections (h1, h2, z1, z2) of both halves of a batch of clips,
+    ``mats``; None when the worker holds them (``model.remote``)."""
+    h = _embed(model, None if mats is None else _pair_halves(mats), clip_ids, spec, seed,
+               epoch, "12")
+    b = len(clip_ids)
     return (*tg.split(h, [b, b]), *tg.split(enc.run_mlp(h, model.store, "proj"), [b, b]))
 
 
@@ -388,11 +409,14 @@ def pretrain(cfg, clips, data_dir, out_dir):
 
     With a second core free, ``model.remote`` is a call of ``_train_view`` on the
     helper, which trains the temporal view's stem and graph-conv layers (their
-    gradients are off here).  Each side takes one Adam step a step, on its own
-    parameters only, so every value keeps the bits of one process.  Each embedding
-    brings the worker's values with its rows, and ``_fit`` reads the whole store
-    only after one: the abort message after a batch's forward pass, and the
-    snapshot, restore and save after a dev pass.
+    gradients are off here).  The worker alone loads the split, and this process
+    reads each batch's pair batch from the buffer the call shares; a clip that
+    fails to load raises its error here before the first epoch, as in one process.
+    Each side takes one Adam step a step, on its own parameters only, so every
+    value keeps the bits of one process.  Each embedding brings the worker's values
+    with its rows, and ``_fit`` reads the whole store only after one: the abort
+    message after a batch's forward pass, and the snapshot, restore and save after
+    a dev pass.
     """
     if not clips:
         raise ConfigError("pre-training requires a non-empty train split")
@@ -410,27 +434,34 @@ def pretrain(cfg, clips, data_dir, out_dir):
     dev_ids = [ids[i] for i in order[:n_dev]]
     train_ids = [ids[i] for i in order[n_dev:]] or ids
 
+    def mats(batch):  # None where the worker holds the split
+        return None if feats is None else [feats[c] for c in batch]
+
     def batch_loss(batch, epoch):
-        _, _, z1, z2 = _pair_forward(model, [feats[c] for c in batch], batch, spec, seed, epoch)
+        _, _, z1, z2 = _pair_forward(model, mats(batch), batch, spec, seed, epoch)
         return tg.scale(metrics.alignment_loss(z1, z2, tau), 1.0 / len(batch))
 
     def dev_loss():
         """Mean per-pair alignment loss on the dev clips, unaugmented."""
         total = 0.0
         for batch in _batches(dev_ids, EVAL_BATCH):
-            _, _, z1, z2 = _pair_forward(model, [feats[c] for c in batch], batch, None, 0, 0)
+            _, _, z1, z2 = _pair_forward(model, mats(batch), batch, None, 0, 0)
             total += float(metrics.alignment_loss(z1, z2, tau).data)
         return total / len(dev_ids)
 
     owned = {name: t.data for name, t in model.store.items()  # the worker's view's layers
              if name.startswith((f"stem.{_WORKER_VIEW}.", f"{ENCODER_PREFIX[_WORKER_VIEW]}."))}
+    # the most clips of a train or dev batch: the size of a worker's slot
+    most = max(min(cfg["train.batch_size"], len(train_ids)), min(EVAL_BATCH, n_dev))
+    data_dir = os.path.abspath(data_dir)  # one path in a clip's error, whichever process reads it
     with forking.call("temporal view worker", _train_view, owned, cfg, train_ids, clips,
-                      os.path.abspath(data_dir)) as worker:
-        feats = load_split(clips, data_dir, model.clip_shape)  # the worker loads its own
+                      data_dir, most) as worker:
         if worker:
+            worker.shared()  # sent once the worker's split is loaded
             for name in owned:
                 model.store[name].requires_grad = False
             model.remote = worker
+        feats = None if worker else load_split(clips, data_dir, model.clip_shape)
         # projection-head entries ship under proj.* and are ignored downstream
         path, trace, _ = _fit(model, cfg, train_ids, batch_loss, dev_loss,
                               out_dir / "pretrained.sigc", out_dir / "pretrain_trace.jsonl")
@@ -442,54 +473,73 @@ def pretrain(cfg, clips, data_dir, out_dir):
 # ---------------------------------------------------------------------------
 # pre-training's temporal view on the helper
 
-def _prepare(feats, aug_key, kind, n, k, d):
+def _prepare(feats, aug_key, kind, n, k, d, slot):
     """The part of an embedding of view ``kind`` of the batch ``aug_key`` that reads
-    no parameter: the ``_pair_halves`` batch and the ``_view_draws``."""
+    no parameter: the ``_pair_halves`` batch, built into the first rows of ``slot``,
+    and the ``_view_draws``."""
     clip_ids, spec, seed, epoch, seg_ids = aug_key
-    segs = _pair_halves([feats[c] for c in clip_ids])
+    segs = _pair_halves([feats[c] for c in clip_ids], slot[:2 * len(clip_ids)])
     return segs, _view_draws(spec, clip_ids, seed, epoch, f"{kind}:{seg_ids}", len(segs),
                              n, k, d)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # _fit stops a run whose loss is not finite
-def _train_view(owned, cfg, train_ids, clips, data_dir):
+def _train_view(owned, cfg, train_ids, clips, data_dir, most):
     """The temporal-view worker: one call on the helper that lasts a pre-training
     run of ``cfg`` on ``clips`` (clip_id, path under the absolute ``data_dir``).
-    It trains the ``owned`` parameters, loads its own copy of the split, and serves
-    messages from ``forking.caller()`` until "done".  An "embed" message embeds the
-    view of the batch its key names, on a tape, and sends the rows with the owned
-    parameters' values; a "grad" message, which follows only a training batch's
-    embedding, is back-propagated and followed by an Adam step.
+    It trains the ``owned`` parameters, loads the split, shares a buffer of two
+    slots of ``most`` clips' pair batches with the caller (``forking.share``), and
+    serves messages from ``forking.caller()`` until "done".  An "embed" message
+    drops the last one's tape and rows, embeds the view of the batch its key names,
+    on a tape, and sends the rows with the owned parameters' values; a "grad"
+    message, which follows only a training batch's embedding, is back-propagated
+    and followed by an Adam step.
 
     The prepared batch is a cache of the batch expected next in ``_fit``'s order,
-    the run's first once the split is loaded.  A request with its whole key takes
-    it, and the next key is prepared while the caller waits for the gradient; any
-    other request, such as a dev batch, prepares its own.  A wrong or unasked guess
-    (an early stop, the run's last batch) costs one preparation and no bit."""
+    the run's first once the split is loaded.  Its pair batch fills a slot, and a
+    "ready" message names the slot and the key as soon as it is prepared, so the
+    caller reads a hit's slot without waiting.  A request with the whole key takes
+    it, and the next key is prepared while the caller waits for the gradient.  Any
+    other request, such as a dev batch, prepares its own, and its "ready" comes
+    before its rows; every request's last message is the guess's "ready".  A miss
+    is written to the slot that does not hold the guess, and the next guess goes
+    to the other slot after a hit: a slot is rewritten only after the caller's
+    step that read it, its stem's weight gradient included, has ended.  A wrong or
+    unasked guess (an early stop, the run's last batch) costs one preparation and
+    no bit."""
     kind, conn, store = _WORKER_VIEW, forking.caller(), tg.ParamStore()
     for name, values in owned.items():
         store.add(name, tg.Tensor._wrap(values, True))
     model = Model.from_config(cfg, store, (kind,))
     feats = load_split(clips, data_dir, model.clip_shape)
+    f, t = model.clip_shape  # two slots of `most` clips' two float32 halves
+    slots = _slots(forking.share(2 * 2 * most * f * half_width(t) * 4), model.clip_shape)
     n, k, d = model.n_patches, model.k_neighbors, store[f"stem.{kind}.w"].shape[1]
     spec = aug.AugmentSpec.from_config(cfg)  # _fit's training keys, epoch after epoch
     keys = ((batch, spec, cfg["train.seed"], epoch, "12") for epoch in itertools.count(1)
             for batch in _epoch_batches(cfg, train_ids, epoch))
-    key = next(keys)
-    prepared = _prepare(feats, key, kind, n, k, d)  # (segs, draws) of the batch expected next
+    guess, key = 0, next(keys)  # the slot and key of the batch expected next
+    prepared = _prepare(feats, key, kind, n, k, d, slots[guess])  # its (segs, draws)
+    conn.send(("ready", (guess, key)))
     while True:
         op, arg = conn.recv()
         if op == "done":
             return
         if op == "embed":
+            tape = rows = None  # the last request's: no gradient follows a dev batch's
             hit = arg == key
-            segs, draws = prepared if hit else _prepare(feats, arg, kind, n, k, d)
+            if hit:
+                segs, draws = prepared
+            else:  # into the slot that does not hold the guess
+                segs, draws = _prepare(feats, arg, kind, n, k, d, slots[1 - guess])
+                conn.send(("ready", (1 - guess, arg)))
             with tg.Tape() as tape:
                 rows = _view_embed(model, segs, kind, *arg, draws)
             conn.send(("rows", (rows.data, store.state_arrays())))
-            if hit:
-                key = next(keys)
-                prepared = _prepare(feats, key, kind, n, k, d)
+            if hit:  # the next guess goes to the other slot
+                guess, key = 1 - guess, next(keys)
+                prepared = _prepare(feats, key, kind, n, k, d, slots[guess])
+            conn.send(("ready", (guess, key)))
         else:  # "grad"
             tape.backward(rows, arg)
             tg.adam_step(store, cfg["train.lr"])

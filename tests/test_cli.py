@@ -428,6 +428,32 @@ class TestErrors:
         assert "'eval_00007' are (30, 32)" in err
         assert not [p for p in out.iterdir() if p.name.startswith("eval-")]
 
+    @pytest.mark.parametrize("processes", [1, 2], ids=["one_process", "two_processes"])
+    @pytest.mark.parametrize("fault", ["non-finite", "other shape"])
+    def test_bad_train_clip_exits_1_without_run_dir(self, base_cfg, tmp_path, capsys,
+                                                    force_processes, processes, fault):
+        """With two processes only the worker loads the split, and its error exits 1
+        as in one process: the run directory goes, and no process is left."""
+        out = tmp_path / "runs"
+        assert run(["gen-data", "--config", str(base_cfg), "--out", str(out)],
+                   capsys)[0] == 0
+        spoilt = tmp_path / "corpus" / "train_00003.sigf"
+        if fault == "non-finite":
+            raw = bytearray(spoilt.read_bytes())
+            raw[-4:] = np.float32(np.inf).tobytes()
+            spoilt.write_bytes(raw)
+            message = f"error: {spoilt}: non-finite values"
+        else:
+            featio.write_feature(np.zeros((32, 30)), spoilt)
+            message = "error: corpus clips such as 'train_00003' are (32, 30)"
+        force_processes(processes)
+        code, _, err = run(["pretrain", "--config", str(base_cfg), "--out", str(out)], capsys)
+        assert code == 1
+        assert err.startswith(message)
+        assert not [p for p in out.iterdir() if p.name.startswith("pretrain-")]
+        with pytest.raises(ChildProcessError):  # a forked helper is reaped
+            os.waitpid(-1, os.WNOHANG)
+
     @pytest.mark.skipif(len(os.sched_getaffinity(0)) < 2, reason="one CPU: nothing to fork")
     @pytest.mark.parametrize("code", [0, 1], ids=["success", "exit_1"])
     def test_eval_command_leaves_no_process_behind(self, base_cfg, tmp_path, capsys, code):

@@ -33,7 +33,7 @@ from signl import featio, forking
 from signl import metrics
 from signl import tensorgrad as tg
 from signl import train
-from signl.errors import ConfigError, InputError, ShapeError
+from signl.errors import ConfigError, FormatError, InputError, ShapeError
 from signl.graphbuild import GraphView, knn_graph, neighbor_table, split_pair
 from signl.seeding import stream
 
@@ -584,6 +584,126 @@ class TestPretrainTwoProcesses:
         assert out[0] == "False"
         assert int(out[1]) >= 2 or len(os.sched_getaffinity(0)) < 2  # BLAS runs a thread
         assert (tmp_path / "pretrained.sigc").is_file()
+
+    @pytest.mark.parametrize("fault", ["non-finite", "other shape", "missing file"])
+    def test_load_errors_keep_their_type_and_message(self, tiny_corpus, tiny_cfg, tmp_path,
+                                                     monkeypatch, force_processes,
+                                                     child_exits, fault):
+        """Only the worker loads the split: a bad clip's error reaches this process as
+        the call's error, with the type and message of one process, before the first
+        epoch begins.  The corpus is named by a relative path."""
+        root, entries = tiny_corpus
+        shutil.copytree(root, tmp_path / "corpus")
+        monkeypatch.chdir(tmp_path)
+        spoilt = tmp_path / "corpus" / "train_00005.sigf"
+        if fault == "non-finite":
+            raw = bytearray(spoilt.read_bytes())
+            raw[-4:] = np.float32(np.nan).tobytes()
+            spoilt.write_bytes(raw)
+        elif fault == "other shape":
+            featio.write_feature(np.zeros((32, 30)), spoilt)
+        else:
+            spoilt.unlink()
+        errors = []
+        for processes in (2, 1):
+            force_processes(processes)
+            out = tmp_path / str(processes)
+            with pytest.raises(Exception) as info:
+                train.pretrain(_pretrain_cfg(tiny_cfg), train.strip_labels(entries), "corpus",
+                               out)
+            errors.append((type(info.value), str(info.value)))
+            assert not (out / "pretrain_trace.jsonl").exists()
+            _no_child_left()
+        assert len(child_exits) == 1  # the two-process run's helper, reaped
+        assert errors[0] == errors[1]
+        kind = {"non-finite": FormatError, "other shape": ConfigError,
+                "missing file": FileNotFoundError}[fault]
+        assert errors[0][0] is kind and str(spoilt) in errors[0][1]
+
+    @pytest.mark.parametrize("end", ["clean", "aborted", "worker killed"])
+    def test_this_process_reads_no_clip_and_keeps_no_buffer(self, tiny_corpus, tiny_cfg,
+                                                            tmp_path, monkeypatch,
+                                                            force_processes, end):
+        """Every clip of a forked pretrain is read by the worker.  However the run ends,
+        this process then holds the descriptors it held before and no shared mapping,
+        and the helper serves the next call: the same helper after a clean run,
+        holding what it held before, or a new one after a run that killed it."""
+        root, entries = tiny_corpus
+        parent, log = os.getpid(), tmp_path / "reads"
+        read_feature, view_embed, pair_forward = train.read_feature, train._view_embed, \
+            train._pair_forward
+        calls = []
+
+        def logged(path, *args):
+            with open(log, "a") as fh:
+                fh.write(f"{os.getpid()}\n")
+            return read_feature(path, *args)
+
+        def poisoned(model, mats, clip_ids, spec, seed, epoch):  # epoch 1's second batch
+            h1, h2, z1, z2 = pair_forward(model, mats, clip_ids, spec, seed, epoch)
+            calls.append(spec)
+            return h1, h2, (tg.scale(z1, float("nan")) if len(calls) == 2 else z1), z2
+
+        def killed(model, segs, kind, *args):
+            calls.append(kind)
+            if os.getpid() != parent and len(calls) == 2:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return view_embed(model, segs, kind, *args)
+
+        def held(pid="self"):
+            maps = Path(f"/proc/{pid}/maps").read_text()
+            return sorted(os.listdir(f"/proc/{pid}/fd")), "memfd:" in maps
+
+        monkeypatch.setattr(train, "read_feature", logged)
+        if end == "aborted":
+            monkeypatch.setattr(train, "_pair_forward", poisoned)
+        elif end == "worker killed":
+            monkeypatch.setattr(train, "_view_embed", killed)
+        force_processes(2)
+        with forking.Call("first call", os.getpid) as call:
+            helper = call.recv()
+        before, helper_before = held(), held(helper)
+        assert not before[1] and not helper_before[1]
+        error = {"clean": None, "aborted": "non-finite loss at epoch 1, batch 1;",
+                 "worker killed": r"without a result \(signal 9\)"}[end]
+        with pytest.raises(RuntimeError, match=error) if error else contextlib.nullcontext():
+            train.pretrain(_pretrain_cfg(tiny_cfg), train.strip_labels(entries), root,
+                           tmp_path / "out")
+        with forking.Call("next call", os.getpid) as call:
+            assert (call.recv() == helper) == (end == "clean")
+        assert held() == before
+        if end == "clean":
+            assert held(helper) == helper_before
+        readers = set(log.read_text().split())
+        assert len(readers) == 1 and str(parent) not in readers
+        _no_child_left()
+
+    def test_slots_keep_their_bits_under_a_slow_parent(self, tiny_corpus, tiny_cfg, tmp_path,
+                                                       monkeypatch, force_processes):
+        """This process's Adam step sleeps, so the worker's next preparation lands in one
+        slot while this process still reads the other, through its stem's weight
+        gradient too.  Dev batches of 3 clips make two misses in a row, and every
+        checkpoint byte and trace value is that of one process."""
+        root, entries = tiny_corpus
+        parent, adam_step = os.getpid(), tg.adam_step
+
+        def slow(store, lr):
+            if os.getpid() == parent:
+                time.sleep(0.005)
+            adam_step(store, lr)
+
+        monkeypatch.setattr(tg, "adam_step", slow)
+        monkeypatch.setattr(train, "EVAL_BATCH", 3)
+        cfg = _pretrain_cfg(tiny_cfg, **_ALL_AUGMENTATIONS,
+                            **{"train.epochs": 3, "train.batch_size": 5})
+        runs = []
+        for processes in (2, 1):
+            force_processes(processes)
+            path, trace = train.pretrain(cfg, train.strip_labels(entries), root,
+                                         tmp_path / str(processes))
+            runs.append((path.read_bytes(), _trace_rows(trace)))
+            _no_child_left()
+        assert runs[0] == runs[1]
 
 
 class TestFinetune:
